@@ -12,9 +12,9 @@ Layout
 ------
 ``linalg``       shared dense kernels and error types
 ``cayley``       the transform: forward, inverse, centers, mobility
-``gradients``    pullback gradients, transport, sampled bound checks
+``gradients``    pullback gradients, sampled bound checks
 ``retractions``  tangent vectors, retractions, retraction pullback
-``optimize``     Armijo backtracking and the descent drivers
+``optimize``     one Armijo descent loop and the solvers
 ``problems``     benchmark costs and random instances
 ``cli``          the ``stiefel-bench`` command
 """
@@ -32,14 +32,12 @@ from .cayley import (
     singular_diagnostic,
 )
 from .gradients import (
-    BasePointMismatchError,
     BoundReport,
     CostFunction,
     check_gradient_bounds,
     grad_at_zero,
     grad_pullback,
     stationarity_residual,
-    transform_gradient,
 )
 from .linalg import (
     DimensionError,
@@ -53,7 +51,6 @@ from .optimize import (
     LineSearchStallError,
     RunRecord,
     StoppingConfig,
-    backtrack,
     run_gdm_cp,
     run_gdm_cp_retraction,
     run_gdm_retraction,
@@ -85,7 +82,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BacktrackingConfig",
-    "BasePointMismatchError",
     "BoundReport",
     "Center",
     "CostFunction",
@@ -103,7 +99,6 @@ __all__ = [
     "StoppingConfig",
     "TangentVector",
     "align_right_invariant",
-    "backtrack",
     "check_gradient_bounds",
     "check_stiefel",
     "construct_center",
@@ -132,6 +127,5 @@ __all__ = [
     "singular_diagnostic",
     "stationarity_residual",
     "stochastic_eigen_family",
-    "transform_gradient",
     "__version__",
 ]

@@ -34,7 +34,6 @@ __all__ = [
     "SingularDiagnostic",
     "singular_diagnostic",
     "mobility",
-    "canonicalize_general_skew",
 ]
 
 #: Feasibility tolerance for frame validation on construction.
@@ -119,20 +118,6 @@ class SkewParam:
     @classmethod
     def zero(cls, n: int, p: int) -> "SkewParam":
         return cls(np.zeros((p, p)), np.zeros((n - p, p)))
-
-    @classmethod
-    def from_full(cls, w, p: int, tol: float = 1e-12) -> "SkewParam":
-        """Compress a full zero-corner skew matrix; validates the structure."""
-        w = linalg.as_matrix(w, "full skew matrix")
-        n = w.shape[0]
-        if w.shape[0] != w.shape[1]:
-            raise DimensionError(f"expected a square matrix, got {w.shape}")
-        scale = max(1.0, float(np.linalg.norm(w)))
-        if np.linalg.norm(w + w.T) > tol * scale:
-            raise ValueError("matrix is not skew-symmetric")
-        if np.linalg.norm(w[p:, p:]) > tol * scale:
-            raise ValueError("lower-right corner is not zero")
-        return cls(w[:p, :p], w[p:, :p])
 
     def full(self) -> np.ndarray:
         """Embed as the full n-by-n skew matrix."""
@@ -260,30 +245,12 @@ class Center:
             return self.t.T @ x[:p]
         return self.s[:, :p].T @ x
 
-    def le_mul(self, y, p: int) -> np.ndarray:
-        """``S_le y`` for a p-by-k panel."""
-        self._check_p(p)
-        if self.is_structured:
-            out = np.zeros((self.n,) + y.shape[1:])
-            out[:p] = self.t @ y
-            return out
-        return self.s[:, :p] @ y
-
     def riT_mul(self, x, p: int) -> np.ndarray:
         """``S_ri^T x`` for an n-by-k panel."""
         self._check_p(p)
         if self.is_structured:
             return np.array(x[p:])
         return self.s[:, p:].T @ x
-
-    def ri_mul(self, y, p: int) -> np.ndarray:
-        """``S_ri y`` for an (n-p)-by-k panel."""
-        self._check_p(p)
-        if self.is_structured:
-            out = np.zeros((self.n,) + y.shape[1:])
-            out[p:] = y
-            return out
-        return self.s[:, p:] @ y
 
     def __repr__(self) -> str:
         kind = "structured" if self.is_structured else "general"
@@ -483,39 +450,3 @@ def mobility(v: SkewParam) -> float:
     sigma_min = float(sigma[-1]) if v.b.shape[0] >= v.p else 0.0
     return 2.0 * math.sqrt(1.0 + sigma_max**2) / (1.0 + sigma_min**2)
 
-
-def canonicalize_general_skew(w, p: int) -> SkewParam:
-    """Project a full skew matrix onto the zero-corner space, same frame.
-
-    For skew ``W`` with blocks ``A = W_11``, ``B = W_21``, ``C = W_22``,
-    returns the parameter with
-
-        ``B_hat = (I + C)^{-1} B``
-        ``A_hat = A - B^T (I + C)^{-T} C (I + C)^{-1} B``
-
-    which maps to the same frame as ``W`` does: the inverse transform of the
-    result equals the first p columns of ``S (I - W)(I + W)^{-1}`` for every
-    center ``S``.  Used as a bridge between full-skew constructions and the
-    compressed parameter space.
-    """
-    w = linalg.as_matrix(w, "skew matrix")
-    n = w.shape[0]
-    if w.shape[0] != w.shape[1]:
-        raise DimensionError(f"expected a square matrix, got {w.shape}")
-    scale = max(1.0, float(np.linalg.norm(w)))
-    if np.linalg.norm(w + w.T) > 1e-10 * scale:
-        raise ValueError("input is not skew-symmetric")
-    a = w[:p, :p]
-    b = w[p:, :p]
-    c = w[p:, p:]
-    ipc = np.eye(n - p) + c
-    try:
-        b_hat = np.linalg.solve(ipc, b)
-        x = np.linalg.solve(ipc.T, c @ b_hat)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(
-            "I + C is nonsingular for every skew C; solve failure signals "
-            "corrupted input"
-        ) from exc
-    a_hat = a - b.T @ x
-    return SkewParam(a_hat, b_hat)

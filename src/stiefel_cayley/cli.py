@@ -42,7 +42,6 @@ from .optimize import (
     run_gdm_cp_retraction,
     run_gdm_retraction,
 )
-from .retractions import TangentVector
 
 SCHEMA_VERSION = 1
 
@@ -85,7 +84,6 @@ class ExperimentConfig:
     samples: int = 1000
     sigma: float = 1.0
     variance_draws: int = 10000
-    inject_sign_flip: bool = False
 
     def __post_init__(self):
         if self.experiment not in _COMMANDS:
@@ -250,6 +248,23 @@ def _final_metrics(rec: RunRecord, optimum: float) -> Tuple[float, ...]:
     )
 
 
+def _group_rows(summary: List[List[str]], history: List[List[str]],
+                summary_prefix: List[str], history_prefix: List[str],
+                records: Sequence[RunRecord], optimum: float) -> None:
+    """Append one solver/stepsize group's rows: a summary row per trial
+    (then mean/std rows for two or more trials) and every history row."""
+    block: List[Tuple[float, ...]] = []
+    for t, rec in enumerate(records):
+        metrics = _final_metrics(rec, optimum)
+        block.append(metrics)
+        summary.append([*summary_prefix, str(t), *(_fmt(x) for x in metrics[:4]),
+                        str(rec.iters[-1]), _fmt(metrics[5]), rec.stop_reason])
+        for it, t_s, fval in zip(rec.iters, rec.times, rec.fvals):
+            history.append([*history_prefix, str(t), str(it), _fmt(t_s), _fmt(fval - optimum)])
+    if len(records) > 1:
+        summary.extend(_aggregate_rows(summary_prefix, block))
+
+
 def _aggregate_rows(prefix: List[str], metrics: List[Tuple[float, ...]]) -> List[List[str]]:
     """mean/std rows over the trial axis (only meaningful for >= 2 trials)."""
     arr = np.asarray(metrics, dtype=np.float64)
@@ -315,19 +330,9 @@ def cmd_eigen(cfg: ExperimentConfig) -> int:
     history: List[List[str]] = []
     for ai, algo in enumerate(cfg.algorithms):
         for gi, gamma in enumerate(cfg.gammas):
-            prefix = [algo, str(cfg.n), str(cfg.p), _fmt(gamma)]
-            block: List[Tuple[float, ...]] = []
-            for t in range(cfg.trials):
-                rec: RunRecord = records[(ai, gi, t)]
-                metrics = _final_metrics(rec, inst.optimum_value)
-                block.append(metrics)
-                summary.append([*prefix, str(t), *(_fmt(x) for x in metrics[:4]),
-                                str(rec.iters[-1]), _fmt(metrics[5]), rec.stop_reason])
-                for i, it in enumerate(rec.iters):
-                    history.append([algo, _fmt(gamma), str(t), str(it), _fmt(rec.times[i]),
-                                    _fmt(rec.fvals[i] - inst.optimum_value)])
-            if cfg.trials > 1:
-                summary.extend(_aggregate_rows(prefix, block))
+            _group_rows(summary, history, [algo, str(cfg.n), str(cfg.p), _fmt(gamma)],
+                        [algo, _fmt(gamma)],
+                        [records[(ai, gi, t)] for t in range(cfg.trials)], inst.optimum_value)
 
     provenance = [
         ("command", "eigen"), ("n", cfg.n), ("p", cfg.p), ("trials", cfg.trials),
@@ -377,19 +382,10 @@ def cmd_singular(cfg: ExperimentConfig) -> int:
     history: List[List[str]] = []
     for ti, theta in enumerate(SINGULAR_THETAS):
         for gi, gamma in enumerate(cfg.gammas):
-            prefix = ["gdm-cp", _fmt(theta), str(cfg.n), str(cfg.p), _fmt(gamma)]
-            block: List[Tuple[float, ...]] = []
-            for t in range(cfg.trials):
-                rec: RunRecord = records[(ti, gi, t)]
-                metrics = _final_metrics(rec, 0.0)
-                block.append(metrics)
-                summary.append([*prefix, str(t), *(_fmt(x) for x in metrics[:4]),
-                                str(rec.iters[-1]), _fmt(metrics[5]), rec.stop_reason])
-                for i, it in enumerate(rec.iters):
-                    history.append(["gdm-cp", _fmt(theta), _fmt(gamma), str(t), str(it),
-                                    _fmt(rec.times[i]), _fmt(rec.fvals[i])])
-            if cfg.trials > 1:
-                summary.extend(_aggregate_rows(prefix, block))
+            _group_rows(summary, history,
+                        ["gdm-cp", _fmt(theta), str(cfg.n), str(cfg.p), _fmt(gamma)],
+                        ["gdm-cp", _fmt(theta), _fmt(gamma)],
+                        [records[(ti, gi, t)] for t in range(cfg.trials)], 0.0)
 
     provenance = [
         ("command", "singular"), ("n", cfg.n), ("p", cfg.p), ("trials", cfg.trials),
@@ -466,12 +462,6 @@ GRADCHECK_HEADER = ("cost", "engine", "states", "directions", "worst_rel_err",
                     "tolerance", "status")
 
 
-def _sign_flipped(f: CostFunction) -> CostFunction:
-    """Negative-control corruption: the check must catch this."""
-    return CostFunction(dim_n=f.dim_n, dim_p=f.dim_p, eval=f.eval,
-                        grad=lambda u: -f.grad(u))
-
-
 def _central_diff(phi: Callable[[float], float], step: float) -> float:
     return (phi(step) - phi(-step)) / (2.0 * step)
 
@@ -521,8 +511,6 @@ def cmd_gradcheck(cfg: ExperimentConfig) -> int:
         ("eigen", problems.eigen_cost(inst)),
         ("distance", problems.distance_cost(problems.random_stiefel(rng, cfg.n, cfg.p))),
     ]
-    if cfg.inject_sign_flip:
-        costs = [(name, _sign_flipped(f)) for name, f in costs]
 
     engines = [("parameter-space", _check_parameter_engine),
                ("retraction-pullback", _check_retraction_engine)]
@@ -634,8 +622,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--directions", type=int, help="random directions per state")
     sp.add_argument("--fd-step", type=float, dest="fd_step",
                     help="central-difference step")
-    sp.add_argument("--inject-sign-flip", action="store_true", default=None,
-                    dest="inject_sign_flip", help=argparse.SUPPRESS)
 
     sp = sub.add_parser("bounds", help="sampled gradient bound report")
     _add_common_flags(sp)

@@ -3,13 +3,12 @@
 Given a smooth cost on ambient N-by-p matrices, the pulled-back cost on the
 skew parameter space has an explicit Euclidean gradient assembled from p-by-p
 solves; this module provides that gradient, its closed form at the origin,
-the change-of-center transport that re-expresses a gradient at one center in
-the parameter space of another, and sampled checks of the Lipschitz /
-boundedness / variance bounds the pullback inherits from the ambient cost.
+the first-order optimality residual of a frame, and sampled checks of the
+Lipschitz / boundedness / variance bounds the pullback inherits from the
+ambient cost.
 
 Everything here works on compressed blocks; nothing larger than p-by-p is
-ever factorized, and the (N-p)-by-(N-p) rotation hidden inside the
-change-of-center transport is only ever applied to N-by-p panels.
+ever factorized.
 """
 
 from __future__ import annotations
@@ -25,11 +24,9 @@ from .cayley import Center, SkewParam, inverse
 
 __all__ = [
     "CostFunction",
-    "BasePointMismatchError",
     "grad_pullback",
     "pullback_from_euclidean",
     "grad_at_zero",
-    "transform_gradient",
     "BoundReport",
     "check_gradient_bounds",
     "stationarity_residual",
@@ -60,10 +57,6 @@ class CostFunction:
         if self.eval_grad is not None:
             return self.eval_grad(u)
         return self.eval(u), self.grad(u)
-
-
-class BasePointMismatchError(ValueError):
-    """The two (center, parameter) pairs do not describe the same frame."""
 
 
 def pullback_from_euclidean(
@@ -131,84 +124,6 @@ def grad_at_zero(center: Center, f: CostFunction) -> SkewParam:
     g = f.grad(u)
     gle = center.leftT_mul(g, p)
     return SkewParam(gle.T - gle, -center.riT_mul(g, p))
-
-
-def _phi_ri_ops(center: Center, v: SkewParam, u: np.ndarray):
-    """Action of the right N-p columns of the full orthogonal Cayley factor.
-
-    The factor's right panel equals ``(U + S_le) B^T + S_ri``, so both the
-    panel and its transpose act on thin matrices in O(Np^2) plus one center
-    action, without ever materializing an N-by-(N-p) matrix.
-    """
-    p = v.p
-    w = u + center.left(p)
-    b = v.b
-
-    def apply(y: np.ndarray) -> np.ndarray:  # (n-p)-by-k -> n-by-k
-        return w @ (b.T @ y) + center.ri_mul(y, p)
-
-    def apply_t(x: np.ndarray) -> np.ndarray:  # n-by-k -> (n-p)-by-k
-        return b @ (w.T @ x) + center.riT_mul(x, p)
-
-    return apply, apply_t
-
-
-#: Largest frame discrepancy accepted by :func:`transform_gradient`.
-BASE_POINT_TOL = 1e-8
-
-
-def transform_gradient(
-    s1: Center, v1: SkewParam, s2: Center, v2: SkewParam, g2: SkewParam
-) -> SkewParam:
-    """Re-express a pulled-back gradient at a different center.
-
-    Both (center, parameter) pairs must describe the same frame (checked
-    within ``BASE_POINT_TOL`` in Frobenius norm).  Given the gradient ``g2``
-    of the cost pulled back at the second center, returns the gradient of
-    the same cost pulled back at the first center, without touching the
-    cost itself.
-
-    The conjugation runs right-to-left on the leading N-by-p block column:
-    the orthogonal (N-p)-rotation relating the two full Cayley factors acts
-    only through thin products (see :func:`_phi_ri_ops`), and the middle
-    factor -- the gradient with its corner reflection removed -- is applied
-    blockwise.  Satisfies ``||result||_F <= 2 (1 + ||V2||_2^2) ||g2||_F``
-    and is exact (up to roundoff) when both pairs coincide.
-    """
-    p, n = v1.p, v1.n
-    if (v2.p, v2.n) != (p, n) or (g2.p, g2.n) != (p, n):
-        raise linalg.DimensionError("parameter and gradient shapes must agree")
-    u1 = inverse(s1, v1)
-    u2 = inverse(s2, v2)
-    drift = float(np.linalg.norm(u1 - u2))
-    if drift > BASE_POINT_TOL:
-        raise BasePointMismatchError(
-            f"the two parametrizations disagree on the frame by {drift:.3e} "
-            f"(tolerance {BASE_POINT_TOL:.0e})"
-        )
-    apply1, apply1_t = _phi_ri_ops(s1, v1, u1)
-    apply2, apply2_t = _phi_ri_ops(s2, v2, u2)
-    a2, b2 = v2.a, v2.b
-    ag, bg = g2.a, g2.b
-
-    c = np.zeros((n, p))
-    c[:p] = np.eye(p)
-    c = linalg.solve_ipv(-v1, c)  # inverse-transpose pass
-    c[p:] = apply2_t(apply1(c[p:]))  # transposed rotation on the tail
-    ct = c[:p] - (a2 @ c[:p] - b2.T @ c[p:])  # (I - V2) C
-    cb = c[p:] - b2 @ c[:p]
-    ht = ag @ ct - bg.T @ cb  # corner-reflected gradient, top
-    hb = (
-        bg @ ct
-        + b2 @ (bg.T @ cb)
-        - b2 @ (ag @ (b2.T @ cb))
-        - bg @ (b2.T @ cb)
-    )
-    c[:p] = ht + a2 @ ht - b2.T @ hb  # (I + V2) H C
-    c[p:] = hb + b2 @ ht
-    c[p:] = apply1_t(apply2(c[p:]))  # rotation on the tail
-    c = linalg.solve_ipv(v1, c)
-    return SkewParam(c[:p], c[p:])
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,9 @@
 """Dense real linear-algebra substrate shared by every other module.
 
+Checked SVD, QR and polar-factor wrappers, the orthonormality defect
+:func:`feasibility`, the skew part of a square matrix, the input coercion
+:func:`as_matrix`, and the error taxonomy the other modules raise.
+
 Conventions
 -----------
 * All matrices are ``numpy.float64`` ndarrays in row-major (C) order.
@@ -29,11 +33,11 @@ __all__ = [
     "svd",
     "qr_orthonormalize",
     "polar_factor",
-    "solve_ipv",
 ]
 
-#: Condition-number threshold (1-norm) above which a solve is refused.
-#: Roughly the inverse of machine epsilon with a safety margin.
+#: Condition-number threshold (1-norm) above which a linear system is
+#: refused (the low-rank Cayley-retraction system uses it).  Roughly the
+#: inverse of machine epsilon with a safety margin.
 COND_LIMIT = 1e14
 
 
@@ -153,46 +157,3 @@ def polar_factor(x) -> np.ndarray:
         )
     return res.u @ res.vt
 
-
-def solve_ipv(v, rhs) -> np.ndarray:
-    """Solve ``(I + V) y = rhs`` through the p-by-p Schur complement.
-
-    ``v`` is any object with attributes ``a`` (p-by-p skew block) and ``b``
-    ((n-p)-by-p block), representing the zero-corner skew matrix
-    ``V = [[A, -B^T], [B, 0]]``.  Writing ``M = I_p + A + B^T B`` (the Schur
-    complement of the identity corner), the inverse acts block-wise as::
-
-        (I + V)^{-1} = [[M^{-1},      M^{-1} B^T        ],
-                        [-B M^{-1},   I - B M^{-1} B^T  ]]
-
-    so only the p-by-p matrix ``M`` is ever factorized.  Cost is
-    ``O(n p k + p^3)`` for an n-by-k right-hand side.
-
-    Raises
-    ------
-    SingularMatrixError
-        If ``M`` tests as numerically singular (1-norm condition estimate
-        above ``COND_LIMIT``).  ``M`` is provably nonsingular for valid
-        inputs, so this signals corrupted data.
-    """
-    a = np.asarray(v.a, dtype=np.float64)
-    b = np.asarray(v.b, dtype=np.float64)
-    p = a.shape[0]
-    rhs = np.asarray(rhs, dtype=np.float64)
-    squeeze = rhs.ndim == 1
-    if squeeze:
-        rhs = rhs[:, None]
-    if rhs.shape[0] != p + b.shape[0]:
-        raise DimensionError(
-            f"rhs has {rhs.shape[0]} rows, expected {p + b.shape[0]}"
-        )
-    m = np.eye(p) + a + b.T @ b
-    if not np.isfinite(m).all() or np.linalg.cond(m, 1) > COND_LIMIT:
-        raise SingularMatrixError(
-            "Schur complement I + A + B^T B tested singular; it is nonsingular "
-            "for every valid zero-corner skew input, so the data is corrupt"
-        )
-    y1 = np.linalg.solve(m, rhs[:p] + b.T @ rhs[p:])
-    y2 = rhs[p:] - b @ y1
-    out = np.concatenate([y1, y2], axis=0)
-    return out[:, 0] if squeeze else out

@@ -1,7 +1,8 @@
 """Gradient descent on the parametrized manifold and its baselines.
 
-Three solver families, all driven by the same Armijo backtracking rule and
-the same three-clause stopping test:
+Five solvers share one descent loop (:func:`_descend`), one Armijo
+backtracking rule and one three-clause stopping test; they differ only in
+the variable they update and where they anchor it:
 
 * :func:`run_gdm_cp` -- descend in the skew parameter space of a center;
   every iterate is mapped back through the inverse transform, so
@@ -12,11 +13,14 @@ the same three-clause stopping test:
   anchor frame, stepping through the Cayley retraction and its pulled-back
   gradient.
 * :func:`run_gdm_retraction` -- classic retraction-based steepest descent
-  (QR, polar, or Cayley), re-projecting the gradient at every new frame.
+  (QR, polar, or Cayley): the same loop re-anchored at every accepted
+  frame, re-projecting the gradient there.
 
-Stopping clauses are checked in a fixed order each iteration: iteration
-budget first, then the gradient-norm ratio against the starting gradient,
-then the relative change of the cost value.
+Every solver checks its start frame once, on entry: it must have the
+cost's shape and orthonormal columns.  Stopping clauses are checked in a
+fixed order each iteration: iteration budget first, then the
+gradient-norm ratio against the starting gradient, then the relative
+change of the cost value.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from . import linalg
-from .cayley import Center, SkewParam, construct_center, forward, inverse
+from .cayley import Center, SkewParam, check_stiefel, construct_center, forward, inverse
 from .gradients import CostFunction, pullback_from_euclidean
 from .retractions import (
     StepTooLargeError,
@@ -46,7 +50,6 @@ __all__ = [
     "StoppingConfig",
     "RunRecord",
     "LineSearchStallError",
-    "backtrack",
     "run_gdm_cp",
     "run_gdm_cp_retraction",
     "run_gdm_retraction",
@@ -190,34 +193,6 @@ def _backtrack_full(
     )
 
 
-def backtrack(
-    f_s: Callable[[SkewParam], float],
-    v: SkewParam,
-    g: SkewParam,
-    cfg: Optional[BacktrackingConfig] = None,
-) -> float:
-    """Largest accepted Armijo step along ``-g`` from ``v``.
-
-    ``g`` must be the gradient of ``f_s`` at ``v``; the decrease test uses
-    the weighted parameter-space norm (factor 2 on the rectangular block).
-
-    Raises
-    ------
-    LineSearchStallError
-        If no candidate within the halving budget satisfies the test.
-    """
-    cfg = cfg or BacktrackingConfig()
-    gamma, _, _, _ = _backtrack_full(
-        lambda cand: (f_s(cand), None),
-        v,
-        g,
-        float(f_s(v)),
-        g.norm() ** 2,
-        cfg,
-    )
-    return gamma
-
-
 def _check_stop(
     n: int,
     d_cur: float,
@@ -240,19 +215,54 @@ def _check_stop(
     return None
 
 
-def _descend(x0, g0, f0, u0, *, grad_at, eval_step, bt, stop, record, t0, retry,
-             reanchor=None):
-    """Common descent loop over an additively updated variable ``x``.
+def _check_frame(f: CostFunction, u, what: str) -> np.ndarray:
+    """``u`` as a float64 frame of the cost's shape with orthonormal columns.
 
-    ``grad_at(x, u)`` returns the descent-geometry gradient at ``x`` (whose
-    frame is ``u``); ``eval_step(cand)`` returns ``(fval, payload)``, where
-    the payload is the candidate's frame unless ``reanchor`` is given.
-    ``reanchor(n, x, payload)`` runs after each accepted step ``n`` and
-    returns ``(x, u)``: the variable to continue from (it may re-express
-    the same frame in new coordinates) and the frame.  The caller provides
-    the starting gradient/value so fused evaluations can be reused.
+    Raises
+    ------
+    DimensionError
+        If ``u`` is not ``f.dim_n``-by-``f.dim_p``.
+    ValueError
+        If its columns are not orthonormal (see :func:`check_stiefel`).
     """
-    x, g, f_cur, u = x0, g0, f0, u0
+    if np.shape(u) != (f.dim_n, f.dim_p):
+        raise linalg.DimensionError(
+            f"{what} has shape {np.shape(u)}, the cost expects {(f.dim_n, f.dim_p)}"
+        )
+    return check_stiefel(u)
+
+
+def _descend(
+    f: CostFunction,
+    u0: np.ndarray,
+    bt: Optional[BacktrackingConfig],
+    stop: Optional[StoppingConfig],
+    setup: Callable,
+    retry: tuple = (),
+) -> RunRecord:
+    """The descent loop every solver runs, over an additively updated ``x``.
+
+    Checks the start frame (:func:`_check_frame`), fills in the default
+    configurations, starts the clock and the record, and calls
+    ``setup(u0, record)``, which returns
+    ``(x0, g0, f0, grad_at, eval_step, reanchor)``:
+
+    * ``x0`` is the start variable, ``g0`` its gradient in the descent
+      geometry and ``f0`` the cost at ``u0``;
+    * ``eval_step(cand)`` returns ``(fval, payload)`` for a line-search
+      candidate; raising one of ``retry`` counts as a failed trial;
+    * ``reanchor(n, x, payload)`` runs after each accepted step ``n`` and
+      returns ``(x, u)``: the variable to continue from (it may re-express
+      the same frame in new coordinates) and the frame;
+    * ``grad_at(x, u)`` is the gradient at ``x``, whose frame is ``u``.
+    """
+    bt = bt or BacktrackingConfig()
+    stop = stop or StoppingConfig()
+    u = _check_frame(f, u0, "start frame")
+    t0 = time.perf_counter()
+    record = RunRecord()
+    x, g, f_cur, grad_at, eval_step, reanchor = setup(u, record)
+    f_cur = float(f_cur)
     d0 = g.norm()
     record.append(0, f_cur, d0, linalg.feasibility(u), time.perf_counter() - t0)
     if d0 == 0.0:
@@ -267,18 +277,15 @@ def _descend(x0, g0, f0, u0, *, grad_at, eval_step, bt, stop, record, t0, retry,
             record.stop_reason = reason
             break
         try:
-            _, x_new, f_new, payload = _backtrack_full(
+            _, x, f_new, payload = _backtrack_full(
                 eval_step, x, g, f_cur, g.norm() ** 2, bt, retry_errors=retry
             )
         except LineSearchStallError:
             record.stop_reason = STOP_STALL
             break
         n += 1
-        f_prev, f_cur, x = f_cur, f_new, x_new
-        if reanchor is None:
-            u = payload
-        else:
-            x, u = reanchor(n, x, payload)
+        f_prev, f_cur = f_cur, f_new
+        x, u = reanchor(n, x, payload)
         g = grad_at(x, u)
         record.append(n, f_cur, g.norm(), linalg.feasibility(u), time.perf_counter() - t0)
     record.final_u = u
@@ -311,51 +318,38 @@ def run_gdm_cp(
 
     Raises
     ------
+    DimensionError, ValueError
+        If the start frame has the wrong shape or is not orthonormal.
     SingularPointError
         If the start frame is on the excluded set of the supplied center
         (a configuration error: pick another center).
     """
-    bt = bt or BacktrackingConfig()
-    stop = stop or StoppingConfig()
-    u0 = np.asarray(u0, dtype=np.float64)
-    t0 = time.perf_counter()
-    adaptive = center is None
-    s = construct_center(u0) if adaptive else center
-    v0 = forward(s, u0)
-    record = RunRecord()
 
-    def eval_step(v_cand: SkewParam):
-        u_cand, b_norm = inverse(s, v_cand, return_b_norm=True)
-        return f.eval(u_cand), (u_cand, b_norm)
+    def setup(u0: np.ndarray, record: RunRecord):
+        s = construct_center(u0) if center is None else center
 
-    def reanchor(n: int, v: SkewParam, payload):
-        nonlocal s
-        u, b_norm = payload
-        if adaptive and b_norm > RECENTER_B_NORM:
-            s = construct_center(u)
-            v = forward(s, u)
-            record.recenter_iters.append(n)
-        return v, u
+        def eval_step(v_cand: SkewParam):
+            u_cand, b_norm = inverse(s, v_cand, return_b_norm=True)
+            return f.eval(u_cand), (u_cand, b_norm)
 
-    def grad_at(v: SkewParam, u: np.ndarray) -> SkewParam:
-        return pullback_from_euclidean(s, v, f.grad(u), u)
+        def reanchor(n: int, v: SkewParam, payload):
+            nonlocal s
+            u, b_norm = payload
+            if center is None and b_norm > RECENTER_B_NORM:
+                s = construct_center(u)
+                v = forward(s, u)
+                record.recenter_iters.append(n)
+            return v, u
 
-    f0, g_euclid = f.value_and_grad(u0)
-    g0 = pullback_from_euclidean(s, v0, g_euclid, u0)
-    return _descend(
-        v0,
-        g0,
-        float(f0),
-        u0,
-        grad_at=grad_at,
-        eval_step=eval_step,
-        bt=bt,
-        stop=stop,
-        record=record,
-        t0=t0,
-        retry=(),
-        reanchor=reanchor,
-    )
+        def grad_at(v: SkewParam, u: np.ndarray) -> SkewParam:
+            return pullback_from_euclidean(s, v, f.grad(u), u)
+
+        v0 = forward(s, u0)
+        f0, g_euclid = f.value_and_grad(u0)
+        g0 = pullback_from_euclidean(s, v0, g_euclid, u0)
+        return v0, g0, f0, grad_at, eval_step, reanchor
+
+    return _descend(f, u0, bt, stop, setup)
 
 
 def run_gdm_cp_retraction(
@@ -375,16 +369,14 @@ def run_gdm_cp_retraction(
 
     Raises
     ------
+    DimensionError, ValueError
+        If the anchor or the start frame has the wrong shape or is not
+        orthonormal.
     SingularPointError
         If the start frame is outside the retraction's range from the
         anchor.
     """
-    bt = bt or BacktrackingConfig()
-    stop = stop or StoppingConfig()
-    u_anchor = np.asarray(u_anchor, dtype=np.float64)
-    u0 = np.asarray(u0, dtype=np.float64)
-    t0 = time.perf_counter()
-    v0 = inverse_retract_cayley(u_anchor, u0)
+    u_anchor = _check_frame(f, u_anchor, "anchor frame")
 
     def eval_step(v_cand: TangentVector):
         u_cand = retract_cayley(u_anchor, v_cand)
@@ -393,20 +385,12 @@ def run_gdm_cp_retraction(
     def grad_at(v: TangentVector, u: np.ndarray) -> TangentVector:
         return grad_retraction_pullback(u_anchor, v, f)
 
-    g0 = grad_retraction_pullback(u_anchor, v0, f)
-    return _descend(
-        v0,
-        g0,
-        float(f.eval(u0)),
-        u0,
-        grad_at=grad_at,
-        eval_step=eval_step,
-        bt=bt,
-        stop=stop,
-        record=RunRecord(),
-        t0=t0,
-        retry=(StepTooLargeError,),
-    )
+    def setup(u0: np.ndarray, record: RunRecord):
+        v0 = inverse_retract_cayley(u_anchor, u0)
+        g0 = grad_retraction_pullback(u_anchor, v0, f)
+        return v0, g0, f.eval(u0), grad_at, eval_step, lambda n, v, u: (v, u)
+
+    return _descend(f, u0, bt, stop, setup, retry=(StepTooLargeError,))
 
 
 #: Retraction dispatch for :func:`run_gdm_retraction`.
@@ -429,55 +413,34 @@ def run_gdm_retraction(
     Each iteration projects the ambient gradient onto the tangent space at
     the current frame and retracts along its negative, with the Armijo test
     ``f(R_U(-gamma D)) <= f(U) - c gamma ||D||_F^2``.  Retraction failures
-    (step too large, rank deficiency) count as failed trials.
+    (step too large, rank deficiency) count as failed trials.  This is the
+    common loop re-anchored at every step: the variable is the zero tangent
+    vector at the current frame, and each accepted frame becomes the next
+    anchor.
+
+    Raises
+    ------
+    DimensionError, ValueError
+        If the start frame has the wrong shape or is not orthonormal, or
+        ``kind`` is not a key of :data:`RETRACTION_KINDS`.
     """
     if kind not in RETRACTION_KINDS:
         raise ValueError(f"unknown retraction kind {kind!r}; choose from {sorted(RETRACTION_KINDS)}")
     retraction = RETRACTION_KINDS[kind]
-    bt = bt or BacktrackingConfig()
-    stop = stop or StoppingConfig()
-    u0 = np.asarray(u0, dtype=np.float64)
-    t0 = time.perf_counter()
 
-    record = RunRecord()
-    f_cur = float(f.eval(u0))
-    u = u0
-    g = riemannian_grad(u, f)
-    d0 = g.norm()
-    record.append(0, f_cur, d0, linalg.feasibility(u), time.perf_counter() - t0)
-    if d0 == 0.0:
-        record.stop_reason = STOP_STATIONARY
-        record.final_u = u
-        return record
-    f_prev = None
-    n = 0
-    while True:
-        reason = _check_stop(n, g.norm(), d0, f_cur, f_prev, stop)
-        if reason is not None:
-            record.stop_reason = reason
-            break
-        zero = TangentVector(u, np.zeros_like(u))
+    def eval_step(step: TangentVector):
+        u_cand = retraction(step.base, step)
+        return f.eval(u_cand), u_cand
 
-        def eval_step(step: TangentVector):
-            u_cand = retraction(u, step)
-            return f.eval(u_cand), u_cand
+    def reanchor(n: int, step: TangentVector, u: np.ndarray):
+        return TangentVector(u, np.zeros_like(u)), u
 
-        try:
-            _, _, f_new, u_new = _backtrack_full(
-                eval_step,
-                zero,
-                g,
-                f_cur,
-                g.norm() ** 2,
-                bt,
-                retry_errors=(StepTooLargeError, linalg.RankError),
-            )
-        except LineSearchStallError:
-            record.stop_reason = STOP_STALL
-            break
-        n += 1
-        f_prev, f_cur, u = f_cur, f_new, u_new
-        g = riemannian_grad(u, f)
-        record.append(n, f_cur, g.norm(), linalg.feasibility(u), time.perf_counter() - t0)
-    record.final_u = u
-    return record
+    def grad_at(step: TangentVector, u: np.ndarray) -> TangentVector:
+        return riemannian_grad(u, f)
+
+    def setup(u0: np.ndarray, record: RunRecord):
+        f0 = f.eval(u0)
+        zero = TangentVector(u0, np.zeros_like(u0))
+        return zero, riemannian_grad(u0, f), f0, grad_at, eval_step, reanchor
+
+    return _descend(f, u0, bt, stop, setup, retry=(StepTooLargeError, linalg.RankError))

@@ -66,7 +66,12 @@ def make_eigen_instance(n: int, p: int, seed: int) -> EigenInstance:
     rng = np.random.default_rng(seed)
     atilde = rng.standard_normal((n, n))
     a = atilde.T @ atilde
-    a = (a + a.T) / 2.0
+    return _solved_instance((a + a.T) / 2.0, p, seed)
+
+
+def _solved_instance(a: np.ndarray, p: int, seed: int) -> EigenInstance:
+    """Freeze the symmetric matrix ``a`` and attach its exact optimum."""
+    n = a.shape[0]
     evals, evecs = np.linalg.eigh(a)
     basis = np.ascontiguousarray(evecs[:, : n - p - 1 : -1])
     a.setflags(write=False)
@@ -240,16 +245,4 @@ def load_instance(path) -> EigenInstance:
         raise ValueError("stored matrix is not symmetric")
     if not 1 <= p < n:
         raise ValueError(f"invalid header dimensions n={n}, p={p}")
-    evals, evecs = np.linalg.eigh(a)
-    basis = np.ascontiguousarray(evecs[:, : n - p - 1 : -1])
-    a = a.copy()
-    a.setflags(write=False)
-    basis.setflags(write=False)
-    return EigenInstance(
-        n=n,
-        p=p,
-        seed=seed,
-        a=a,
-        optimum_value=-float(np.sum(evals[n - p :])),
-        optimum_basis=basis,
-    )
+    return _solved_instance(a, p, seed)

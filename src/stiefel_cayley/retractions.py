@@ -33,7 +33,6 @@ __all__ = [
     "retract_polar",
     "retract_cayley",
     "psi_map",
-    "psi_inverse",
     "inverse_retract_cayley",
     "grad_retraction_pullback",
 ]
@@ -216,18 +215,11 @@ def psi_map(u: np.ndarray, uperp: np.ndarray, d: TangentVector) -> SkewParam:
     For the orthogonal completion ``[U Uperp]`` the image has blocks
     ``a = -U^T D / 2`` and ``b = -Uperp^T D / 2``.  Composing the inverse
     transform at center ``[U Uperp]`` with this map reproduces the Cayley
-    retraction exactly; :func:`psi_inverse` undoes it.
+    retraction exactly.  It is invertible: ``D = -2 (U a + Uperp b)``.
     """
     u = np.asarray(u, dtype=np.float64)
     uperp = np.asarray(uperp, dtype=np.float64)
     return SkewParam(-0.5 * (u.T @ d.mat), -0.5 * (uperp.T @ d.mat))
-
-
-def psi_inverse(u: np.ndarray, uperp: np.ndarray, v: SkewParam) -> TangentVector:
-    """Inverse of :func:`psi_map`: ``D = -2 (U a + Uperp b)``."""
-    u = np.asarray(u, dtype=np.float64)
-    uperp = np.asarray(uperp, dtype=np.float64)
-    return project_tangent(u, -2.0 * (u @ v.a + uperp @ v.b))
 
 
 def inverse_retract_cayley(u: np.ndarray, ufrak: np.ndarray) -> TangentVector:

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from stiefel_cayley import cli
+from stiefel_cayley import cli, problems
+from stiefel_cayley.gradients import CostFunction
 
 
 def read_csv(path):
@@ -198,7 +199,18 @@ def test_mobility_rows(tmp_path):
 # -------------------------------------------------------------- gradcheck
 
 
-def test_gradcheck_passes_and_catches_corruption(tmp_path):
+def sign_flipped(build):
+    """Cost constructor whose costs report the negated gradient."""
+
+    def corrupted(*args):
+        f = build(*args)
+        return CostFunction(dim_n=f.dim_n, dim_p=f.dim_p, eval=f.eval,
+                            grad=lambda u: -f.grad(u))
+
+    return corrupted
+
+
+def test_gradcheck_passes_and_catches_corruption(tmp_path, monkeypatch):
     out = tmp_path / "gradcheck.csv"
     args = ["gradcheck", "--n", "10", "--p", "2", "--trials", "2",
             "--directions", "5", "--seed", "2", "--out", str(out)]
@@ -210,8 +222,9 @@ def test_gradcheck_passes_and_catches_corruption(tmp_path):
 
     bad_out = tmp_path / "gradcheck_bad.csv"
     bad_args = ["gradcheck", "--n", "10", "--p", "2", "--trials", "2",
-                "--directions", "5", "--seed", "2", "--out", str(bad_out),
-                "--inject-sign-flip"]
+                "--directions", "5", "--seed", "2", "--out", str(bad_out)]
+    for name in ("eigen_cost", "distance_cost"):
+        monkeypatch.setattr(problems, name, sign_flipped(getattr(problems, name)))
     assert cli.main(bad_args) == 3
     _, header, rows = read_csv(bad_out)
     assert "FAIL" in column(header, rows, "status")

@@ -1,10 +1,9 @@
 """Gradient-engine tests: pullback formulas, finite-difference oracles,
-center-change transport, and the sampled bound report."""
+and the sampled bound report."""
 
 import math
 
 import numpy as np
-import pytest
 
 from stiefel_cayley import cayley, gradients, linalg, problems
 from stiefel_cayley.cayley import Center, SkewParam
@@ -113,64 +112,6 @@ def test_grad_pullback_structured_equals_general_path():
     g1 = gradients.grad_pullback(center, v, f)
     g2 = gradients.grad_pullback(general, v, f)
     assert (g1 - g2).norm() <= 1e-12 * max(1.0, g1.norm())
-
-
-def consistent_pair(rng, u, f, structured):
-    """(center, param, gradient) describing the same frame u."""
-    center = problems.random_center(rng, u.shape[0], u.shape[1], structured=structured)
-    v = cayley.forward(center, u)
-    return center, v, gradients.grad_pullback(center, v, f, u)
-
-
-def test_transform_gradient_identity_transport():
-    rng = np.random.default_rng(6)
-    n, p = 10, 3
-    f = problems.eigen_cost(problems.make_eigen_instance(n, p, seed=6))
-    u = problems.random_stiefel(rng, n, p)
-    center, v, g = consistent_pair(rng, u, f, structured=True)
-    out = gradients.transform_gradient(center, v, center, v, g)
-    assert (out - g).norm() <= 1e-12 * max(1.0, g.norm())
-
-
-def test_transform_gradient_matches_direct_computation():
-    rng = np.random.default_rng(7)
-    n, p = 16, 4
-    f = problems.eigen_cost(problems.make_eigen_instance(n, p, seed=7))
-    for s1_structured in (True, False):
-        for s2_structured in (True, False):
-            u = problems.random_stiefel(rng, n, p)
-            s1, v1, g1 = consistent_pair(rng, u, f, s1_structured)
-            s2, v2, g2 = consistent_pair(rng, u, f, s2_structured)
-            out = gradients.transform_gradient(s1, v1, s2, v2, g2)
-            assert (out - g1).norm() <= 1e-9 * max(1.0, g1.norm())
-            bound = 2.0 * (1.0 + v2.spectral_norm() ** 2) * g2.norm()
-            assert out.norm() <= bound + 1e-10
-
-
-def test_transform_gradient_preserves_zero():
-    # a stationary frame has (near) zero gradient in every parametrization
-    n, p = 12, 3
-    inst = problems.make_eigen_instance(n, p, seed=8)
-    f = problems.eigen_cost(inst)
-    u = inst.optimum_basis
-    rng = np.random.default_rng(8)
-    s1, v1, g1 = consistent_pair(rng, u, f, structured=True)
-    s2, v2, g2 = consistent_pair(rng, u, f, structured=False)
-    assert g1.norm() <= 1e-11 and g2.norm() <= 1e-11
-    out = gradients.transform_gradient(s1, v1, s2, v2, g2)
-    assert out.norm() <= 2.0 * (1.0 + v2.spectral_norm() ** 2) * g2.norm() + 1e-12
-
-
-def test_transform_gradient_rejects_base_mismatch():
-    rng = np.random.default_rng(9)
-    n, p = 10, 3
-    f = problems.eigen_cost(problems.make_eigen_instance(n, p, seed=9))
-    u1 = problems.random_stiefel(rng, n, p)
-    u2 = problems.random_stiefel(rng, n, p)
-    s1, v1, _ = consistent_pair(rng, u1, f, True)
-    s2, v2, g2 = consistent_pair(rng, u2, f, True)
-    with pytest.raises(gradients.BasePointMismatchError):
-        gradients.transform_gradient(s1, v1, s2, v2, g2)
 
 
 def test_bound_report_constant_cost_trivially_passes():

@@ -1,5 +1,5 @@
-"""Dense-kernel tests: factorizations, the structured solve, and the
-norm facts every other module leans on."""
+"""Dense-kernel tests: factorizations and the norm facts every other module
+leans on."""
 
 import numpy as np
 import pytest
@@ -98,45 +98,6 @@ def test_polar_factor_feasibility_and_optimality():
 def test_polar_factor_rank_error():
     with pytest.raises(linalg.RankError):
         linalg.polar_factor(np.zeros((4, 2)))
-
-
-def test_solve_ipv_zero_param_is_identity():
-    rng = np.random.default_rng(6)
-    rhs = rng.standard_normal((9, 3))
-    v = SkewParam(np.zeros((2, 2)), np.zeros((7, 2)))
-    np.testing.assert_allclose(linalg.solve_ipv(v, rhs), rhs, atol=1e-14)
-
-
-def test_solve_ipv_hand_case():
-    # scalar blocks A=0, B=(-1): I+V = [[1,1],[-1,1]], Schur factor M = 2
-    v = SkewParam(np.zeros((1, 1)), np.array([[-1.0]]))
-    out = linalg.solve_ipv(v, np.eye(2)[:, :1])
-    np.testing.assert_allclose(out, [[0.5], [0.5]], atol=1e-15)
-
-
-def test_solve_ipv_residual_and_dense_agreement():
-    rng = np.random.default_rng(7)
-    for n, p in [(12, 2), (30, 5), (50, 7)]:
-        a = linalg.skew_part(rng.standard_normal((p, p)))
-        b = rng.standard_normal((n - p, p))
-        v = SkewParam(a, b)
-        rhs = rng.standard_normal((n, 4))
-        out = linalg.solve_ipv(v, rhs)
-        full = np.eye(n) + v.full()
-        assert np.linalg.norm(full @ out - rhs) <= 1e-11 * max(1.0, np.linalg.norm(rhs))
-        dense = np.linalg.solve(full, rhs)
-        assert np.linalg.norm(out - dense) <= 1e-10 * max(1.0, np.linalg.norm(dense))
-
-
-def test_solve_ipv_rejects_corrupted_blocks():
-    # a non-skew diagonal block can make the Schur factor singular, which the
-    # condition guard must catch (impossible for valid parameters)
-    class Corrupt:
-        a = np.array([[-1.0]])
-        b = np.zeros((1, 1))
-
-    with pytest.raises(linalg.SingularMatrixError):
-        linalg.solve_ipv(Corrupt(), np.eye(2))
 
 
 def test_identity_plus_param_singular_values_at_least_one():

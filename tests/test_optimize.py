@@ -19,7 +19,7 @@ from stiefel_cayley.optimize import (
     LineSearchStallError,
     RunRecord,
     StoppingConfig,
-    backtrack,
+    _backtrack_full,
     run_gdm_cp,
     run_gdm_cp_retraction,
     run_gdm_retraction,
@@ -77,7 +77,9 @@ def test_run_record_requires_increasing_iters():
 def test_backtrack_quadratic_accepts_initial_step():
     rng = np.random.default_rng(0)
     v = problems.random_skew_param(rng, 6, 2, norm=3.0)
-    gamma = backtrack(lambda w: 0.5 * w.norm() ** 2, v, v)
+    gamma, _, _, _ = _backtrack_full(lambda w: (0.5 * w.norm() ** 2, None), v, v,
+                                     0.5 * v.norm() ** 2, v.norm() ** 2,
+                                     BacktrackingConfig())
     assert gamma == 0.1
 
 
@@ -86,16 +88,19 @@ def test_backtrack_shrinks_into_descent_range():
     # first accepted candidate is 0.1 * 0.5^10
     v = SkewParam(np.zeros((1, 1)), np.ones((1, 1)))
 
-    def f_s(w):
+    def eval_step(w):
         step = 1.0 - float(w.b[0, 0])
         if step == 0.0:
-            return 0.0
-        return -step if step <= 1.2e-4 else step
+            return 0.0, None
+        return (-step if step <= 1.2e-4 else step), None
 
-    assert backtrack(f_s, v, v) == 0.1 * 0.5**10
+    def accepted_step(cfg):
+        return _backtrack_full(eval_step, v, v, 0.0, v.norm() ** 2, cfg)[0]
+
+    assert accepted_step(BacktrackingConfig()) == 0.1 * 0.5**10
 
     with pytest.raises(LineSearchStallError) as exc:
-        backtrack(f_s, v, v, BacktrackingConfig(max_halvings=9))
+        accepted_step(BacktrackingConfig(max_halvings=9))
     assert exc.value.gamma == 0.1 * 0.5**9
 
 
@@ -259,6 +264,33 @@ def test_run_gdm_retraction_unknown_kind():
     f, u0 = two_by_one_eigen()
     with pytest.raises(ValueError):
         run_gdm_retraction(f, u0, "exponential")
+
+
+def test_solvers_reject_bad_frames():
+    # fixed or adaptive, gdm-cp used to take a Gaussian start and "stall" at
+    # iteration 0 with f = -840.8 (optimum -151.7) and feasibility 28.1
+    f = problems.eigen_cost(problems.make_eigen_instance(20, 3, seed=1))
+    good = problems.random_stiefel(np.random.default_rng(2), 20, 3)
+    gaussian = np.random.default_rng(1).standard_normal((20, 3))
+    with_nan = good.copy()
+    with_nan[4, 1] = np.nan
+    wrong_n = problems.random_stiefel(np.random.default_rng(1), 21, 3)
+    solvers = {
+        "gdm-cp": lambda u: run_gdm_cp(f, u),
+        "gdm-cp-retraction": lambda u: run_gdm_cp_retraction(f, u, u),
+        "gdm-cp-retraction start": lambda u: run_gdm_cp_retraction(f, good, u),
+        "gdm-cp-retraction anchor": lambda u: run_gdm_cp_retraction(f, u, good),
+        **{f"gdm-{kind}": (lambda u, kind=kind: run_gdm_retraction(f, u, kind))
+           for kind in ("qr", "polar", "cayley")},
+    }
+    for name, solve in solvers.items():
+        for bad in (gaussian, with_nan):
+            with pytest.raises(ValueError) as exc:
+                solve(bad)
+            assert type(exc.value) is ValueError, name
+        with pytest.raises(linalg.DimensionError):
+            solve(wrong_n)
+        assert solve(good).iters[0] == 0
 
 
 def test_solvers_agree_on_medium_eigen():
