@@ -6,10 +6,11 @@ a fixed vector space; the inverse map reconstructs ``U`` from ``V``.  Both
 directions are anchored at an orthogonal *center* ``S`` and only ever invert
 p-by-p matrices.
 
-Frames and tangent vectors are plain ndarrays; ``SkewParam`` and ``Center``
-are small classes because they carry contracts (the factor-2 inner product,
-structured-versus-general center dispatch) that the rest of the package
-relies on.
+Frames are plain ndarrays; ``SkewParam``, ``Center`` and
+``retractions.TangentVector`` are small immutable classes because they carry
+contracts (the factor-2 inner product, structured-versus-general center
+dispatch, tangency) that the rest of the package relies on.  Only their
+constructors check values; arithmetic on checked values keeps the invariants.
 """
 
 from __future__ import annotations
@@ -57,6 +58,14 @@ class SingularPointError(RuntimeError):
         self.logabsdet = logabsdet
 
 
+def _frozen(obj, **arrays):
+    """Mark ``arrays`` read-only, bind them to ``obj`` and return it."""
+    for name, arr in arrays.items():
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+    return obj
+
+
 def check_stiefel(u, tol: float = FEASIBILITY_TOL) -> np.ndarray:
     """Validate that ``u`` is an N-by-p frame with orthonormal columns."""
     u = linalg.as_matrix(u, "frame")
@@ -82,8 +91,10 @@ class SkewParam:
     norm taken on these parameters (gradient descent updates, stopping
     rules, finite differences) must go through :meth:`inner` / :meth:`norm`.
 
-    Instances are immutable: the stored arrays are copies with the
-    write flag cleared.  ``a`` is made exactly skew on construction.
+    Instances are immutable and their arrays read-only.  A caller's
+    construction checks the blocks, copies them and makes ``a`` exactly
+    skew; ``+``, ``-`` and scalar ``*`` trust their operands, since IEEE
+    arithmetic keeps an exactly skew ``a`` exactly skew.
     """
 
     __slots__ = ("a", "b")
@@ -97,12 +108,7 @@ class SkewParam:
             raise DimensionError(
                 f"b block must have {a.shape[0]} columns, got {b.shape}"
             )
-        a = (a - a.T) / 2.0  # exactly skew in floating point
-        b = b.copy()
-        a.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        _frozen(self, a=(a - a.T) / 2.0, b=b.copy())  # a exactly skew
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewParam is immutable")
@@ -141,17 +147,14 @@ class SkewParam:
         return float(np.linalg.norm(self.full(), 2))
 
     def __add__(self, other: "SkewParam") -> "SkewParam":
-        return SkewParam(self.a + other.a, self.b + other.b)
+        return _frozen(object.__new__(SkewParam), a=self.a + other.a, b=self.b + other.b)
 
     def __sub__(self, other: "SkewParam") -> "SkewParam":
-        return SkewParam(self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "SkewParam":
-        return SkewParam(-self.a, -self.b)
+        return _frozen(object.__new__(SkewParam), a=self.a - other.a, b=self.b - other.b)
 
     def __mul__(self, scalar) -> "SkewParam":
         s = float(scalar)
-        return SkewParam(s * self.a, s * self.b)
+        return _frozen(object.__new__(SkewParam), a=s * self.a, b=s * self.b)
 
     __rmul__ = __mul__
 
@@ -196,13 +199,13 @@ class Center:
         return cls(s=s, n=s.shape[0])
 
     @classmethod
-    def structured(cls, t, n: int, check: bool = True) -> "Center":
+    def structured(cls, t, n: int) -> "Center":
         t = linalg.as_matrix(t, "center block")
         if t.shape[0] != t.shape[1]:
             raise DimensionError(f"center block must be square, got {t.shape}")
         if t.shape[0] > n:
             raise DimensionError(f"center block {t.shape} too large for n={n}")
-        if check and linalg.feasibility(t) > FEASIBILITY_TOL:
+        if linalg.feasibility(t) > FEASIBILITY_TOL:
             raise ValueError("center block is not orthogonal")
         t = t.copy()
         t.setflags(write=False)
@@ -282,11 +285,13 @@ def forward(center: Center, u) -> SkewParam:
 
     Raises
     ------
+    DimensionError, ValueError
+        If the frame is not a finite orthonormal N-by-p array.
     SingularPointError
         If ``det(I_p + S_le^T U)`` is numerically zero (the frame lies on
         the excluded set for this center).
     """
-    u = np.asarray(u, dtype=np.float64)
+    u = check_stiefel(u)
     n, p = u.shape
     if n != center.n:
         raise DimensionError(f"frame has {n} rows but center is {center.n}-by-{center.n}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .cayley import Center, SingularPointError, SkewParam, _pivot_check
+from .cayley import Center, SingularPointError, SkewParam, _frozen, _pivot_check
 from .gradients import CostFunction
 
 __all__ = [
@@ -55,10 +55,11 @@ class StepTooLargeError(RuntimeError):
 class TangentVector:
     """A tangent vector ``mat`` at the feasible frame ``base``.
 
-    Construction validates the tangency identity ``U^T D + D^T U = 0``
-    (tolerance ``1e-10``, scaled by the vector's norm).  Arithmetic is
-    supported between vectors sharing the same base frame; ``norm`` and
-    ``inner`` use the plain Frobenius geometry of the ambient matrix.
+    A caller's construction checks finite 2-D arrays of one shape and the
+    tangency identity ``U^T D + D^T U = 0`` (tolerance ``1e-10``, scaled by
+    the norm) and stores read-only copies.  ``+``, ``-`` and scalar ``*``
+    (same base only) trust their operands, since tangency is linear.
+    ``norm`` and ``inner`` use the Frobenius geometry of the ambient matrix.
     """
 
     base: np.ndarray
@@ -77,12 +78,7 @@ class TangentVector:
             raise ValueError(
                 f"matrix is not tangent at the base frame: defect {defect:.3e}"
             )
-        base = base.copy()
-        mat = mat.copy()
-        base.setflags(write=False)
-        mat.setflags(write=False)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "mat", mat)
+        _frozen(self, base=base.copy(), mat=mat.copy())
 
     def _same_base(self, other: "TangentVector") -> None:
         if not np.array_equal(self.base, other.base):
@@ -97,17 +93,14 @@ class TangentVector:
 
     def __add__(self, other: "TangentVector") -> "TangentVector":
         self._same_base(other)
-        return TangentVector(self.base, self.mat + other.mat)
+        return _frozen(object.__new__(TangentVector), base=self.base, mat=self.mat + other.mat)
 
     def __sub__(self, other: "TangentVector") -> "TangentVector":
         self._same_base(other)
-        return TangentVector(self.base, self.mat - other.mat)
-
-    def __neg__(self) -> "TangentVector":
-        return TangentVector(self.base, -self.mat)
+        return _frozen(object.__new__(TangentVector), base=self.base, mat=self.mat - other.mat)
 
     def __mul__(self, scalar) -> "TangentVector":
-        return TangentVector(self.base, float(scalar) * self.mat)
+        return _frozen(object.__new__(TangentVector), base=self.base, mat=float(scalar) * self.mat)
 
     __rmul__ = __mul__
 

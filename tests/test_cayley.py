@@ -124,6 +124,17 @@ def test_forward_singular_point_error():
         cayley.forward(center, np.array([[-1.0], [0.0]]))
 
 
+def test_forward_rejects_bad_frames():
+    center = Center.structured(np.eye(4), 50)
+    gaussian = np.random.default_rng(0).standard_normal((50, 4))
+    with pytest.raises(ValueError, match="frame is not orthonormal"):
+        cayley.forward(center, gaussian)
+    nan_frame = problems.random_stiefel(np.random.default_rng(1), 50, 4)
+    nan_frame[3, 1] = np.nan
+    with pytest.raises(ValueError, match="frame contains NaN"):
+        cayley.forward(center, nan_frame)
+
+
 def test_round_trip_through_frames():
     rng = np.random.default_rng(6)
     for structured in (True, False):

@@ -51,6 +51,18 @@ def test_tangent_vector_arithmetic_and_immutability():
         d1.mat[0, 0] = 5.0
 
 
+def test_tangent_difference_of_large_vectors():
+    # roundoff in (x + e) - x scales with ||x||, not with the small result
+    rng = np.random.default_rng(3)
+    u = problems.random_stiefel(rng, 50, 4)
+    d1 = random_tangent(rng, u)
+    e = random_tangent(rng, u)
+    x = (1e7 / d1.norm()) * d1
+    diff = (x + 1e-3 * e) - x
+    np.testing.assert_array_equal(diff.mat, (x.mat + 1e-3 * e.mat) - x.mat)
+    assert np.linalg.norm(diff.mat - 1e-3 * e.mat) <= 1e-8
+
+
 def test_project_tangent_fixed_point_and_kernel():
     rng = np.random.default_rng(1)
     u = problems.random_stiefel(rng, 9, 3)
