@@ -41,7 +41,10 @@ class CostFunction:
     gradient (an N-by-p matrix).  ``eval_grad``, when provided, returns
     both at once so implementations can share work (e.g. one product
     ``A @ U`` serving value and gradient); :meth:`value_and_grad` falls
-    back to two separate calls otherwise.
+    back to two separate calls otherwise.  The solvers in
+    :mod:`stiefel_cayley.optimize` call :meth:`value_and_grad` on every
+    line-search trial, so a cost without ``eval_grad`` pays for ``eval``
+    plus ``grad`` on each one.
 
     Instances must be stateless with respect to evaluation: calling the
     members concurrently from several threads has to be safe.

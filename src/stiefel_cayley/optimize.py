@@ -16,6 +16,11 @@ the variable they update and where they anchor it:
   (QR, polar, or Cayley): the same loop re-anchored at every accepted
   frame, re-projecting the gradient there.
 
+Every line-search trial makes one fused call to the cost,
+:meth:`CostFunction.value_and_grad`; the accepted trial's ambient gradient
+becomes the next descent gradient, so an accepted step costs no further
+evaluation.
+
 Every solver checks its start frame once, on entry: it must have the
 cost's shape and orthonormal columns.  Stopping clauses are checked in a
 fixed order each iteration: iteration budget first, then the
@@ -39,6 +44,7 @@ from .retractions import (
     TangentVector,
     inverse_retract_cayley,
     grad_retraction_pullback,
+    project_tangent,
     retract_cayley,
     retract_polar,
     retract_qr,
@@ -244,26 +250,28 @@ def _descend(
 
     Checks the start frame (:func:`_check_frame`), fills in the default
     configurations, starts the clock and the record, and calls
-    ``setup(u0, record)``, which returns
-    ``(x0, g0, f0, grad_at, eval_step, reanchor)``:
+    ``setup(u0, record)``, which returns ``(x0, g0, f0, eval_step, reanchor)``:
 
     * ``x0`` is the start variable, ``g0`` its gradient in the descent
       geometry and ``f0`` the cost at ``u0``;
     * ``eval_step(cand)`` returns ``(fval, payload)`` for a line-search
-      candidate; raising one of ``retry`` counts as a failed trial;
+      candidate, with one fused call to the cost
+      (:meth:`CostFunction.value_and_grad`) whose ambient gradient goes
+      into the payload; raising one of ``retry`` counts as a failed trial;
     * ``reanchor(n, x, payload)`` runs after each accepted step ``n`` and
-      returns ``(x, u)``: the variable to continue from (it may re-express
-      the same frame in new coordinates) and the frame;
-    * ``grad_at(x, u)`` is the gradient at ``x``, whose frame is ``u``.
+      returns ``(x, u, g)``: the variable to continue from (it may
+      re-express the same frame in new coordinates), the frame, and the
+      gradient at ``x``, built from the payload's ambient gradient without
+      another call to the cost.
     """
     bt = bt or BacktrackingConfig()
     stop = stop or StoppingConfig()
     u = _check_frame(f, u0, "start frame")
     t0 = time.perf_counter()
     record = RunRecord()
-    x, g, f_cur, grad_at, eval_step, reanchor = setup(u, record)
+    x, g, f_cur, eval_step, reanchor = setup(u, record)
     f_cur = float(f_cur)
-    d0 = g.norm()
+    d0 = g_norm = g.norm()
     record.append(0, f_cur, d0, linalg.feasibility(u), time.perf_counter() - t0)
     if d0 == 0.0:
         record.stop_reason = STOP_STATIONARY
@@ -272,22 +280,22 @@ def _descend(
     f_prev = None
     n = 0
     while True:
-        reason = _check_stop(n, g.norm(), d0, f_cur, f_prev, stop)
+        reason = _check_stop(n, g_norm, d0, f_cur, f_prev, stop)
         if reason is not None:
             record.stop_reason = reason
             break
         try:
             _, x, f_new, payload = _backtrack_full(
-                eval_step, x, g, f_cur, g.norm() ** 2, bt, retry_errors=retry
+                eval_step, x, g, f_cur, g_norm**2, bt, retry_errors=retry
             )
         except LineSearchStallError:
             record.stop_reason = STOP_STALL
             break
         n += 1
         f_prev, f_cur = f_cur, f_new
-        x, u = reanchor(n, x, payload)
-        g = grad_at(x, u)
-        record.append(n, f_cur, g.norm(), linalg.feasibility(u), time.perf_counter() - t0)
+        x, u, g = reanchor(n, x, payload)
+        g_norm = g.norm()
+        record.append(n, f_cur, g_norm, linalg.feasibility(u), time.perf_counter() - t0)
     record.final_u = u
     return record
 
@@ -330,24 +338,22 @@ def run_gdm_cp(
 
         def eval_step(v_cand: SkewParam):
             u_cand, b_norm = inverse(s, v_cand, return_b_norm=True)
-            return f.eval(u_cand), (u_cand, b_norm)
+            fval, g_euclid = f.value_and_grad(u_cand)
+            return fval, (u_cand, b_norm, g_euclid)
 
         def reanchor(n: int, v: SkewParam, payload):
             nonlocal s
-            u, b_norm = payload
+            u, b_norm, g_euclid = payload
             if center is None and b_norm > RECENTER_B_NORM:
                 s = construct_center(u)
                 v = forward(s, u)
                 record.recenter_iters.append(n)
-            return v, u
-
-        def grad_at(v: SkewParam, u: np.ndarray) -> SkewParam:
-            return pullback_from_euclidean(s, v, f.grad(u), u)
+            return v, u, pullback_from_euclidean(s, v, g_euclid, u)
 
         v0 = forward(s, u0)
         f0, g_euclid = f.value_and_grad(u0)
         g0 = pullback_from_euclidean(s, v0, g_euclid, u0)
-        return v0, g0, f0, grad_at, eval_step, reanchor
+        return v0, g0, f0, eval_step, reanchor
 
     return _descend(f, u0, bt, stop, setup)
 
@@ -380,15 +386,17 @@ def run_gdm_cp_retraction(
 
     def eval_step(v_cand: TangentVector):
         u_cand = retract_cayley(u_anchor, v_cand)
-        return f.eval(u_cand), u_cand
+        fval, g_euclid = f.value_and_grad(u_cand)
+        return fval, (u_cand, g_euclid)
 
-    def grad_at(v: TangentVector, u: np.ndarray) -> TangentVector:
-        return grad_retraction_pullback(u_anchor, v, f)
+    def reanchor(n: int, v: TangentVector, payload):
+        u, g_euclid = payload
+        return v, u, grad_retraction_pullback(u_anchor, v, f, g=g_euclid)
 
     def setup(u0: np.ndarray, record: RunRecord):
         v0 = inverse_retract_cayley(u_anchor, u0)
         g0 = grad_retraction_pullback(u_anchor, v0, f)
-        return v0, g0, f.eval(u0), grad_at, eval_step, lambda n, v, u: (v, u)
+        return v0, g0, f.eval(u0), eval_step, reanchor
 
     return _descend(f, u0, bt, stop, setup, retry=(StepTooLargeError,))
 
@@ -430,17 +438,15 @@ def run_gdm_retraction(
 
     def eval_step(step: TangentVector):
         u_cand = retraction(step.base, step)
-        return f.eval(u_cand), u_cand
+        fval, g_euclid = f.value_and_grad(u_cand)
+        return fval, (u_cand, g_euclid)
 
-    def reanchor(n: int, step: TangentVector, u: np.ndarray):
-        return TangentVector(u, np.zeros_like(u)), u
-
-    def grad_at(step: TangentVector, u: np.ndarray) -> TangentVector:
-        return riemannian_grad(u, f)
+    def reanchor(n: int, step: TangentVector, payload):
+        u, g_euclid = payload
+        return TangentVector.zero(u), u, project_tangent(u, g_euclid)
 
     def setup(u0: np.ndarray, record: RunRecord):
         f0 = f.eval(u0)
-        zero = TangentVector(u0, np.zeros_like(u0))
-        return zero, riemannian_grad(u0, f), f0, grad_at, eval_step, reanchor
+        return TangentVector.zero(u0), riemannian_grad(u0, f), f0, eval_step, reanchor
 
     return _descend(f, u0, bt, stop, setup, retry=(StepTooLargeError, linalg.RankError))

@@ -16,6 +16,7 @@ instead of aborting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -79,6 +80,16 @@ class TangentVector:
                 f"matrix is not tangent at the base frame: defect {defect:.3e}"
             )
         _frozen(self, base=base.copy(), mat=mat.copy())
+
+    @classmethod
+    def zero(cls, base) -> "TangentVector":
+        """The zero vector at ``base``.
+
+        Zero is tangent at every frame, so only ``base`` is checked (2-D,
+        finite) and copied; the tangency product is skipped.
+        """
+        base = linalg.as_matrix(base, "base frame").copy()
+        return _frozen(object.__new__(cls), base=base, mat=np.zeros_like(base))
 
     def _same_base(self, other: "TangentVector") -> None:
         if not np.array_equal(self.base, other.base):
@@ -241,7 +252,7 @@ def inverse_retract_cayley(u: np.ndarray, ufrak: np.ndarray) -> TangentVector:
 
 
 def grad_retraction_pullback(
-    u: np.ndarray, d: TangentVector, f: CostFunction
+    u: np.ndarray, d: TangentVector, f: CostFunction, *, g: Optional[np.ndarray] = None
 ) -> TangentVector:
     """Gradient of the cost composed with the Cayley retraction.
 
@@ -250,6 +261,12 @@ def grad_retraction_pullback(
     ``P_U = I - U U^T / 2``; both ``Z U`` and ``Z^T g`` come from the same
     2p-by-2p factorization, keeping the cost O(Np^2).  At ``D = 0`` this
     equals :func:`riemannian_grad` exactly.
+
+    ``g``, when given, must be ``f.grad(retract_cayley(u, d))``: a caller
+    that already evaluated the cost at the retracted frame passes its
+    ambient gradient and ``f`` is not called.  The frame re-derived here
+    from the same panels is bit-identical to :func:`retract_cayley`'s, so
+    both calls return the same result.
 
     Raises
     ------
@@ -261,8 +278,8 @@ def grad_retraction_pullback(
     a_lr, b_lr, inner = _smw_panels(u, d.mat)
     try:
         zu = u - a_lr @ np.linalg.solve(inner, b_lr.T @ u)
-        retracted = 2.0 * zu - u
-        g = f.grad(retracted)
+        if g is None:
+            g = f.grad(2.0 * zu - u)
         ztg = g - b_lr @ np.linalg.solve(inner.T, a_lr.T @ g)
     except np.linalg.LinAlgError as exc:
         raise StepTooLargeError(

@@ -293,6 +293,65 @@ def test_solvers_reject_bad_frames():
         assert solve(good).iters[0] == 0
 
 
+SOLVERS = {
+    "gdm-cp": lambda f, u0, **kw: run_gdm_cp(f, u0, **kw),
+    "gdm-cp-retraction": lambda f, u0, **kw: run_gdm_cp_retraction(f, u0, u0, **kw),
+    **{f"gdm-{kind}": (lambda f, u0, kind=kind, **kw: run_gdm_retraction(f, u0, kind, **kw))
+       for kind in ("qr", "polar", "cayley")},
+}
+
+
+@pytest.mark.parametrize("fused", [True, False], ids=["eval_grad", "no-eval_grad"])
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_one_cost_call_per_trial_and_none_after_acceptance(monkeypatch, solver, fused):
+    inst = problems.make_eigen_instance(50, 4, seed=3)
+    plain = problems.eigen_cost(inst)
+    calls, trials = [], []
+
+    def counted(name, fn):
+        def call(u):
+            calls.append(name)
+            return fn(u)
+        return call
+
+    f = CostFunction(dim_n=50, dim_p=4,
+                     eval=counted("eval", plain.eval), grad=counted("grad", plain.grad),
+                     eval_grad=counted("eval_grad", plain.eval_grad) if fused else None)
+    backtrack = optimize._backtrack_full
+    setup_calls = []
+
+    def counting_backtrack(eval_step, *args, **kwargs):
+        def step(cand):
+            if not trials:
+                setup_calls.extend(calls)
+                calls.clear()
+            start = len(calls)
+            try:
+                return eval_step(cand)
+            finally:
+                trials.append(calls[start:])
+                del calls[start:]
+        return backtrack(step, *args, **kwargs)
+
+    monkeypatch.setattr(optimize, "_backtrack_full", counting_backtrack)
+    u0 = problems.random_stiefel(np.random.default_rng(3), 50, 4)
+    kw = dict(bt=BacktrackingConfig(gamma_initial=0.1), stop=StoppingConfig(max_iters=30))
+    rec = SOLVERS[solver](f, u0, **kw)
+    assert rec.iters[-1] == 30
+    assert len(trials) > 30  # the line search backtracked
+    assert setup_calls.count("eval") <= 1 and setup_calls.count("grad") <= 1
+    assert setup_calls.count("eval_grad") <= 1
+    assert calls == []  # nothing outside the trials after setup
+    per_trial = ["eval_grad"] if fused else ["eval", "grad"]
+    assert all(t == per_trial for t in trials)
+
+    monkeypatch.setattr(optimize, "_backtrack_full", backtrack)
+    ref = SOLVERS[solver](plain, u0, **kw)
+    for name in ("iters", "fvals", "grad_norms", "feasibilities", "recenter_iters", "stop_reason"):
+        assert getattr(rec, name) == getattr(ref, name), name
+    assert np.array_equal(rec.final_u, ref.final_u)
+
+
 def test_solvers_agree_on_medium_eigen():
     # all strategies drive the same instance to the known optimum
     n, p = 16, 3

@@ -245,6 +245,8 @@ def test_grad_retraction_pullback_finite_difference():
         u = problems.random_stiefel(rng, n, p)
         d = random_tangent(rng, u, norm=1.5)
         g = retractions.grad_retraction_pullback(u, d, f)
+        g_given = f.grad(retractions.retract_cayley(u, d))
+        assert np.array_equal(retractions.grad_retraction_pullback(u, d, f, g=g_given).mat, g.mat)
         worst = 0.0
         for _ in range(30):
             e = random_tangent(rng, u, norm=1.0)
