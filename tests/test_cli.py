@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from stiefel_cayley import cli, problems
+from stiefel_cayley import cli, linalg, problems
 from stiefel_cayley.gradients import CostFunction
 
 
@@ -95,6 +95,18 @@ def test_bench_threads_validation(tmp_path, monkeypatch):
     monkeypatch.setenv("BENCH_THREADS", "1")
     assert cli.main(["mobility", "--n", "6", "--p", "2", "--trials", "1",
                      "--points", "3", "--out", out]) == 0
+
+
+def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
+    def failing_solver(*args, **kwargs):
+        raise linalg.FactorizationError("SVD did not converge")
+
+    monkeypatch.setattr(cli, "run_gdm_cp", failing_solver)
+    out = str(tmp_path / "eigen.csv")
+    assert cli.main(["eigen", "--n", "8", "--p", "2", "--trials", "1",
+                     "--algo", "gdm-cp", "--max-iters", "5", "--out", out]) == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: FactorizationError: SVD did not converge")
 
 
 # ----------------------------------------------------------------- eigen

@@ -114,6 +114,43 @@ def test_grad_pullback_structured_equals_general_path():
     assert (g1 - g2).norm() <= 1e-12 * max(1.0, g1.norm())
 
 
+def two_solve_pullback(center, v, g):
+    """Reference pullback kernel: an LU right-solve for ``g^T X M^{-1}`` and
+    one LU solve with the p-by-N right-hand side ``[gp, z^T]``."""
+    p = v.p
+    gle = center.leftT_mul(g, p)
+    gri = center.riT_mul(g, p)
+    m = np.eye(p) + v.a + v.b.T @ v.b
+    gtx = gle.T - gri.T @ v.b
+    gp = np.linalg.solve(m.T, gtx.T).T
+    z = v.b @ gp.T + gri
+    sol = np.linalg.solve(m, np.hstack([gp, z.T]))
+    w11 = sol[:, :p]
+    return w11 - w11.T, -v.b @ w11 - sol[:, p:].T
+
+
+def test_pullback_matches_two_solve_reference():
+    # The production kernel applies an explicit M^{-1}; cond(M) is at most
+    # 1 + ||A||_2 + ||B||_2^2 (about 900 here), yet both kernels agree to a
+    # few eps (at most 1.3e-15 relative seen), so 1e-13 leaves a wide margin.
+    rng = np.random.default_rng(16)
+    worst = 0.0
+    for p in (1, 4, 40):
+        n = 3 * p + 20
+        for b_norm in (0.1, 1.0, 3.0, 10.0, 30.0):
+            for structured in (True, False):
+                center = problems.random_center(rng, n, p, structured=structured)
+                b = rng.standard_normal((n - p, p))
+                v = SkewParam(rng.standard_normal((p, p)), (b_norm / np.linalg.norm(b, 2)) * b)
+                g = rng.standard_normal((n, p))
+                got = gradients.pullback_from_euclidean(center, v, g, cayley.inverse(center, v))
+                assert np.array_equal(got.a, -got.a.T)
+                assert not got.a.flags.writeable and not got.b.flags.writeable
+                ref = SkewParam(*two_solve_pullback(center, v, g))
+                worst = max(worst, (got - ref).norm() / ref.norm())
+    assert worst <= 1e-13
+
+
 def test_bound_report_constant_cost_trivially_passes():
     n, p = 10, 2
     report = gradients.check_gradient_bounds(

@@ -1,12 +1,19 @@
-"""Property tests of the value-class arithmetic: sums and scalar multiples
-of checked tangent vectors and skew parameters keep their invariants, are
-read-only and equal the raw numpy arithmetic bit for bit."""
+"""Property tests of the value classes and the maps.
+
+Sums and scalar multiples of checked tangent vectors and skew parameters
+keep their invariants, are read-only and equal the raw numpy arithmetic bit
+for bit.  The inverse map stays feasible and agrees with its dense oracle,
+and the forward and inverse maps undo each other, on every block shape,
+both kinds of center and parameters from 1e-3 to 1e3 in norm."""
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stiefel_cayley import problems, retractions
+from stiefel_cayley import cayley, linalg, problems, retractions
+from stiefel_cayley.cayley import SkewParam
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -64,3 +71,83 @@ def test_param_combinations_stay_exactly_skew(case):
     raw_b = combine([v.b for v in params], coeffs)
     assert r.a.tobytes() == raw_a.tobytes() and r.b.tobytes() == raw_b.tobytes()
     assert not r.a.flags.writeable and not r.b.flags.writeable
+
+
+# --------------------------------------------------------------------------
+# The forward and inverse maps
+
+
+@st.composite
+def map_cases(draw):
+    """A parameter at a center: every block shape ``_cayley_frame`` treats
+    differently, structured or general center, weighted norm 1e-3 to 1e3,
+    and a B/A balance from A-dominated to B-dominated."""
+    kind = draw(st.sampled_from(["p=1", "p=N-1", "N-p=p", "N-p>p", "p=N"]))
+    if kind == "p=1":
+        n, p = draw(st.integers(2, 40)), 1
+    elif kind == "p=N-1":
+        n = draw(st.integers(2, 40))
+        p = n - 1
+    elif kind == "N-p=p":
+        p = draw(st.integers(1, 20))
+        n = 2 * p
+    elif kind == "N-p>p":
+        p = draw(st.integers(1, 13))
+        n = draw(st.integers(2 * p + 1, 40))
+    else:
+        n = p = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    center = problems.random_center(rng, n, p, structured=draw(st.booleans()))
+    b_scale = 10.0 ** draw(st.floats(-2.0, 2.0))
+    v = SkewParam(rng.standard_normal((p, p)), b_scale * rng.standard_normal((n - p, p)))
+    norm = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return center, v if v.norm() == 0.0 else (norm / v.norm()) * v  # St(1, 1) has V = 0
+
+
+def m_norm(v):
+    """``||I + A + B^T B||_2``.  The forward map inverts ``K = 2 M^{-1}``, so
+    its condition grows with this norm; the round-trip bounds scale with it."""
+    return float(np.linalg.norm(np.eye(v.p) + v.a + v.b.T @ v.b, 2))
+
+
+@SETTINGS
+@given(map_cases())
+def test_inverse_is_feasible_and_matches_dense_oracle(case):
+    center, v = case
+    n, p = v.n, v.p
+    u, b_norm = cayley.inverse(center, v, return_b_norm=True)
+    assert linalg.feasibility(u) <= 1e-12
+    # I + V is normal with singular values sqrt(1 + lambda^2) >= 1, so the
+    # dense oracle carries an error of order eps * (1 + ||V||_2).
+    v_full = v.full()
+    dense = 2.0 * (center.embed() @ np.linalg.inv(np.eye(n) + v_full))[:, :p] \
+        - center.left(p)
+    scale = (1.0 + np.linalg.norm(v_full, 2)) * np.sqrt(n * p)
+    assert np.linalg.norm(u - dense) <= 1e-14 * scale
+    # Re-centering compares b_norm with its threshold, so it must be ||B||_2.
+    if v.b.size:
+        expected = np.linalg.norm(v.b, 2)
+        assert abs(b_norm - expected) <= 1e-12 * expected
+    else:
+        assert b_norm == 0.0
+
+
+@SETTINGS
+@given(map_cases())
+def test_forward_and_inverse_round_trip(case):
+    center, v = case
+    p = v.p
+    u = cayley.inverse(center, v)
+    try:
+        w = cayley.forward(center, u)
+    except cayley.SingularPointError:
+        # Refused only near the excluded set: det(K) = g(V) is then within
+        # a factor e of the floor the forward map enforces.
+        floor = math.log(cayley.DET_FLOOR) + p * math.log(2.0)
+        assert cayley.singular_diagnostic(v).log_value < floor + 1.0
+        return
+    m = m_norm(v)
+    assert (w - v).norm() <= 1e-14 * (1.0 + m) ** 2
+    back = cayley.inverse(center, w)
+    assert linalg.feasibility(back) <= 1e-12
+    assert np.linalg.norm(back - u) <= 1e-13 * (1.0 + m)
