@@ -4,7 +4,7 @@ The forward map sends a feasible frame ``U`` (an N-by-p matrix with
 orthonormal columns) to a compressed skew parameter ``V = (A, B)`` living in
 a fixed vector space; the inverse map reconstructs ``U`` from ``V``.  Both
 directions are anchored at an orthogonal *center* ``S`` and only ever invert
-p-by-p matrices.
+p-by-p matrices; the inverse map also takes one QR of the (N-p)-by-p block.
 
 Frames are plain ndarrays; ``SkewParam``, ``Center`` and
 ``retractions.TangentVector`` are small immutable classes because they carry
@@ -146,15 +146,21 @@ class SkewParam:
         """Spectral norm of the embedded matrix (costs a full n-by-n SVD)."""
         return float(np.linalg.norm(self.full(), 2))
 
+    @classmethod
+    def _trusted(cls, a: np.ndarray, b: np.ndarray) -> "SkewParam":
+        """Wrap fresh blocks without checks or copies; ``a`` must already be
+        exactly skew and the shapes consistent.  The arrays become read-only."""
+        return _frozen(object.__new__(cls), a=a, b=b)
+
     def __add__(self, other: "SkewParam") -> "SkewParam":
-        return _frozen(object.__new__(SkewParam), a=self.a + other.a, b=self.b + other.b)
+        return SkewParam._trusted(self.a + other.a, self.b + other.b)
 
     def __sub__(self, other: "SkewParam") -> "SkewParam":
-        return _frozen(object.__new__(SkewParam), a=self.a - other.a, b=self.b - other.b)
+        return SkewParam._trusted(self.a - other.a, self.b - other.b)
 
     def __mul__(self, scalar) -> "SkewParam":
         s = float(scalar)
-        return _frozen(object.__new__(SkewParam), a=s * self.a, b=s * self.b)
+        return SkewParam._trusted(s * self.a, s * self.b)
 
     __rmul__ = __mul__
 
@@ -318,13 +324,21 @@ def _cayley_frame(v: SkewParam):
     and ``I + A_s`` has all singular values >= 1, so every factor of the
     assembled frame has spectral norm <= 1 and the defect stays near
     roundoff (~ ``eps * (1 + ||A||)``) no matter how large ``B`` is.
+
+    Only ``sigma`` and ``W`` are used.  When B has more than p rows they
+    come from the SVD of the p-by-p R factor of a Householder QR
+    ``B = Q_B R``: ``Q_B`` has orthonormal columns, so R has the singular
+    values and right singular vectors of B, and the (N-p)-by-p factor
+    ``Q`` is never formed.  Otherwise they come from the SVD of B itself.  Neither path forms the Gram matrix ``B^T B``, whose
+    eigenvalues would carry errors of order ``eps * ||B||^2``.  Cost: the
+    QR, ``O(N p^2)``, plus ``O(p^3)``.
     """
     p = v.p
     ip = np.eye(p)
     if v.b.shape[0] == 0:
         z = np.linalg.solve(ip + v.a, ip)
         return 2.0 * z - ip, 0.0
-    res = linalg.svd(v.b)
+    res = linalg.svd(np.linalg.qr(v.b, mode="r") if v.b.shape[0] > p else v.b)
     if res.vt.shape[0] < p:
         # B has fewer rows than columns: complete the right singular basis.
         # QR of an orthonormal panel reproduces its columns up to sign, and
@@ -355,9 +369,10 @@ def inverse(center: Center, v: SkewParam, return_b_norm: bool = False):
     (orthonormal columns up to roundoff for every valid ``v``, see
     :func:`_cayley_frame`) and applies the center orthogonally: ``U = S W``,
     which for a structured center touches only the top p-by-p block.
-    Defined for all of parameter space; nothing larger than p-by-p is
-    ever factorized.  With ``return_b_norm`` the result is the pair
-    ``(U, ||B||_2)``; the norm comes from the SVD the map already takes.
+    Defined for all of parameter space.  Cost: one Householder QR of the
+    (N-p)-by-p block B plus p-by-p work, ``O(N p^2)``.  With
+    ``return_b_norm`` the result is the pair ``(U, ||B||_2)``; the norm
+    comes from the SVD the map already takes.
     """
     p, n = v.p, v.n
     if n != center.n:

@@ -1,14 +1,16 @@
 """Gradients of costs pulled back through the transform.
 
 Given a smooth cost on ambient N-by-p matrices, the pulled-back cost on the
-skew parameter space has an explicit Euclidean gradient assembled from p-by-p
-solves; this module provides that gradient, its closed form at the origin,
-the first-order optimality residual of a frame, and sampled checks of the
-Lipschitz / boundedness / variance bounds the pullback inherits from the
+skew parameter space has an explicit Euclidean gradient assembled from one
+p-by-p inverse; this module provides that gradient, its closed form at the
+origin, the first-order optimality residual of a frame, and sampled checks of
+the Lipschitz / boundedness / variance bounds the pullback inherits from the
 ambient cost.
 
-Everything here works on compressed blocks; nothing larger than p-by-p is
-ever factorized.
+Everything here works on compressed blocks.  The pullback factorizes only
+the p-by-p matrix ``M`` and costs ``O(N p^2)`` beyond the ambient gradient;
+:func:`grad_pullback` adds the inverse map when it has to build the frame
+(one Householder QR of the (N-p)-by-p block plus p-by-p work).
 """
 
 from __future__ import annotations
@@ -75,22 +77,29 @@ def pullback_from_euclidean(
         ``a   = W11 - W11^T``
         ``b   = -B W11 - (B (g^T X M^{-1})^T + S_ri^T g) M^{-T}``
 
-    Cost for a structured center: three N-by-p by p products plus O(p^3).
-    Separated from :func:`grad_pullback` so optimization loops that already
-    hold ``u`` and ``g`` (from a fused cost evaluation) pay nothing twice.
+    ``M^{-1}`` is formed once and applied by matrix products.  That is
+    safe: the symmetric part of ``M`` is ``I + B^T B``, which is ``>= I``,
+    so ``||M^{-1}||_2 <= 1`` and ``cond_2(M) <= 1 + ||A||_2 + ||B||_2^2``
+    (re-centering in the solvers keeps ``||B||_2 <= 3``).  ``a`` is exactly
+    skew by construction, so the result is built without the checked
+    constructor's copies.
+
+    Cost for a structured center: five products of ``O(N p^2)`` flops
+    each plus ``O(p^3)``.  Separated from :func:`grad_pullback` so optimization loops
+    that already hold ``u`` and ``g`` (from a fused cost evaluation) pay
+    nothing twice.
     """
     p = v.p
     gle = center.leftT_mul(g, p)  # S_le^T g
     gri = center.riT_mul(g, p)  # S_ri^T g
     m = np.eye(p) + v.a + v.b.T @ v.b
+    m_inv = np.linalg.inv(m)
     gtx = gle.T - gri.T @ v.b  # g^T (S_le - S_ri B)
-    gp = np.linalg.solve(m.T, gtx.T).T  # g^T X M^{-1}
+    gp = gtx @ m_inv  # g^T X M^{-1}
+    w11 = m_inv @ gp
     z = v.b @ gp.T + gri
-    # One factorization of M serves both right-solves.
-    sol = np.linalg.solve(m, np.hstack([gp, z.T]))
-    w11 = sol[:, :p]
-    b = -v.b @ w11 - sol[:, p:].T
-    return SkewParam(w11 - w11.T, b)
+    b = -v.b @ w11 - z @ m_inv.T
+    return SkewParam._trusted(w11 - w11.T, b)
 
 
 def grad_pullback(
