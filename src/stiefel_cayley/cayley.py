@@ -4,7 +4,8 @@ The forward map sends a feasible frame ``U`` (an N-by-p matrix with
 orthonormal columns) to a compressed skew parameter ``V = (A, B)`` living in
 a fixed vector space; the inverse map reconstructs ``U`` from ``V``.  Both
 directions are anchored at an orthogonal *center* ``S`` and only ever invert
-p-by-p matrices; the inverse map also takes one QR of the (N-p)-by-p block.
+p-by-p matrices; the inverse map also takes at most one QR of the (N-p)-by-p
+block.
 
 Frames are plain ndarrays; ``SkewParam``, ``Center`` and
 ``retractions.TangentVector`` are small immutable classes because they carry
@@ -329,9 +330,10 @@ def _cayley_frame(v: SkewParam):
     come from the SVD of the p-by-p R factor of a Householder QR
     ``B = Q_B R``: ``Q_B`` has orthonormal columns, so R has the singular
     values and right singular vectors of B, and the (N-p)-by-p factor
-    ``Q`` is never formed.  Otherwise they come from the SVD of B itself.  Neither path forms the Gram matrix ``B^T B``, whose
-    eigenvalues would carry errors of order ``eps * ||B||^2``.  Cost: the
-    QR, ``O(N p^2)``, plus ``O(p^3)``.
+    ``Q`` is never formed.  Otherwise they come from the SVD of B itself.
+    Neither path forms the Gram matrix ``B^T B``, whose eigenvalues would
+    carry errors of order ``eps * ||B||^2``.  Cost: the QR, ``O(N p^2)``,
+    plus ``O(p^3)``.
     """
     p = v.p
     ip = np.eye(p)
@@ -369,8 +371,8 @@ def inverse(center: Center, v: SkewParam, return_b_norm: bool = False):
     (orthonormal columns up to roundoff for every valid ``v``, see
     :func:`_cayley_frame`) and applies the center orthogonally: ``U = S W``,
     which for a structured center touches only the top p-by-p block.
-    Defined for all of parameter space.  Cost: one Householder QR of the
-    (N-p)-by-p block B plus p-by-p work, ``O(N p^2)``.  With
+    Defined for all of parameter space.  Cost: at most one Householder QR
+    of the (N-p)-by-p block B plus p-by-p work, ``O(N p^2)``.  With
     ``return_b_norm`` the result is the pair ``(U, ||B||_2)``; the norm
     comes from the SVD the map already takes.
     """

@@ -80,14 +80,14 @@ def pullback_from_euclidean(
     ``M^{-1}`` is formed once and applied by matrix products.  That is
     safe: the symmetric part of ``M`` is ``I + B^T B``, which is ``>= I``,
     so ``||M^{-1}||_2 <= 1`` and ``cond_2(M) <= 1 + ||A||_2 + ||B||_2^2``
-    (re-centering in the solvers keeps ``||B||_2 <= 3``).  ``a`` is exactly
-    skew by construction, so the result is built without the checked
-    constructor's copies.
+    (``run_gdm_cp`` re-centers once ``||B||_2`` exceeds 3, unless the
+    caller fixed its center).  ``a`` is exactly skew by construction, so
+    the result is built without the checked constructor's copies.
 
     Cost for a structured center: five products of ``O(N p^2)`` flops
-    each plus ``O(p^3)``.  Separated from :func:`grad_pullback` so optimization loops
-    that already hold ``u`` and ``g`` (from a fused cost evaluation) pay
-    nothing twice.
+    each plus ``O(p^3)``.  Separated from :func:`grad_pullback` so
+    optimization loops that already hold ``u`` and ``g`` (from a fused cost
+    evaluation) pay nothing twice.
     """
     p = v.p
     gle = center.leftT_mul(g, p)  # S_le^T g

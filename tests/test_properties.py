@@ -79,9 +79,10 @@ def test_param_combinations_stay_exactly_skew(case):
 
 @st.composite
 def map_cases(draw):
-    """A parameter at a center: every block shape ``_cayley_frame`` treats
-    differently, structured or general center, weighted norm 1e-3 to 1e3,
-    and a B/A balance from A-dominated to B-dominated."""
+    """A parameter at a center.  The shapes p=1, p=N-1, N-p=p, N-p>p and
+    p=N reach every branch of ``_cayley_frame``; the center is structured
+    or general, the weighted norm 1e-3 to 1e3, and B is scaled against A
+    by 1e-2 to 1e2 before that norm is set."""
     kind = draw(st.sampled_from(["p=1", "p=N-1", "N-p=p", "N-p>p", "p=N"]))
     if kind == "p=1":
         n, p = draw(st.integers(2, 40)), 1
@@ -102,12 +103,6 @@ def map_cases(draw):
     v = SkewParam(rng.standard_normal((p, p)), b_scale * rng.standard_normal((n - p, p)))
     norm = 10.0 ** draw(st.floats(-3.0, 3.0))
     return center, v if v.norm() == 0.0 else (norm / v.norm()) * v  # St(1, 1) has V = 0
-
-
-def m_norm(v):
-    """``||I + A + B^T B||_2``.  The forward map inverts ``K = 2 M^{-1}``, so
-    its condition grows with this norm; the round-trip bounds scale with it."""
-    return float(np.linalg.norm(np.eye(v.p) + v.a + v.b.T @ v.b, 2))
 
 
 @SETTINGS
@@ -146,7 +141,9 @@ def test_forward_and_inverse_round_trip(case):
         floor = math.log(cayley.DET_FLOOR) + p * math.log(2.0)
         assert cayley.singular_diagnostic(v).log_value < floor + 1.0
         return
-    m = m_norm(v)
+    # The forward map inverts K = 2 M^{-1} with M = I + A + B^T B, so its
+    # conditioning, and with it both round-trip errors, grows with ||M||_2.
+    m = float(np.linalg.norm(np.eye(p) + v.a + v.b.T @ v.b, 2))
     assert (w - v).norm() <= 1e-14 * (1.0 + m) ** 2
     back = cayley.inverse(center, w)
     assert linalg.feasibility(back) <= 1e-12
