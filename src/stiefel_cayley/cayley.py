@@ -326,21 +326,20 @@ def _cayley_frame(v: SkewParam):
     assembled frame has spectral norm <= 1 and the defect stays near
     roundoff (~ ``eps * (1 + ||A||)``) no matter how large ``B`` is.
 
-    Only ``sigma`` and ``W`` are used.  When B has more than p rows they
-    come from the SVD of the p-by-p R factor of a Householder QR
-    ``B = Q_B R``: ``Q_B`` has orthonormal columns, so R has the singular
-    values and right singular vectors of B, and the (N-p)-by-p factor
-    ``Q`` is never formed.  Otherwise they come from the SVD of B itself.
-    Neither path forms the Gram matrix ``B^T B``, whose eigenvalues would
-    carry errors of order ``eps * ||B||^2``.  Cost: the QR, ``O(N p^2)``,
-    plus ``O(p^3)``.
+    Only ``sigma`` and ``W`` are used.  They come from the SVD of the R
+    factor of a Householder QR ``B = Q_B R``: ``Q_B`` has orthonormal
+    columns, so R has the singular values and right singular vectors of B,
+    and the (N-p)-by-p factor ``Q`` is never formed.  The Gram matrix
+    ``B^T B``, whose eigenvalues would carry errors of order
+    ``eps * ||B||^2``, is never formed either.  Cost: the QR,
+    ``O(N p^2)``, plus ``O(p^3)``.
     """
     p = v.p
     ip = np.eye(p)
     if v.b.shape[0] == 0:
         z = np.linalg.solve(ip + v.a, ip)
         return 2.0 * z - ip, 0.0
-    res = linalg.svd(np.linalg.qr(v.b, mode="r") if v.b.shape[0] > p else v.b)
+    res = linalg.svd(np.linalg.qr(v.b, mode="r"))
     if res.vt.shape[0] < p:
         # B has fewer rows than columns: complete the right singular basis.
         # QR of an orthonormal panel reproduces its columns up to sign, and

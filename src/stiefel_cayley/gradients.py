@@ -82,7 +82,8 @@ def pullback_from_euclidean(
     so ``||M^{-1}||_2 <= 1`` and ``cond_2(M) <= 1 + ||A||_2 + ||B||_2^2``
     (``run_gdm_cp`` re-centers once ``||B||_2`` exceeds 3, unless the
     caller fixed its center).  ``a`` is exactly skew by construction, so
-    the result is built without the checked constructor's copies.
+    the result is built without the checked constructor's copies; its
+    finiteness check is kept, so a non-finite ``g`` raises ``ValueError``.
 
     Cost for a structured center: five products of ``O(N p^2)`` flops
     each plus ``O(p^3)``.  Separated from :func:`grad_pullback` so
@@ -99,7 +100,9 @@ def pullback_from_euclidean(
     w11 = m_inv @ gp
     z = v.b @ gp.T + gri
     b = -v.b @ w11 - z @ m_inv.T
-    return SkewParam._trusted(w11 - w11.T, b)
+    return SkewParam._trusted(
+        linalg.as_matrix(w11 - w11.T, "a block"), linalg.as_matrix(b, "b block")
+    )
 
 
 def grad_pullback(

@@ -4,6 +4,7 @@ and the sampled bound report."""
 import math
 
 import numpy as np
+import pytest
 
 from stiefel_cayley import cayley, gradients, linalg, problems
 from stiefel_cayley.cayley import Center, SkewParam
@@ -149,6 +150,20 @@ def test_pullback_matches_two_solve_reference():
                 ref = SkewParam(*two_solve_pullback(center, v, g))
                 worst = max(worst, (got - ref).norm() / ref.norm())
     assert worst <= 1e-13
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_pullback_rejects_non_finite_gradient():
+    rng = np.random.default_rng(17)
+    n, p = 12, 3
+    center = problems.random_center(rng, n, p, structured=True)
+    v = problems.random_skew_param(rng, n, p, norm=1.0)
+    u = cayley.inverse(center, v)
+    for bad in (np.nan, np.inf):
+        g = rng.standard_normal((n, p))
+        g[n - 1, 0] = bad
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            gradients.pullback_from_euclidean(center, v, g, u)
 
 
 def test_bound_report_constant_cost_trivially_passes():
