@@ -4,7 +4,10 @@ Sums and scalar multiples of checked tangent vectors and skew parameters
 keep their invariants, are read-only and equal the raw numpy arithmetic bit
 for bit.  The inverse map stays feasible and agrees with its dense oracle,
 and the forward and inverse maps undo each other, on every block shape,
-both kinds of center and parameters from 1e-3 to 1e3 in norm."""
+both kinds of center and parameters from 1e-3 to 1e3 in norm.  The Cayley
+retraction stays feasible and agrees with its dense oracle, within bounds
+scaled by the condition number of its 2p-by-2p system, or refuses the
+step."""
 
 import math
 
@@ -148,3 +151,43 @@ def test_forward_and_inverse_round_trip(case):
     back = cayley.inverse(center, w)
     assert linalg.feasibility(back) <= 1e-12
     assert np.linalg.norm(back - u) <= 1e-13 * (1.0 + m)
+
+
+# --------------------------------------------------------------------------
+# The Cayley retraction
+
+
+@st.composite
+def retraction_cases(draw):
+    """A frame and a tangent step: N <= 40, 1 <= p <= N (p = N included),
+    step norm 1e-3 to 1e3."""
+    n = draw(st.integers(1, 40))
+    p = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = problems.random_stiefel(rng, n, p)
+    d = retractions.project_tangent(u, rng.standard_normal((n, p)))
+    norm = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return u, d if d.norm() == 0.0 else (norm / d.norm()) * d  # St(1, 1) has D = 0
+
+
+@SETTINGS
+@given(retraction_cases())
+def test_retract_cayley_is_feasible_and_matches_dense_oracle(case):
+    u, d = case
+    n, p = u.shape
+    try:
+        frame = retractions.retract_cayley(u, d)
+    except retractions.StepTooLargeError as exc:
+        assert exc.cond > linalg.COND_LIMIT  # a refusal is allowed, not expected
+        return
+    # Roundoff in the low-rank kernel is amplified by the condition number
+    # of K = I + B^T A, which grows like ||D||^2 / 4; up to cond 1e3
+    # (||D|| near 60) the frame keeps the 1e-12 of the other maps.
+    y = d.mat - 0.5 * u @ (u.T @ d.mat)
+    a_lr = np.hstack([u, 0.5 * y])
+    b_lr = np.hstack([0.5 * y, -u])
+    cond = np.linalg.cond(np.eye(2 * p) + b_lr.T @ a_lr, 1)
+    assert linalg.feasibility(frame) <= max(1e-12, 1e-15 * cond)
+    w = a_lr @ b_lr.T
+    dense = 2.0 * np.linalg.solve(np.eye(n) + w, u) - u
+    assert np.linalg.norm(frame - dense) <= 1e-14 * cond * np.sqrt(n * p)

@@ -263,3 +263,61 @@ def test_grad_retraction_pullback_rejects_huge_step():
     f = problems.distance_cost(np.array([[0.0], [1.0]]))
     with pytest.raises(StepTooLargeError):
         retractions.grad_retraction_pullback(u, d, f)
+
+
+def panel_reference(u, d, f):
+    """Frame, 2p-by-2p system and its 1-norm condition number, ambient
+    gradient and pullback gradient of the Cayley retraction, from the
+    explicit Sherman-Morrison-Woodbury panels
+    ``A = [U, Y/2]``, ``B = [Y/2, -U]`` of ``W = A B^T``: ``cond`` of
+    ``I + B^T A`` and one LU solve against it and one against its
+    transpose.  This is the panel form of the kernel, kept as an oracle."""
+    y = d.mat - 0.5 * u @ (u.T @ d.mat)
+    a_lr = np.hstack([u, 0.5 * y])
+    b_lr = np.hstack([0.5 * y, -u])
+    inner = np.eye(a_lr.shape[1]) + b_lr.T @ a_lr
+    cond = float(np.linalg.cond(inner, 1))
+    zu = u - a_lr @ np.linalg.solve(inner, b_lr.T @ u)
+    g = f.grad(2.0 * zu - u)
+    ztg = g - b_lr @ np.linalg.solve(inner.T, a_lr.T @ g)
+    dmat = zu @ (g.T @ zu) - ztg @ (zu.T @ u)
+    out = -(dmat - 0.5 * u @ (u.T @ dmat))
+    return 2.0 * zu - u, inner, cond, g, retractions.project_tangent(u, out).mat
+
+
+def test_cayley_kernel_matches_panel_reference():
+    rng = np.random.default_rng(12)
+    eps = np.finfo(float).eps
+    accepted = refused = 0
+    # p = 1, 4 and 40, with N - p at, below and above p; step norms from
+    # 1e-3 up to just under the condition bar (cond grows like ||D||^2 / 4)
+    # and past it
+    for n, p in ((2, 1), (30, 1), (6, 4), (50, 4), (60, 40), (200, 40)):
+        u = problems.random_stiefel(rng, n, p)
+        f = problems.distance_cost(problems.random_stiefel(rng, n, p))
+        direction = random_tangent(rng, u)
+        for norm in (1e-3, 1e-1, 1.0, 10.0, 1e3, 1e5, 1e6, 1e7):
+            d = (norm / direction.norm()) * direction
+            frame_ref, inner, cond, g_ref, grad_ref = panel_reference(u, d, f)
+            if cond > linalg.COND_LIMIT:
+                refused += 1
+                for call in (lambda: retractions.retract_cayley(u, d),
+                             lambda: retractions.grad_retraction_pullback(u, d, f)):
+                    with pytest.raises(StepTooLargeError) as exc:
+                        call()
+                    assert abs(exc.value.cond - cond) <= 1e-8 * cond
+                continue
+            accepted += 1
+            # Up to ||D|| = 10 the condition number stays below 100.  Past
+            # that both forms carry roundoff of order eps * cond, and the
+            # pullback shrinks far below the ambient gradient it is built
+            # from, so its error is measured against that gradient.
+            if norm <= 10.0:
+                tol, grad_scale = 1e-13, np.linalg.norm(grad_ref)
+            else:
+                tol, grad_scale = eps * cond, np.linalg.norm(g_ref)
+            frame = retractions.retract_cayley(u, d)
+            assert np.linalg.norm(frame - frame_ref) <= tol * np.linalg.norm(frame_ref)
+            grad = retractions.grad_retraction_pullback(u, d, f)
+            assert np.linalg.norm(grad.mat - grad_ref) <= tol * grad_scale
+    assert accepted >= 40 and refused >= 4
