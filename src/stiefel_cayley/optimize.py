@@ -19,7 +19,8 @@ the variable they update and where they anchor it:
 Every line-search trial makes one fused call to the cost,
 :meth:`CostFunction.value_and_grad`; the accepted trial's ambient gradient
 becomes the next descent gradient, so an accepted step costs no further
-evaluation.
+evaluation.  :func:`run_gdm_cp_retraction` likewise carries the trial's
+Cayley-retraction kernel into the pulled-back gradient.
 
 Every solver checks its start frame once, on entry: it must have the
 cost's shape and orthonormal columns.  Stopping clauses are checked in a
@@ -372,6 +373,8 @@ def run_gdm_cp_retraction(
     matches plain Cayley-retraction steepest descent); updates move the
     tangent coordinate and re-retract.  Step-too-large failures inside the
     retraction count as failed line-search trials and shrink the step.
+    Each trial's Cayley kernel travels in its payload, so the accepted
+    step's pulled-back gradient does not rebuild it.
 
     Raises
     ------
@@ -385,13 +388,13 @@ def run_gdm_cp_retraction(
     u_anchor = _check_frame(f, u_anchor, "anchor frame")
 
     def eval_step(v_cand: TangentVector):
-        u_cand = retract_cayley(u_anchor, v_cand)
+        u_cand, kernel = retract_cayley(u_anchor, v_cand, return_kernel=True)
         fval, g_euclid = f.value_and_grad(u_cand)
-        return fval, (u_cand, g_euclid)
+        return fval, (u_cand, g_euclid, kernel)
 
     def reanchor(n: int, v: TangentVector, payload):
-        u, g_euclid = payload
-        return v, u, grad_retraction_pullback(u_anchor, v, f, g=g_euclid)
+        u, g_euclid, kernel = payload
+        return v, u, grad_retraction_pullback(u_anchor, v, f, g=g_euclid, kernel=kernel)
 
     def setup(u0: np.ndarray, record: RunRecord):
         v0 = inverse_retract_cayley(u_anchor, u0)

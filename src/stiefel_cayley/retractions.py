@@ -6,11 +6,13 @@ Cayley retraction, the linear bridge between tangent vectors and the skew
 parameter space, and the gradient of a cost composed with the Cayley
 retraction.
 
-The Cayley retraction and its gradient run through a low-rank update
-(Sherman-Morrison-Woodbury) so their cost is O(Np^2); the update's inner
-2p-by-2p system can become ill-conditioned for large steps, which is
-surfaced as :class:`StepTooLargeError` so line searches can shrink the step
-instead of aborting.
+The Cayley retraction and its gradient share one O(Np^2) kernel,
+:func:`_cayley_kernel`: the low-rank (Sherman-Morrison-Woodbury) form of
+``(I + W)^{-1}``, whose 2p-by-2p matrix is built from p-by-p Gram blocks
+and inverted once.  That matrix becomes ill-conditioned for large steps;
+its exact 1-norm condition number, taken from the inverse, is checked and
+an unreliable step raises :class:`StepTooLargeError`, so line searches can
+shrink it instead of aborting.
 """
 
 from __future__ import annotations
@@ -40,11 +42,13 @@ __all__ = [
 
 
 class StepTooLargeError(RuntimeError):
-    """The low-rank update behind the Cayley retraction is unreliable here.
+    """The 2p-by-2p system behind the Cayley retraction is unreliable here.
 
-    Raised when the inner 2p-by-2p system's condition estimate exceeds
-    ``linalg.COND_LIMIT`` (or its factorization fails outright).  Callers
-    running a line search should treat this as "shrink the step and retry".
+    Raised when the exact 1-norm condition number ``||K||_1 ||K^{-1}||_1``
+    of the kernel's ``K`` (see :func:`_cayley_kernel`) exceeds
+    ``linalg.COND_LIMIT``; ``cond`` carries it.  A failed inverse or a
+    non-finite condition number gives ``cond = inf``.  Callers running a
+    line search should treat this as "shrink the step and retry".
     """
 
     def __init__(self, msg: str, cond: float):
@@ -164,53 +168,71 @@ def retract_polar(u: np.ndarray, d: TangentVector) -> np.ndarray:
     return linalg.polar_factor(u + d.mat)
 
 
-def _smw_panels(u: np.ndarray, dmat: np.ndarray):
-    """Low-rank panels of the Cayley-retraction kernel at step ``D``.
+def _cayley_kernel(u: np.ndarray, dmat: np.ndarray):
+    """The Cayley-retraction kernel at step ``D``: ``(Y, K^{-1}, Z U)``.
 
-    The kernel matrix is ``Z = (I + W)^{-1}`` for the rank-2p skew
-    ``W = (U Y^T - Y U^T)/2`` with ``Y = (I - U U^T / 2) D``; writing
-    ``W = A_lr B_lr^T`` gives ``Z = I - A_lr (I + B_lr^T A_lr)^{-1} B_lr^T``
-    so only a 2p-by-2p system is ever solved.  ``I + W`` itself is never
-    singular (``det >= 1`` for skew ``W``), but the low-rank inner system
-    can be arbitrarily ill-conditioned for large ``D``; that is reported
-    via :class:`StepTooLargeError` rather than silently returning garbage.
+    ``Z = (I + W)^{-1}`` for the rank-2p skew ``W = A B^T`` with
+    ``A = [U, Y/2]``, ``B = [Y/2, -U]`` and ``Y = (I - U U^T / 2) D``, so
+    ``Z = I - A K^{-1} B^T`` with ``K = I + B^T A``.  ``K`` is assembled
+    from the p-by-p blocks ``U^T D``, ``U^T U``,
+    ``U^T Y = U^T D - (U^T U)(U^T D)/2`` and ``Y^T Y``, and inverted once;
+    with ``[X1; X2] = K^{-1} B^T U`` (refined once against ``K``),
+    ``Z U = U - U X1 - Y X2 / 2``.
+
+    ``I + W`` is never singular (``det >= 1`` for skew ``W``), but ``K``
+    can be arbitrarily ill-conditioned for large ``D``.  A condition
+    number ``||K||_1 ||K^{-1}||_1`` (what ``np.linalg.cond(K, 1)``
+    computes) above ``linalg.COND_LIMIT``, or a failed inverse, raises
+    :class:`StepTooLargeError`.
     """
-    y = dmat - 0.5 * u @ (u.T @ dmat)
-    a_lr = np.hstack([u, 0.5 * y])
-    b_lr = np.hstack([0.5 * y, -u])
-    inner = np.eye(a_lr.shape[1]) + b_lr.T @ a_lr
-    cond = float(np.linalg.cond(inner, 1))
-    if not np.isfinite(cond) or cond > linalg.COND_LIMIT:
+    p = u.shape[1]
+    utd = u.T @ dmat
+    utu = u.T @ u
+    y = dmat - 0.5 * u @ utd
+    uty = utd - 0.5 * utu @ utd
+    yty = y.T @ y
+    k = np.eye(2 * p) + np.block([[0.5 * uty.T, 0.25 * yty], [-utu, -0.5 * uty]])
+    try:
+        k_inv = np.linalg.inv(k)
+        cond = float(np.linalg.norm(k, 1) * np.linalg.norm(k_inv, 1))
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    if not cond <= linalg.COND_LIMIT:  # NaN fails this test too
         raise StepTooLargeError(
-            f"low-rank Cayley system has condition estimate {cond:.3e} "
+            f"low-rank Cayley system has condition number {cond:.3e} "
             f"(limit {linalg.COND_LIMIT:.0e}); shrink the step",
-            cond=cond,
+            cond=cond if cond > linalg.COND_LIMIT else np.inf,
         )
-    return a_lr, b_lr, inner
+    # B^T U = [Y^T U / 2; -U^T U].  Multiplying by an inverse is not
+    # backward stable the way an LU solve is; one step of refinement
+    # against K restores the frame's orthonormality at large steps.
+    rhs = np.vstack([0.5 * uty.T, -utu])
+    x = k_inv @ rhs
+    x += k_inv @ (rhs - k @ x)
+    zu = u - u @ x[:p] - 0.5 * (y @ x[p:])
+    return y, k_inv, zu
 
 
-def retract_cayley(u: np.ndarray, d: TangentVector) -> np.ndarray:
+def retract_cayley(u: np.ndarray, d: TangentVector, *, return_kernel: bool = False):
     """Cayley retraction ``(I + W)^{-1} (I - W) U`` in O(Np^2).
 
-    ``W`` is the rank-2p skew matrix of :func:`_smw_panels`; the result is
-    computed as ``2 Z U - U``.  Unlike the QR and polar retractions this
-    one is algebraically exact on the manifold but numerically drifts with
-    the inner system's conditioning, which grows with ``||D||``.
+    ``W`` is the rank-2p skew matrix of :func:`_cayley_kernel`; the result
+    is ``2 Z U - U``.  Unlike the QR and polar retractions this one is
+    algebraically exact on the manifold but numerically drifts with the
+    kernel's condition number, which grows like ``||D||^2``.  With
+    ``return_kernel=True`` it returns ``(frame, kernel)``, and the kernel
+    may be passed to :func:`grad_retraction_pullback` at the same ``u``
+    and ``d``.
 
     Raises
     ------
     StepTooLargeError
-        If the low-rank inner system is too ill-conditioned to trust.
+        If the kernel's 2p-by-2p matrix is too ill-conditioned to trust.
     """
     u = np.asarray(u, dtype=np.float64)
-    a_lr, b_lr, inner = _smw_panels(u, d.mat)
-    try:
-        zu = u - a_lr @ np.linalg.solve(inner, b_lr.T @ u)
-    except np.linalg.LinAlgError as exc:
-        raise StepTooLargeError(
-            "low-rank Cayley system is singular; shrink the step", cond=np.inf
-        ) from exc
-    return 2.0 * zu - u
+    kernel = _cayley_kernel(u, d.mat)
+    frame = 2.0 * kernel[2] - u
+    return (frame, kernel) if return_kernel else frame
 
 
 def psi_map(u: np.ndarray, uperp: np.ndarray, d: TangentVector) -> SkewParam:
@@ -252,39 +274,38 @@ def inverse_retract_cayley(u: np.ndarray, ufrak: np.ndarray) -> TangentVector:
 
 
 def grad_retraction_pullback(
-    u: np.ndarray, d: TangentVector, f: CostFunction, *, g: Optional[np.ndarray] = None
+    u: np.ndarray, d: TangentVector, f: CostFunction, *, g: Optional[np.ndarray] = None, kernel=None
 ) -> TangentVector:
     """Gradient of the cost composed with the Cayley retraction.
 
     At step ``D`` the gradient is ``-2 P_U Skew(Z U g^T Z) U`` with
-    ``g = grad f(R(D))``, ``Z`` the kernel of :func:`_smw_panels` and
-    ``P_U = I - U U^T / 2``; both ``Z U`` and ``Z^T g`` come from the same
-    2p-by-2p factorization, keeping the cost O(Np^2).  At ``D = 0`` this
-    equals :func:`riemannian_grad` exactly.
+    ``g = grad f(R(D))``, ``Z`` the kernel of :func:`_cayley_kernel` and
+    ``P_U = I - U U^T / 2``.  ``Z U`` is the kernel's; ``Z^T g`` reuses its
+    ``K^{-1}``: ``Z^T g = g - B K^{-T} A^T g`` with
+    ``A^T g = [U^T g; Y^T g / 2]``.  The cost stays O(Np^2).  At ``D = 0``
+    this equals :func:`riemannian_grad` exactly.
 
-    ``g``, when given, must be ``f.grad(retract_cayley(u, d))``: a caller
-    that already evaluated the cost at the retracted frame passes its
-    ambient gradient and ``f`` is not called.  The frame re-derived here
-    from the same panels is bit-identical to :func:`retract_cayley`'s, so
-    both calls return the same result.
+    A caller that already retracted and evaluated the cost passes
+    ``kernel``, the one ``retract_cayley(u, d, return_kernel=True)``
+    returned for the same ``u`` and ``d``, and ``g``, the ambient gradient
+    ``f.grad`` at that frame; then neither the kernel is rebuilt nor ``f``
+    called.  A rebuilt kernel is bit-identical to the carried one, so every
+    combination returns the same result.
 
     Raises
     ------
     StepTooLargeError
-        Propagated from the low-rank kernel; line searches should retry
-        with a smaller step.
+        Propagated from the kernel when it is built here; line searches
+        should retry with a smaller step.
     """
     u = np.asarray(u, dtype=np.float64)
-    a_lr, b_lr, inner = _smw_panels(u, d.mat)
-    try:
-        zu = u - a_lr @ np.linalg.solve(inner, b_lr.T @ u)
-        if g is None:
-            g = f.grad(2.0 * zu - u)
-        ztg = g - b_lr @ np.linalg.solve(inner.T, a_lr.T @ g)
-    except np.linalg.LinAlgError as exc:
-        raise StepTooLargeError(
-            "low-rank Cayley system is singular; shrink the step", cond=np.inf
-        ) from exc
+    y, k_inv, zu = _cayley_kernel(u, d.mat) if kernel is None else kernel
+    if g is None:
+        g = f.grad(2.0 * zu - u)
+    p = u.shape[1]
+    q = k_inv.T @ np.vstack([u.T @ g, 0.5 * (y.T @ g)])
+    # Z^T g = g - B q with B = [Y/2, -U]
+    ztg = g - 0.5 * (y @ q[:p]) + u @ q[p:]
     # 2 Skew(Z U g^T Z) U = (Z U)(g^T Z U) - (Z^T g)(U^T Z^T U)
     dmat = zu @ (g.T @ zu) - ztg @ (zu.T @ u)
     out = -(dmat - 0.5 * u @ (u.T @ dmat))

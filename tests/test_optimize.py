@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from stiefel_cayley import linalg, optimize, problems
+from stiefel_cayley import linalg, optimize, problems, retractions
 from stiefel_cayley.cayley import Center, SingularPointError, SkewParam, construct_center
 from stiefel_cayley.gradients import CostFunction
 from stiefel_cayley.optimize import (
@@ -369,6 +369,47 @@ def test_one_cost_call_per_trial_and_none_after_acceptance(monkeypatch, solver, 
 
     monkeypatch.setattr(optimize, "_backtrack_full", backtrack)
     ref = SOLVERS[solver](plain, u0, **kw)
+    for name in ("iters", "fvals", "grad_norms", "feasibilities", "recenter_iters", "stop_reason"):
+        assert getattr(rec, name) == getattr(ref, name), name
+    assert np.array_equal(rec.final_u, ref.final_u)
+
+
+def test_gdm_cp_retraction_builds_one_kernel_per_trial(monkeypatch):
+    f = problems.eigen_cost(problems.make_eigen_instance(50, 4, seed=3))
+    u0 = problems.random_stiefel(np.random.default_rng(3), 50, 4)
+    kw = dict(bt=BacktrackingConfig(gamma_initial=0.1), stop=StoppingConfig(max_iters=30))
+    kernel, retract, pullback = (retractions._cayley_kernel, optimize.retract_cayley,
+                                 optimize.grad_retraction_pullback)
+    builds, trials, per_pullback = [], [], []
+
+    def counting_kernel(u, dmat):
+        builds.append(1)
+        return kernel(u, dmat)
+
+    def counting_retract(u, d, **kwargs):
+        trials.append(1)
+        return retract(u, d, **kwargs)
+
+    def watched_pullback(*args, **kwargs):
+        before = len(builds)
+        out = pullback(*args, **kwargs)
+        per_pullback.append(len(builds) - before)
+        return out
+
+    monkeypatch.setattr(retractions, "_cayley_kernel", counting_kernel)
+    monkeypatch.setattr(optimize, "retract_cayley", counting_retract)
+    monkeypatch.setattr(optimize, "grad_retraction_pullback", watched_pullback)
+    rec = run_gdm_cp_retraction(f, u0, u0, **kw)
+    assert rec.iters[-1] == 30
+    assert len(trials) > 30  # the line search backtracked
+    assert len(builds) == len(trials) + 1
+    assert per_pullback == [1] + [0] * 30  # one in setup, none in reanchor
+
+    def rebuilding_pullback(*args, **kwargs):
+        return pullback(*args, **{**kwargs, "kernel": None})
+
+    monkeypatch.setattr(optimize, "grad_retraction_pullback", rebuilding_pullback)
+    ref = run_gdm_cp_retraction(f, u0, u0, **kw)
     for name in ("iters", "fvals", "grad_norms", "feasibilities", "recenter_iters", "stop_reason"):
         assert getattr(rec, name) == getattr(ref, name), name
     assert np.array_equal(rec.final_u, ref.final_u)

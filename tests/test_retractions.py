@@ -285,7 +285,7 @@ def panel_reference(u, d, f):
     return 2.0 * zu - u, inner, cond, g, retractions.project_tangent(u, out).mat
 
 
-def test_cayley_kernel_matches_panel_reference():
+def test_cayley_kernel_matches_panel_reference(monkeypatch):
     rng = np.random.default_rng(12)
     eps = np.finfo(float).eps
     accepted = refused = 0
@@ -316,8 +316,26 @@ def test_cayley_kernel_matches_panel_reference():
                 tol, grad_scale = 1e-13, np.linalg.norm(grad_ref)
             else:
                 tol, grad_scale = eps * cond, np.linalg.norm(g_ref)
-            frame = retractions.retract_cayley(u, d)
+            frame, kernel = retractions.retract_cayley(u, d, return_kernel=True)
+            assert np.array_equal(retractions.retract_cayley(u, d), frame)
             assert np.linalg.norm(frame - frame_ref) <= tol * np.linalg.norm(frame_ref)
             grad = retractions.grad_retraction_pullback(u, d, f)
             assert np.linalg.norm(grad.mat - grad_ref) <= tol * grad_scale
+            carried = retractions.grad_retraction_pullback(u, d, f, kernel=kernel)
+            assert np.array_equal(carried.mat, grad.mat)
+            # the condition number is ||K||_1 ||K^{-1}||_1 with the kernel's inverse
+            k_inv = kernel[1]
+            kernel_cond = np.linalg.norm(inner, 1) * np.linalg.norm(k_inv, 1)
+            assert abs(kernel_cond - cond) <= 1e-8 * cond
     assert accepted >= 40 and refused >= 4
+
+    def singular(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    d = random_tangent(rng, u, norm=1.0)
+    for call in (lambda: retractions.retract_cayley(u, d),
+                 lambda: retractions.grad_retraction_pullback(u, d, f)):
+        with pytest.raises(StepTooLargeError) as exc:
+            call()
+        assert exc.value.cond == np.inf
