@@ -35,9 +35,7 @@ from .gradients import (
     BoundReport,
     CostFunction,
     check_gradient_bounds,
-    grad_at_zero,
     grad_pullback,
-    stationarity_residual,
 )
 from .linalg import (
     DimensionError,
@@ -60,10 +58,8 @@ from .problems import (
     StochasticEigenFamily,
     distance_cost,
     eigen_cost,
-    load_instance,
     make_eigen_instance,
     rotation_center,
-    save_instance,
     stochastic_eigen_family,
 )
 from .retractions import (
@@ -106,12 +102,10 @@ __all__ = [
     "eigen_cost",
     "feasibility",
     "forward",
-    "grad_at_zero",
     "grad_pullback",
     "grad_retraction_pullback",
     "inverse",
     "inverse_retract_cayley",
-    "load_instance",
     "make_eigen_instance",
     "mobility",
     "project_tangent",
@@ -123,9 +117,7 @@ __all__ = [
     "run_gdm_cp",
     "run_gdm_cp_retraction",
     "run_gdm_retraction",
-    "save_instance",
     "singular_diagnostic",
-    "stationarity_residual",
     "stochastic_eigen_family",
     "__version__",
 ]

@@ -230,15 +230,6 @@ class Center:
         if p > self.n:
             raise DimensionError(f"p={p} exceeds center size n={self.n}")
 
-    def embed(self) -> np.ndarray:
-        """The full n-by-n orthogonal matrix."""
-        if not self.is_structured:
-            return np.array(self.s)
-        p = self.t.shape[0]
-        s = np.eye(self.n)
-        s[:p, :p] = self.t
-        return s
-
     def left(self, p: int) -> np.ndarray:
         """First p columns ``S_le``."""
         self._check_p(p)

@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import cayley, gradients, linalg, problems, retractions
+from . import cayley, gradients, problems, retractions
 from .cayley import Center, SkewParam
 from .gradients import CostFunction
 from .optimize import (
@@ -98,6 +98,10 @@ class ExperimentConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if any(g <= 0.0 for g in self.gammas):
             raise ValueError(f"every gamma must be positive, got {self.gammas}")
+        if self.experiment in ("eigen", "singular") and not self.gammas:
+            raise ValueError(f"the {self.experiment} experiment needs at least one gamma")
+        if self.experiment == "eigen" and not self.algorithms:
+            raise ValueError("the eigen experiment needs at least one algorithm")
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
@@ -107,8 +111,7 @@ class ExperimentConfig:
             raise ValueError("directions/samples must be >= 1 and variance_draws >= 0")
         if self.fd_step <= 0.0 or self.sigma < 0.0:
             raise ValueError("fd_step must be positive and sigma nonnegative")
-        if self.max_iters is not None and self.max_iters < 0:
-            raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
+        self.stopping()  # StoppingConfig validates the stopping overrides
 
     def stopping(self) -> StoppingConfig:
         base = StoppingConfig()
@@ -338,7 +341,7 @@ def cmd_eigen(cfg: ExperimentConfig) -> int:
         ("command", "eigen"), ("n", cfg.n), ("p", cfg.p), ("trials", cfg.trials),
         ("seed", cfg.seed), ("gammas", ",".join(_fmt(g) for g in cfg.gammas)),
         ("algorithms", ",".join(cfg.algorithms)),
-        ("max_iters", cfg.stopping().max_iters),
+        ("max_iters", stop.max_iters),
         ("optimum", _fmt(inst.optimum_value)),
     ]
     _write_csv(cfg.out, provenance, SUMMARY_HEADER, summary)
@@ -391,7 +394,7 @@ def cmd_singular(cfg: ExperimentConfig) -> int:
         ("command", "singular"), ("n", cfg.n), ("p", cfg.p), ("trials", cfg.trials),
         ("seed", cfg.seed), ("gammas", ",".join(_fmt(g) for g in cfg.gammas)),
         ("thetas", ",".join(_fmt(th) for th in SINGULAR_THETAS)),
-        ("max_iters", cfg.stopping().max_iters),
+        ("max_iters", stop.max_iters),
     ]
     _write_csv(cfg.out, provenance, SINGULAR_HEADER, summary)
     _write_csv(_history_path(cfg.out), provenance, SINGULAR_HISTORY_HEADER, history)
@@ -418,7 +421,7 @@ def _mobility_trial(cfg: ExperimentConfig, grid: np.ndarray, trial: int):
         m11 = rng.uniform(-0.5, 0.5, size=(p, p))
         m12 = rng.uniform(-0.5, 0.5, size=(p, n - p))
         m21 = rng.uniform(-0.5, 0.5, size=(n - p, p))
-        return SkewParam(linalg.skew_part(m11), (m21 - m12.T) / 2.0)
+        return SkewParam(m11, (m21 - m12.T) / 2.0)
 
     base = corner_free_param()
     e = corner_free_param()

@@ -2,8 +2,7 @@
 
 Given a smooth cost on ambient N-by-p matrices, the pulled-back cost on the
 skew parameter space has an explicit Euclidean gradient assembled from one
-p-by-p inverse; this module provides that gradient, its closed form at the
-origin, the first-order optimality residual of a frame, and sampled checks of
+p-by-p inverse; this module provides that gradient and sampled checks of
 the Lipschitz / boundedness / variance bounds the pullback inherits from the
 ambient cost.
 
@@ -28,10 +27,8 @@ __all__ = [
     "CostFunction",
     "grad_pullback",
     "pullback_from_euclidean",
-    "grad_at_zero",
     "BoundReport",
     "check_gradient_bounds",
-    "stationarity_residual",
 ]
 
 
@@ -119,28 +116,6 @@ def grad_pullback(
     return pullback_from_euclidean(center, v, f.grad(u), u)
 
 
-def grad_at_zero(center: Center, f: CostFunction) -> SkewParam:
-    """Pulled-back gradient at the origin of parameter space.
-
-    At ``V = 0`` the frame is ``S_le`` and the blocks collapse to
-
-        ``a = g^T S_le - S_le^T g``,  ``b = -S_ri^T g``,  ``g = grad f(S_le)``
-
-    with no solves at all.  Agrees with ``grad_pullback(center, 0, f)``.
-    The result vanishes exactly when ``S_le`` is a stationary point of the
-    cost on the manifold (compare :func:`stationarity_residual`).
-    """
-    p = f.dim_p
-    if center.n != f.dim_n:
-        raise linalg.DimensionError(
-            f"cost expects n={f.dim_n} but center has n={center.n}"
-        )
-    u = center.left(p)
-    g = f.grad(u)
-    gle = center.leftT_mul(g, p)
-    return SkewParam(gle.T - gle, -center.riT_mul(g, p))
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Sampled verdict on the three pullback gradient bounds.
@@ -203,9 +178,9 @@ def check_gradient_bounds(
     center: Center,
     samples: int = 1000,
     *,
-    mu: Optional[float] = None,
-    lipschitz: Optional[float] = None,
-    grad_norm_max: Optional[float] = None,
+    mu: float,
+    lipschitz: float,
+    grad_norm_max: float,
     family=None,
     variance_draws: int = 10_000,
     param_scale: float = 10.0,
@@ -221,33 +196,15 @@ def check_gradient_bounds(
     draws against the limit ``4 sigma^2`` plus three standard errors.
 
     ``mu`` (spectral-norm bound on the ambient gradient over the manifold),
-    ``lipschitz`` and ``grad_norm_max`` (Frobenius max) may be supplied
-    analytically; whichever is missing is estimated from 1000 random
-    feasible frames, with a safety factor of 2 on ``mu`` and ``lipschitz``
-    since sampling can undershoot a maximum.  This is a report, not an
-    assertion: violations are counted and returned, never raised.
+    ``lipschitz`` (Lipschitz constant of the ambient gradient) and
+    ``grad_norm_max`` (Frobenius max of the ambient gradient) are the
+    cost's analytic constants.  This is a report, not an assertion:
+    violations are counted and returned, never raised.
     """
     n, p = f.dim_n, f.dim_p
     if center.n != n:
         raise linalg.DimensionError(f"cost expects n={n} but center has n={center.n}")
     rng = np.random.default_rng(seed)
-
-    if mu is None or lipschitz is None or grad_norm_max is None:
-        frames = [
-            linalg.qr_orthonormalize(rng.standard_normal((n, p))) for _ in range(1000)
-        ]
-        grads = [f.grad(u) for u in frames]
-        if mu is None:
-            mu = 2.0 * max(float(np.linalg.norm(g, 2)) for g in grads)
-        if grad_norm_max is None:
-            grad_norm_max = max(float(np.linalg.norm(g)) for g in grads)
-        if lipschitz is None:
-            slopes = []
-            for i in range(0, len(frames) - 1, 2):
-                du = float(np.linalg.norm(frames[i] - frames[i + 1]))
-                if du > 1e-8:
-                    slopes.append(float(np.linalg.norm(grads[i] - grads[i + 1])) / du)
-            lipschitz = 2.0 * max(slopes)
 
     def observed_over_limit(lhs: float, limit: float) -> float:
         if limit == 0.0:
@@ -316,18 +273,3 @@ def check_gradient_bounds(
         variance_limit=var_limit,
         variance_violations=var_bad,
     )
-
-
-def stationarity_residual(u: np.ndarray, f: CostFunction) -> float:
-    """First-order optimality residual of a feasible frame.
-
-    ``||(I - U U^T) grad f(U)||_F + ||U^T grad f(U) - grad f(U)^T U||_F``:
-    zero exactly at the stationary points of the cost restricted to the
-    manifold (gradient normal to the frame's column space and the p-by-p
-    coupling symmetric).
-    """
-    u = np.asarray(u, dtype=np.float64)
-    g = f.grad(u)
-    utg = u.T @ g
-    normal_part = g - u @ utg
-    return float(np.linalg.norm(normal_part)) + float(np.linalg.norm(utg - utg.T))

@@ -1,8 +1,8 @@
 """Dense real linear-algebra substrate shared by every other module.
 
 Checked SVD, QR and polar-factor wrappers, the orthonormality defect
-:func:`feasibility`, the skew part of a square matrix, the input coercion
-:func:`as_matrix`, and the error taxonomy the other modules raise.
+:func:`feasibility`, the input coercion :func:`as_matrix`, and the error
+taxonomy the other modules raise.
 
 Conventions
 -----------
@@ -29,7 +29,6 @@ __all__ = [
     "SvdResult",
     "as_matrix",
     "feasibility",
-    "skew_part",
     "svd",
     "qr_orthonormalize",
     "polar_factor",
@@ -88,14 +87,6 @@ def feasibility(u) -> float:
     g = u.T @ u
     g[np.diag_indices_from(g)] -= 1.0
     return float(np.linalg.norm(g))
-
-
-def skew_part(x) -> np.ndarray:
-    """Skew-symmetric component ``(x - x^T) / 2`` of a square matrix."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise DimensionError(f"skew_part needs a square matrix, got shape {x.shape}")
-    return (x - x.T) / 2.0
 
 
 def svd(x) -> SvdResult:

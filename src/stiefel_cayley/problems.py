@@ -32,8 +32,6 @@ __all__ = [
     "random_stiefel",
     "random_center",
     "random_skew_param",
-    "save_instance",
-    "load_instance",
 ]
 
 
@@ -49,7 +47,6 @@ class EigenInstance:
 
     n: int
     p: int
-    seed: int
     a: np.ndarray
     optimum_value: float
     optimum_basis: np.ndarray
@@ -66,12 +63,7 @@ def make_eigen_instance(n: int, p: int, seed: int) -> EigenInstance:
     rng = np.random.default_rng(seed)
     atilde = rng.standard_normal((n, n))
     a = atilde.T @ atilde
-    return _solved_instance((a + a.T) / 2.0, p, seed)
-
-
-def _solved_instance(a: np.ndarray, p: int, seed: int) -> EigenInstance:
-    """Freeze the symmetric matrix ``a`` and attach its exact optimum."""
-    n = a.shape[0]
+    a = (a + a.T) / 2.0
     evals, evecs = np.linalg.eigh(a)
     basis = np.ascontiguousarray(evecs[:, : n - p - 1 : -1])
     a.setflags(write=False)
@@ -79,7 +71,6 @@ def _solved_instance(a: np.ndarray, p: int, seed: int) -> EigenInstance:
     return EigenInstance(
         n=n,
         p=p,
-        seed=int(seed),
         a=a,
         optimum_value=-float(np.sum(evals[n - p :])),
         optimum_basis=basis,
@@ -213,36 +204,3 @@ def random_skew_param(
         return v
     nrm = v.norm()
     return v if nrm == 0.0 else (norm / nrm) * v
-
-
-def save_instance(inst: EigenInstance, path) -> None:
-    """Write an instance as text: header ``n p seed``, then the matrix rows.
-
-    Entries are printed with 17 significant digits, so the round trip
-    through :func:`load_instance` is bit-exact for the matrix.
-    """
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{inst.n} {inst.p} {inst.seed}\n")
-        for row in inst.a:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
-
-
-def load_instance(path) -> EigenInstance:
-    """Read an instance written by :func:`save_instance`.
-
-    The optimum is recomputed from the stored matrix, which must be square,
-    symmetric, and match the header dimension.
-    """
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError(f"malformed instance header: {header!r}")
-        n, p, seed = (int(x) for x in header)
-        a = np.loadtxt(fh, ndmin=2)
-    if a.shape != (n, n):
-        raise ValueError(f"payload shape {a.shape} does not match header n={n}")
-    if np.linalg.norm(a - a.T) > 1e-12 * max(1.0, float(np.linalg.norm(a))):
-        raise ValueError("stored matrix is not symmetric")
-    if not 1 <= p < n:
-        raise ValueError(f"invalid header dimensions n={n}, p={p}")
-    return _solved_instance(a, p, seed)

@@ -9,6 +9,8 @@ import pytest
 from stiefel_cayley import cayley, linalg, problems
 from stiefel_cayley.cayley import Center, SingularPointError, SkewParam
 
+from oracles import embed
+
 
 def random_param(rng, n, p, norm=None):
     return problems.random_skew_param(rng, n, p, norm=norm)
@@ -46,6 +48,8 @@ def test_param_enforces_skew_and_immutability():
         v.a = np.zeros((2, 2))
     with pytest.raises(ValueError):
         v.a[0, 1] = 3.0  # read-only storage
+    with pytest.raises(linalg.DimensionError):
+        SkewParam(np.ones((2, 3)), np.zeros((1, 3)))  # non-square a block
 
 
 def test_center_validation():
@@ -100,7 +104,8 @@ def test_forward_diagonal_block_matches_literal_formula():
         v = cayley.forward(center, u)
         s_le = center.left(p)
         k = np.eye(p) + s_le.T @ u
-        a_direct = 2.0 * np.linalg.inv(k).T @ linalg.skew_part(u.T @ s_le) @ np.linalg.inv(k)
+        w = u.T @ s_le
+        a_direct = 2.0 * np.linalg.inv(k).T @ ((w - w.T) / 2.0) @ np.linalg.inv(k)
         assert np.linalg.norm(v.a - a_direct) <= 1e-12 * max(1.0, np.linalg.norm(a_direct))
         b_direct = -center.riT_mul(u, p) @ np.linalg.inv(k)
         assert np.linalg.norm(v.b - b_direct) <= 1e-12 * max(1.0, np.linalg.norm(b_direct))
@@ -110,7 +115,7 @@ def test_forward_structured_equals_general_embedding():
     rng = np.random.default_rng(5)
     n, p = 13, 3
     center = problems.random_center(rng, n, p, structured=True)
-    general = Center.general(center.embed())
+    general = Center.general(embed(center))
     u = problems.random_stiefel(rng, n, p)
     v1 = cayley.forward(center, u)
     v2 = cayley.forward(general, u)
@@ -180,7 +185,7 @@ def test_inverse_matches_dense_oracle():
         n, p = 20, 4
         center = problems.random_center(rng, n, p, structured=structured)
         v = random_param(rng, n, p, norm=4.0)
-        dense = 2.0 * (center.embed() @ np.linalg.inv(np.eye(n) + v.full()))[:, :p] \
+        dense = 2.0 * (embed(center) @ np.linalg.inv(np.eye(n) + v.full()))[:, :p] \
             - center.left(p)
         assert np.linalg.norm(cayley.inverse(center, v) - dense) <= 1e-10
 
@@ -200,7 +205,7 @@ def test_inverse_feasibility_including_huge_params():
 def test_inverse_square_case_without_lower_block():
     rng = np.random.default_rng(11)
     center = problems.random_center(rng, 4, 4, structured=True)
-    v = SkewParam(linalg.skew_part(rng.standard_normal((4, 4))), np.zeros((0, 4)))
+    v = SkewParam(rng.standard_normal((4, 4)), np.zeros((0, 4)))
     u = cayley.inverse(center, v)
     assert linalg.feasibility(u) <= 1e-13
     back = cayley.forward(center, u)
@@ -326,13 +331,13 @@ def test_singular_diagnostic_matches_frame_determinant():
 def test_mobility_closed_forms():
     assert cayley.mobility(SkewParam.zero(8, 2)) == 2.0
     rng = np.random.default_rng(19)
-    a = linalg.skew_part(rng.standard_normal((3, 3)))
+    a = rng.standard_normal((3, 3))
     for c in (0.5, 1.0, 3.0):
         v = SkewParam(a, c * np.eye(3))
         expected = 2.0 / math.sqrt(1.0 + c * c)
         assert abs(cayley.mobility(v) - expected) <= 1e-13
     # wide lower block: sigma_min treated as 0
-    v_wide = SkewParam(linalg.skew_part(rng.standard_normal((4, 4))),
+    v_wide = SkewParam(rng.standard_normal((4, 4)),
                        np.ones((2, 4)))
     sig_max = np.linalg.norm(v_wide.b, 2)
     assert abs(cayley.mobility(v_wide) - 2.0 * math.sqrt(1.0 + sig_max**2)) <= 1e-12

@@ -73,6 +73,22 @@ def test_semantic_validation_exits_2(tmp_path):
     assert cli.main(["eigen", "--gamma", "-0.1", "--out", out]) == 2
     assert cli.main(["singular", "--n", "6", "--p", "1", "--out", out]) == 2
     assert cli.main(["mobility", "--points", "1", "--out", out]) == 2
+    # stopping overrides are checked with the rest of the configuration
+    small = ["--n", "8", "--p", "2", "--trials", "1", "--out", out]
+    assert cli.main(["eigen", *small, "--max-iters", "0"]) == 2
+    assert cli.main(["eigen", *small, "--grad-ratio-tol", "-1"]) == 2
+    assert cli.main(["eigen", *small, "--fval-rel-tol", "0"]) == 2
+    cases = {
+        "zero_iters.cfg": ("eigen", "max_iters = 0\n"),
+        "no_gamma_eigen.cfg": ("eigen", "gamma =\n"),
+        "no_gamma_singular.cfg": ("singular", "gamma =\n"),
+        "no_algo.cfg": ("eigen", "algo =\n"),
+    }
+    for name, (experiment, text) in cases.items():
+        cfg_file = tmp_path / name
+        cfg_file.write_text(text)
+        assert cli.main([experiment, "--config", str(cfg_file), *small]) == 2, name
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_argparse_rejections():

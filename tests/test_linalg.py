@@ -8,27 +8,6 @@ from stiefel_cayley import linalg
 from stiefel_cayley.cayley import SkewParam
 
 
-def test_skew_part_symmetric_input_is_zero():
-    assert np.array_equal(linalg.skew_part(np.eye(3)), np.zeros((3, 3)))
-
-
-def test_skew_part_hand_value():
-    out = linalg.skew_part(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    np.testing.assert_allclose(out, [[0.0, 0.5], [-0.5, 0.0]], atol=0.0)
-
-
-def test_skew_part_random_is_skew():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        r = linalg.skew_part(rng.standard_normal((5, 5)))
-        assert np.linalg.norm(r + r.T) <= 1e-15 * max(1.0, np.linalg.norm(r))
-
-
-def test_skew_part_rejects_nonsquare():
-    with pytest.raises(linalg.DimensionError):
-        linalg.skew_part(np.ones((2, 3)))
-
-
 def test_svd_diagonal_case():
     res = linalg.svd(np.diag([3.0, 1.0]))
     np.testing.assert_allclose(res.sigma, [3.0, 1.0], atol=0.0)
@@ -105,7 +84,7 @@ def test_identity_plus_param_singular_values_at_least_one():
     for _ in range(25):
         p = int(rng.integers(1, 6))
         n = int(rng.integers(p + 1, 20))
-        v = SkewParam(linalg.skew_part(rng.standard_normal((p, p))),
+        v = SkewParam(rng.standard_normal((p, p)),
                       rng.standard_normal((n - p, p)))
         sig = np.linalg.svd(np.eye(n) + v.full(), compute_uv=False)
         assert sig.min() >= 1.0 - 1e-12
@@ -118,7 +97,7 @@ def test_inverse_map_is_nonexpansive():
         mats = []
         vs = []
         for _ in range(2):
-            v = SkewParam(linalg.skew_part(rng.standard_normal((p, p))),
+            v = SkewParam(rng.standard_normal((p, p)),
                           rng.standard_normal((n - p, p)))
             vs.append(v)
             mats.append(np.linalg.inv(np.eye(n) + v.full()))
@@ -131,7 +110,7 @@ def test_determinant_lower_bound():
     rng = np.random.default_rng(10)
     for _ in range(25):
         p, n = 2, 9
-        v = SkewParam(linalg.skew_part(rng.standard_normal((p, p))),
+        v = SkewParam(rng.standard_normal((p, p)),
                       rng.standard_normal((n - p, p)))
         full = v.full()
         det = np.linalg.det(np.eye(n) + full)

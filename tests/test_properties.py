@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from stiefel_cayley import cayley, linalg, problems, retractions
 from stiefel_cayley.cayley import SkewParam
 
+from oracles import embed
+
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
@@ -118,7 +120,7 @@ def test_inverse_is_feasible_and_matches_dense_oracle(case):
     # I + V is normal with singular values sqrt(1 + lambda^2) >= 1, so the
     # dense oracle carries an error of order eps * (1 + ||V||_2).
     v_full = v.full()
-    dense = 2.0 * (center.embed() @ np.linalg.inv(np.eye(n) + v_full))[:, :p] \
+    dense = 2.0 * (embed(center) @ np.linalg.inv(np.eye(n) + v_full))[:, :p] \
         - center.left(p)
     scale = (1.0 + np.linalg.norm(v_full, 2)) * np.sqrt(n * p)
     assert np.linalg.norm(u - dense) <= 1e-14 * scale
