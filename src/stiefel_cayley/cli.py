@@ -161,9 +161,22 @@ _CASTS: Dict[str, Callable[[str], object]] = {
 #: config-file key -> ExperimentConfig field, where the names differ.
 _KEY_ALIASES = {"gamma": "gammas", "algo": "algorithms"}
 
+_STOP_KEYS = ("max_iters", "grad_ratio_tol", "fval_rel_tol")
 
-def _parse_config_file(path: str) -> Dict[str, object]:
-    """Read a flat ``key=value`` file; ``#`` starts a comment."""
+#: The config keys each experiment reads; its flags are the same names.
+#: Anything else is rejected, so no setting is silently ignored.
+_COMMAND_KEYS: Dict[str, Tuple[str, ...]] = {
+    "eigen": ("n", "p", "trials", "seed", "gamma", "algo", "out", *_STOP_KEYS),
+    "singular": ("n", "p", "trials", "seed", "gamma", "out", *_STOP_KEYS),
+    "mobility": ("n", "p", "trials", "seed", "out", "points"),
+    "gradcheck": ("n", "p", "trials", "seed", "out", "directions", "fd_step"),
+    "bounds": ("n", "p", "seed", "out", "samples", "sigma", "variance_draws"),
+}
+
+
+def _parse_config_file(path: str, experiment: str) -> Dict[str, object]:
+    """Read a flat ``key=value`` file; ``#`` starts a comment.  Only keys
+    ``experiment`` reads are accepted."""
     values: Dict[str, object] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -176,6 +189,9 @@ def _parse_config_file(path: str) -> Dict[str, object]:
             key = key.strip().replace("-", "_")
             if key not in _CASTS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key not in _COMMAND_KEYS[experiment]:
+                raise ValueError(f"{path}:{lineno}: the {experiment} experiment "
+                                 f"does not read {key!r}")
             try:
                 parsed = _CASTS[key](text.strip())
             except ValueError as exc:
@@ -188,7 +204,7 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     merged: Dict[str, object] = dict(_DEFAULTS[args.experiment])
     merged["experiment"] = args.experiment
     if args.config is not None:
-        merged.update(_parse_config_file(args.config))
+        merged.update(_parse_config_file(args.config, args.experiment))
     field_names = {f.name for f in fields(ExperimentConfig)}
     for name, value in vars(args).items():
         if name in field_names and value is not None:
@@ -584,23 +600,35 @@ _COMMANDS: Dict[str, Callable[[ExperimentConfig], int]] = {
 # argument parsing
 
 
-def _add_common_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--n", type=int, help="ambient dimension")
-    sp.add_argument("--p", type=int, help="frame width (columns)")
-    sp.add_argument("--trials", type=int, help="independent repetitions")
-    sp.add_argument("--seed", type=int, help="root RNG seed")
-    sp.add_argument("--gamma", type=float, action="append", dest="gammas",
-                    metavar="G", help="initial stepsize (repeatable)")
-    sp.add_argument("--algo", action="append", dest="algorithms", choices=ALGORITHMS,
-                    help="solver to run (repeatable)")
-    sp.add_argument("--out", help="output CSV path")
-    sp.add_argument("--config", help="flat key=value config file; flags override it")
-    sp.add_argument("--max-iters", type=int, dest="max_iters",
-                    help="stopping override: iteration cap")
-    sp.add_argument("--grad-ratio-tol", type=float, dest="grad_ratio_tol",
-                    help="stopping override: gradient-ratio tolerance")
-    sp.add_argument("--fval-rel-tol", type=float, dest="fval_rel_tol",
-                    help="stopping override: relative f-change tolerance")
+#: argparse options of each config key's flag ``--<key>`` (``_`` as ``-``).
+_FLAG_OPTIONS: Dict[str, Dict[str, object]] = {
+    "n": dict(type=int, help="ambient dimension"),
+    "p": dict(type=int, help="frame width (columns)"),
+    "trials": dict(type=int, help="independent repetitions"),
+    "seed": dict(type=int, help="root RNG seed"),
+    "gamma": dict(type=float, action="append", dest="gammas", metavar="G",
+                  help="initial stepsize (repeatable)"),
+    "algo": dict(action="append", dest="algorithms", choices=ALGORITHMS,
+                 help="solver to run (repeatable)"),
+    "out": dict(help="output CSV path"),
+    "max_iters": dict(type=int, help="stopping override: iteration cap"),
+    "grad_ratio_tol": dict(type=float, help="stopping override: gradient-ratio tolerance"),
+    "fval_rel_tol": dict(type=float, help="stopping override: relative f-change tolerance"),
+    "points": dict(type=int, help="grid points along the sweep"),
+    "directions": dict(type=int, help="random directions per state"),
+    "fd_step": dict(type=float, help="central-difference step"),
+    "samples": dict(type=int, help="random parameter pairs to test"),
+    "sigma": dict(type=float, help="stochastic family noise level"),
+    "variance_draws": dict(type=int, help="draws for the variance estimate"),
+}
+
+_COMMAND_HELP = {
+    "eigen": "solver comparison on a trace-minimization instance",
+    "singular": "descent with centers near the excluded set",
+    "mobility": "inverse-transform sensitivity sweep",
+    "gradcheck": "finite-difference gradient validation",
+    "bounds": "sampled gradient bound report",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -609,30 +637,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Benchmark harness for Cayley-parametrized optimization "
                     "on the Stiefel manifold.")
     sub = parser.add_subparsers(dest="experiment", required=True)
-
-    sp = sub.add_parser("eigen", help="solver comparison on a trace-minimization instance")
-    _add_common_flags(sp)
-
-    sp = sub.add_parser("singular", help="descent with centers near the excluded set")
-    _add_common_flags(sp)
-
-    sp = sub.add_parser("mobility", help="inverse-transform sensitivity sweep")
-    _add_common_flags(sp)
-    sp.add_argument("--points", type=int, help="grid points along the sweep")
-
-    sp = sub.add_parser("gradcheck", help="finite-difference gradient validation")
-    _add_common_flags(sp)
-    sp.add_argument("--directions", type=int, help="random directions per state")
-    sp.add_argument("--fd-step", type=float, dest="fd_step",
-                    help="central-difference step")
-
-    sp = sub.add_parser("bounds", help="sampled gradient bound report")
-    _add_common_flags(sp)
-    sp.add_argument("--samples", type=int, help="random parameter pairs to test")
-    sp.add_argument("--sigma", type=float, help="stochastic family noise level")
-    sp.add_argument("--variance-draws", type=int, dest="variance_draws",
-                    help="draws for the variance estimate")
-
+    for experiment, help_text in _COMMAND_HELP.items():
+        sp = sub.add_parser(experiment, help=help_text)
+        for key in _COMMAND_KEYS[experiment]:
+            sp.add_argument("--" + key.replace("_", "-"), **_FLAG_OPTIONS[key])
+        sp.add_argument("--config", help="flat key=value config file; flags override it")
     return parser
 
 
