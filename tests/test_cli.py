@@ -103,6 +103,68 @@ def test_argparse_rejections():
     assert exc.value.code == 2
 
 
+#: The flags each experiment reads, with a valid value and the resolved
+#: ExperimentConfig field and value.  Config-file keys are the same names.
+FLAG_VALUES = {
+    "n": ("30", "n", 30),
+    "p": ("3", "p", 3),
+    "trials": ("2", "trials", 2),
+    "seed": ("5", "seed", 5),
+    "gamma": ("0.5", "gammas", (0.5,)),
+    "algo": ("gdm-qr", "algorithms", ("gdm-qr",)),
+    "out": ("x.csv", "out", "x.csv"),
+    "max_iters": ("7", "max_iters", 7),
+    "grad_ratio_tol": ("0.001", "grad_ratio_tol", 1e-3),
+    "fval_rel_tol": ("1e-09", "fval_rel_tol", 1e-9),
+    "points": ("4", "points", 4),
+    "directions": ("3", "directions", 3),
+    "fd_step": ("1e-05", "fd_step", 1e-5),
+    "samples": ("11", "samples", 11),
+    "sigma": ("0.5", "sigma", 0.5),
+    "variance_draws": ("12", "variance_draws", 12),
+}
+STOP_FLAGS = ["max_iters", "grad_ratio_tol", "fval_rel_tol"]
+READ_FLAGS = {
+    "eigen": ["n", "p", "trials", "seed", "gamma", "algo", "out", *STOP_FLAGS],
+    "singular": ["n", "p", "trials", "seed", "gamma", "out", *STOP_FLAGS],
+    "mobility": ["n", "p", "trials", "seed", "out", "points"],
+    "gradcheck": ["n", "p", "trials", "seed", "out", "directions", "fd_step"],
+    "bounds": ["n", "p", "seed", "out", "samples", "sigma", "variance_draws"],
+}
+
+
+def test_every_read_flag_and_key_resolves(tmp_path):
+    for experiment, keys in READ_FLAGS.items():
+        for key in keys:
+            text, field, value = FLAG_VALUES[key]
+            cfg_file = tmp_path / f"{experiment}-{key}.cfg"
+            cfg_file.write_text(f"{key} = {text}\n")
+            flag = "--" + key.replace("_", "-")
+            for argv in ([experiment, flag, text], [experiment, "--config", str(cfg_file)]):
+                cfg = cli._resolve_config(cli._build_parser().parse_args(argv))
+                assert getattr(cfg, field) == value, (argv, field)
+
+
+def test_ignored_flags_and_keys_exit_2(tmp_path, capsys):
+    for argv in (["singular", "--algo", "gdm-qr"],
+                 ["bounds", "--gamma", "5", "--max-iters", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+    out = tmp_path / "x.csv"
+    for experiment, keys in READ_FLAGS.items():
+        for key in FLAG_VALUES.keys() - set(keys):
+            text = FLAG_VALUES[key][0]
+            with pytest.raises(SystemExit) as exc:
+                cli.main([experiment, "--" + key.replace("_", "-"), text, "--out", str(out)])
+            assert exc.value.code == 2, (experiment, key)
+            cfg_file = tmp_path / f"{experiment}-{key}.cfg"
+            cfg_file.write_text(f"{key} = {text}\n")
+            assert cli.main([experiment, "--config", str(cfg_file), "--out", str(out)]) == 2
+            assert f"does not read {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_threads_validation(tmp_path, monkeypatch):
     out = str(tmp_path / "x.csv")
     monkeypatch.setenv("BENCH_THREADS", "plenty")

@@ -7,18 +7,20 @@ and the forward and inverse maps undo each other, on every block shape,
 both kinds of center and parameters from 1e-3 to 1e3 in norm.  The Cayley
 retraction stays feasible and agrees with its dense oracle, within bounds
 scaled by the condition number of its 2p-by-2p system, or refuses the
-step."""
+step; its pulled-back gradient agrees with the panel oracle, from a
+carried kernel and from a rebuilt one."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stiefel_cayley import cayley, linalg, problems, retractions
 from stiefel_cayley.cayley import SkewParam
 
-from oracles import embed
+from oracles import embed, panel_reference
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -193,3 +195,57 @@ def test_retract_cayley_is_feasible_and_matches_dense_oracle(case):
     w = a_lr @ b_lr.T
     dense = 2.0 * np.linalg.solve(np.eye(n) + w, u) - u
     assert np.linalg.norm(frame - dense) <= 1e-14 * cond * np.sqrt(n * p)
+
+
+@st.composite
+def pullback_cases(draw):
+    """A frame, a tangent step and a distance cost.  The shapes p=1, p=N,
+    N-p<p, N-p=p and N-p>p with N <= 40 cover every relation between
+    the kernel's blocks; the step norm is 1e-3 to 1e3."""
+    kind = draw(st.sampled_from(["p=1", "p=N", "N-p<p", "N-p=p", "N-p>p"]))
+    if kind == "p=1":
+        n, p = draw(st.integers(2, 40)), 1
+    elif kind == "p=N":
+        n = p = draw(st.integers(2, 20))
+    elif kind == "N-p<p":
+        n = draw(st.integers(3, 40))
+        p = draw(st.integers(n // 2 + 1, n - 1))
+    elif kind == "N-p=p":
+        p = draw(st.integers(1, 20))
+        n = 2 * p
+    else:
+        p = draw(st.integers(1, 13))
+        n = draw(st.integers(2 * p + 1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = problems.random_stiefel(rng, n, p)
+    f = problems.distance_cost(problems.random_stiefel(rng, n, p))
+    d = retractions.project_tangent(u, rng.standard_normal((n, p)))
+    norm = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return u, (norm / d.norm()) * d, f
+
+
+@SETTINGS
+@given(pullback_cases())
+def test_grad_retraction_pullback_matches_panel_reference(case):
+    u, d, f = case
+    _, _, cond, g_ref, grad_ref = panel_reference(u, d, f)
+    if cond > linalg.COND_LIMIT:
+        with pytest.raises(retractions.StepTooLargeError):
+            retractions.grad_retraction_pullback(u, d, f)
+        return
+    # The bars of the kernel test in test_retractions: up to ||D|| = 10
+    # relative to the pullback; beyond, eps * cond against the ambient
+    # gradient, since the pullback shrinks far below it there.  Neither
+    # bar drops below one ulp of the ambient gradient: on St(2, 2) with
+    # the target in the other component the cost is constant, and the
+    # pullback is roundoff in g.
+    eps, g_norm = np.finfo(float).eps, np.linalg.norm(g_ref)
+    if d.norm() <= 10.0:
+        bar = max(1e-13 * np.linalg.norm(grad_ref), eps * g_norm)
+    else:
+        bar = eps * cond * g_norm
+    frame, kernel = retractions.retract_cayley(u, d, return_kernel=True)
+    carried = retractions.grad_retraction_pullback(u, d, f, g=f.grad(frame), kernel=kernel)
+    rebuilt = retractions.grad_retraction_pullback(u, d, f)
+    for grad in (carried, rebuilt):
+        assert np.linalg.norm(grad.mat - grad_ref) <= bar

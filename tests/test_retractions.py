@@ -10,6 +10,8 @@ from stiefel_cayley.cayley import Center, SingularPointError
 from stiefel_cayley.gradients import CostFunction
 from stiefel_cayley.retractions import StepTooLargeError, TangentVector
 
+from oracles import panel_reference
+
 
 def random_tangent(rng, u, norm=None):
     d = retractions.project_tangent(u, rng.standard_normal(u.shape))
@@ -34,6 +36,27 @@ def test_tangent_vector_validates():
         TangentVector(u, u)  # U^T U = I is far from skew
     with pytest.raises(linalg.DimensionError):
         TangentVector(u, np.zeros((3, 2)))
+
+
+def test_tangent_vector_defect_boundary():
+    # the check is ||U^T D + D^T U|| <= 1e-10 max(1, ||D||), from the one
+    # product U^T D; a symmetric U^T D block of norm t sets the defect to t
+    rng = np.random.default_rng(13)
+    for n, p, norm in ((6, 1, 1e-3), (9, 3, 1e-3), (9, 3, 1e3), (40, 40, 1e3)):
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        u = q[:, :p]
+        tangent = retractions.project_tangent(u, rng.standard_normal((n, p)))
+        tangent = (norm / tangent.norm()) * tangent
+        limit = 1e-10 * max(1.0, norm)
+        for factor, accepted in ((0.5, True), (2.0, False)):
+            mat = tangent.mat + u @ ((factor * limit / (2.0 * np.sqrt(p))) * np.eye(p))
+            defect = np.linalg.norm(u.T @ mat + mat.T @ u)
+            assert abs(defect - factor * limit) <= 1e-3 * limit
+            if accepted:
+                TangentVector(u, mat)
+            else:
+                with pytest.raises(ValueError, match="not tangent"):
+                    TangentVector(u, mat)
 
 
 def test_tangent_vector_arithmetic_and_immutability():
@@ -263,26 +286,6 @@ def test_grad_retraction_pullback_rejects_huge_step():
     f = problems.distance_cost(np.array([[0.0], [1.0]]))
     with pytest.raises(StepTooLargeError):
         retractions.grad_retraction_pullback(u, d, f)
-
-
-def panel_reference(u, d, f):
-    """Frame, 2p-by-2p system and its 1-norm condition number, ambient
-    gradient and pullback gradient of the Cayley retraction, from the
-    explicit Sherman-Morrison-Woodbury panels
-    ``A = [U, Y/2]``, ``B = [Y/2, -U]`` of ``W = A B^T``: ``cond`` of
-    ``I + B^T A`` and one LU solve against it and one against its
-    transpose.  This is the panel form of the kernel, kept as an oracle."""
-    y = d.mat - 0.5 * u @ (u.T @ d.mat)
-    a_lr = np.hstack([u, 0.5 * y])
-    b_lr = np.hstack([0.5 * y, -u])
-    inner = np.eye(a_lr.shape[1]) + b_lr.T @ a_lr
-    cond = float(np.linalg.cond(inner, 1))
-    zu = u - a_lr @ np.linalg.solve(inner, b_lr.T @ u)
-    g = f.grad(2.0 * zu - u)
-    ztg = g - b_lr @ np.linalg.solve(inner.T, a_lr.T @ g)
-    dmat = zu @ (g.T @ zu) - ztg @ (zu.T @ u)
-    out = -(dmat - 0.5 * u @ (u.T @ dmat))
-    return 2.0 * zu - u, inner, cond, g, retractions.project_tangent(u, out).mat
 
 
 def test_cayley_kernel_matches_panel_reference(monkeypatch):
