@@ -17,7 +17,8 @@ shrink it instead of aborting.
 Given the kernel and the ambient gradient ``g``, the gradient
 (:func:`grad_retraction_pullback`) works in p-by-p coefficients: two
 p-row products against ``g`` (``U^T g``, ``Y^T g``), one assembly of the
-N-by-p result in the ``[U, Y, g]`` basis, then the tangent projection.
+N-by-p result in the ``[U, Y, g]`` basis, then the two-pass tangent
+projection with its tangency check: 10 products of order N p^2 in all.
 """
 
 from __future__ import annotations
@@ -311,9 +312,10 @@ def grad_retraction_pullback(
     ``2 Skew(Z U g^T Z) U = U P_U + Y P_Y - g G2``, and the result is
     ``U (U^T dmat / 2 - P_U) - Y P_Y + g G2`` with
     ``U^T dmat = (U^T U) P_U + (U^T Y) P_Y - (U^T g) G2``.  The N-row work
-    is the two p-row products ``U^T g`` and ``Y^T g``, this one assembly,
-    and the two-pass :func:`project_tangent`.  At ``D = 0`` the result
-    agrees with :func:`riemannian_grad` to 1e-13 relative.
+    is the two p-row products ``U^T g`` and ``Y^T g``, this one assembly
+    ``[U, Y, g] C`` (as three products summed), and the two-pass
+    :func:`project_tangent`.  At ``D = 0`` the result agrees with
+    :func:`riemannian_grad` to within ``1e-13 max(1, ||grad||)``.
 
     A caller that already retracted and evaluated the cost passes
     ``kernel``, the one ``retract_cayley(u, d, return_kernel=True)``
