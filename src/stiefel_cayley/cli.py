@@ -16,6 +16,10 @@ timestamp, so identical configurations produce identical bytes except for
 measured wall-clock columns), then a CSV header row; floats carry 17
 significant digits.  Exit status: 0 success, 2 usage error, 3 numerical
 failure.  The worker pool size is ``min(cpu_count, $BENCH_THREADS)``.
+
+An experiment's command, help line, and the keys it reads with their
+defaults live in its single ``_EXPERIMENTS`` entry; those keys are its
+flags and its config-file keys, parsed and named as ``_KEYS`` says.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,18 +79,18 @@ class ExperimentConfig:
     gammas: Tuple[float, ...]
     algorithms: Tuple[str, ...]
     out: str
-    max_iters: Optional[int] = None
-    grad_ratio_tol: Optional[float] = None
-    fval_rel_tol: Optional[float] = None
-    points: int = 26
-    directions: int = 20
-    fd_step: float = 1e-6
-    samples: int = 1000
-    sigma: float = 1.0
-    variance_draws: int = 10000
+    max_iters: int
+    grad_ratio_tol: float
+    fval_rel_tol: float
+    points: int
+    directions: int
+    fd_step: float
+    samples: int
+    sigma: float
+    variance_draws: int
 
     def __post_init__(self):
-        if self.experiment not in _COMMANDS:
+        if self.experiment not in _EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if not (self.n > self.p >= 1):
             raise ValueError(f"need n > p >= 1, got n={self.n}, p={self.p}")
@@ -96,8 +100,8 @@ class ExperimentConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if any(g <= 0.0 for g in self.gammas):
-            raise ValueError(f"every gamma must be positive, got {self.gammas}")
+        for gamma in self.gammas:
+            BacktrackingConfig(gamma_initial=gamma)  # validates each initial stepsize
         if self.experiment in ("eigen", "singular") and not self.gammas:
             raise ValueError(f"the {self.experiment} experiment needs at least one gamma")
         if self.experiment == "eigen" and not self.algorithms:
@@ -109,69 +113,53 @@ class ExperimentConfig:
             raise ValueError(f"points must be >= 2, got {self.points}")
         if self.directions < 1 or self.samples < 1 or self.variance_draws < 0:
             raise ValueError("directions/samples must be >= 1 and variance_draws >= 0")
-        if self.fd_step <= 0.0 or self.sigma < 0.0:
-            raise ValueError("fd_step must be positive and sigma nonnegative")
-        self.stopping()  # StoppingConfig validates the stopping overrides
+        if not (0.0 < self.fd_step < math.inf and 0.0 <= self.sigma < math.inf):
+            raise ValueError("fd_step must be positive and sigma nonnegative, both finite")
+        self.stopping()  # StoppingConfig validates the stop settings
 
     def stopping(self) -> StoppingConfig:
-        base = StoppingConfig()
-        return StoppingConfig(
-            max_iters=base.max_iters if self.max_iters is None else self.max_iters,
-            grad_ratio_tol=base.grad_ratio_tol if self.grad_ratio_tol is None else self.grad_ratio_tol,
-            fval_rel_tol=base.fval_rel_tol if self.fval_rel_tol is None else self.fval_rel_tol,
-        )
+        return StoppingConfig(max_iters=self.max_iters, grad_ratio_tol=self.grad_ratio_tol,
+                              fval_rel_tol=self.fval_rel_tol)
 
 
 # --------------------------------------------------------------------------
 # configuration resolution: defaults < config file < command-line flags
 
 
-_DEFAULTS: Dict[str, Dict[str, object]] = {
-    "eigen": dict(n=200, p=10, trials=3, seed=7, gammas=(0.1, 0.01, 0.001),
-                  algorithms=ALGORITHMS, out="bench_eigen.csv"),
-    "singular": dict(n=200, p=10, trials=3, seed=7, gammas=(0.1,),
-                     algorithms=("gdm-cp",), out="bench_singular.csv"),
-    "mobility": dict(n=200, p=10, trials=10, seed=7, gammas=(), algorithms=(),
-                     out="bench_mobility.csv"),
-    "gradcheck": dict(n=60, p=5, trials=5, seed=7, gammas=(), algorithms=(),
-                      out="bench_gradcheck.csv"),
-    "bounds": dict(n=60, p=5, trials=1, seed=7, gammas=(), algorithms=(),
-                   out="bench_bounds.csv"),
+#: argparse options of each key's flag ``--<key>`` (``_`` as ``-``).  The
+#: flag's ``type`` also parses the config-file value, a comma-separated
+#: list for a repeatable flag, and its ``dest`` names the ExperimentConfig field.
+_KEYS: Dict[str, Dict[str, object]] = {
+    "n": dict(type=int, help="ambient dimension"),
+    "p": dict(type=int, help="frame width (columns)"),
+    "trials": dict(type=int, help="independent repetitions"),
+    "seed": dict(type=int, help="root RNG seed"),
+    "gamma": dict(type=float, action="append", dest="gammas", metavar="G",
+                  help="initial stepsize (repeatable)"),
+    "algo": dict(action="append", dest="algorithms", choices=ALGORITHMS,
+                 help="solver to run (repeatable)"),
+    "out": dict(help="output CSV path"),
+    "max_iters": dict(type=int, help="stopping override: iteration cap"),
+    "grad_ratio_tol": dict(type=float, help="stopping override: gradient-ratio tolerance"),
+    "fval_rel_tol": dict(type=float, help="stopping override: relative f-change tolerance"),
+    "points": dict(type=int, help="grid points along the sweep"),
+    "directions": dict(type=int, help="random directions per state"),
+    "fd_step": dict(type=float, help="central-difference step"),
+    "samples": dict(type=int, help="random parameter pairs to test"),
+    "sigma": dict(type=float, help="stochastic family noise level"),
+    "variance_draws": dict(type=int, help="draws for the variance estimate"),
 }
 
-_CASTS: Dict[str, Callable[[str], object]] = {
-    "n": int,
-    "p": int,
-    "trials": int,
-    "seed": int,
-    "max_iters": int,
-    "points": int,
-    "directions": int,
-    "samples": int,
-    "variance_draws": int,
-    "grad_ratio_tol": float,
-    "fval_rel_tol": float,
-    "fd_step": float,
-    "sigma": float,
-    "out": str,
-    "gamma": lambda s: tuple(float(tok) for tok in s.split(",") if tok.strip()),
-    "algo": lambda s: tuple(tok.strip() for tok in s.split(",") if tok.strip()),
-}
 
-#: config-file key -> ExperimentConfig field, where the names differ.
-_KEY_ALIASES = {"gamma": "gammas", "algo": "algorithms"}
+def _field(key: str) -> str:
+    return _KEYS[key].get("dest", key)
 
-_STOP_KEYS = ("max_iters", "grad_ratio_tol", "fval_rel_tol")
 
-#: The config keys each experiment reads; its flags are the same names.
-#: Anything else is rejected, so no setting is silently ignored.
-_COMMAND_KEYS: Dict[str, Tuple[str, ...]] = {
-    "eigen": ("n", "p", "trials", "seed", "gamma", "algo", "out", *_STOP_KEYS),
-    "singular": ("n", "p", "trials", "seed", "gamma", "out", *_STOP_KEYS),
-    "mobility": ("n", "p", "trials", "seed", "out", "points"),
-    "gradcheck": ("n", "p", "trials", "seed", "out", "directions", "fd_step"),
-    "bounds": ("n", "p", "seed", "out", "samples", "sigma", "variance_draws"),
-}
+def _parse_value(key: str, text: str) -> object:
+    cast = _KEYS[key].get("type", str)
+    if _KEYS[key].get("action") == "append":
+        return tuple(cast(tok.strip()) for tok in text.split(",") if tok.strip())
+    return cast(text)
 
 
 def _parse_config_file(path: str, experiment: str) -> Dict[str, object]:
@@ -187,27 +175,28 @@ def _parse_config_file(path: str, experiment: str) -> Dict[str, object]:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, _, text = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _CASTS:
+            if key not in _KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            if key not in _COMMAND_KEYS[experiment]:
+            if key not in _EXPERIMENTS[experiment].defaults:
                 raise ValueError(f"{path}:{lineno}: the {experiment} experiment "
                                  f"does not read {key!r}")
             try:
-                parsed = _CASTS[key](text.strip())
+                values[_field(key)] = _parse_value(key, text.strip())
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-            values[_KEY_ALIASES.get(key, key)] = parsed
     return values
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    merged: Dict[str, object] = dict(_DEFAULTS[args.experiment])
-    merged["experiment"] = args.experiment
+    # A field the experiment does not read keeps another experiment's
+    # default: it passes validation and is never used.
+    merged: Dict[str, object] = {"experiment": args.experiment}
+    for name in (*_EXPERIMENTS, args.experiment):
+        merged.update((_field(key), value) for key, value in _EXPERIMENTS[name].defaults.items())
     if args.config is not None:
         merged.update(_parse_config_file(args.config, args.experiment))
-    field_names = {f.name for f in fields(ExperimentConfig)}
     for name, value in vars(args).items():
-        if name in field_names and value is not None:
+        if name in merged and value is not None:
             merged[name] = tuple(value) if isinstance(value, list) else value
     _pool_size()  # reject a malformed BENCH_THREADS before any work starts
     return ExperimentConfig(**merged)
@@ -311,14 +300,48 @@ def _trial_start_frames(cfg: ExperimentConfig, first: Optional[np.ndarray] = Non
 
 
 # --------------------------------------------------------------------------
-# eigen
+# eigen and singular: solver races
+
+
+def _race(cfg: ExperimentConfig, groups: Sequence[Tuple[List[str], Callable[..., RunRecord]]],
+          starts: Sequence[np.ndarray], optimum: float, summary_header: Sequence[str],
+          history_header: Sequence[str], extra: Sequence[Tuple[str, object]]) -> int:
+    """Race each group's solver from every trial's start at every stepsize
+    and write the summary and history CSVs.  A group is its leading CSV
+    cells and a solver called as ``solve(u0, bt=bt, stop=stop)``; the
+    ``extra`` provenance lines follow the ones every race writes."""
+    stop = cfg.stopping()
+    tasks = []
+    for g, (_, solve) in enumerate(groups):
+        for gi, gamma in enumerate(cfg.gammas):
+            bt = BacktrackingConfig(gamma_initial=gamma)
+            for t in range(cfg.trials):
+                tasks.append(((g, gi, t), functools.partial(solve, starts[t], bt=bt, stop=stop)))
+    records = _run_tasks(tasks)
+
+    summary: List[List[str]] = []
+    history: List[List[str]] = []
+    for g, (cells, _) in enumerate(groups):
+        for gi, gamma in enumerate(cfg.gammas):
+            _group_rows(summary, history, [*cells, str(cfg.n), str(cfg.p), _fmt(gamma)],
+                        [*cells, _fmt(gamma)],
+                        [records[(g, gi, t)] for t in range(cfg.trials)], optimum)
+
+    provenance = [
+        ("command", cfg.experiment), ("n", cfg.n), ("p", cfg.p), ("trials", cfg.trials),
+        ("seed", cfg.seed), ("gammas", ",".join(_fmt(g) for g in cfg.gammas)), *extra,
+    ]
+    _write_csv(cfg.out, provenance, summary_header, summary)
+    _write_csv(_history_path(cfg.out), provenance, history_header, history)
+    print(f"{cfg.experiment}: wrote {len(summary)} summary rows to {cfg.out} "
+          f"and {len(history)} history rows to {_history_path(cfg.out)}")
+    return EXIT_OK
 
 
 def _dispatch_solver(algo: str, f: CostFunction, u0: np.ndarray,
-                     bt: BacktrackingConfig, stop: StoppingConfig,
-                     center: Optional[Center] = None) -> RunRecord:
+                     bt: BacktrackingConfig, stop: StoppingConfig) -> RunRecord:
     if algo == "gdm-cp":
-        return run_gdm_cp(f, u0, center=center, bt=bt, stop=stop)
+        return run_gdm_cp(f, u0, bt=bt, stop=stop)
     if algo == "gdm-cp-retraction":
         return run_gdm_cp_retraction(f, u0, u0, bt=bt, stop=stop)
     return run_gdm_retraction(f, u0, algo.removeprefix("gdm-"), bt=bt, stop=stop)
@@ -333,42 +356,11 @@ def cmd_eigen(cfg: ExperimentConfig) -> int:
     """Benchmark every requested solver/stepsize on one eigen instance."""
     inst = problems.make_eigen_instance(cfg.n, cfg.p, cfg.seed)
     f = problems.eigen_cost(inst)
-    stop = cfg.stopping()
-    starts = _trial_start_frames(cfg)
-
-    tasks = []
-    for ai, algo in enumerate(cfg.algorithms):
-        for gi, gamma in enumerate(cfg.gammas):
-            bt = BacktrackingConfig(gamma_initial=gamma)
-            for t in range(cfg.trials):
-                tasks.append(((ai, gi, t),
-                              functools.partial(_dispatch_solver, algo, f, starts[t], bt, stop)))
-    records = _run_tasks(tasks)
-
-    summary: List[List[str]] = []
-    history: List[List[str]] = []
-    for ai, algo in enumerate(cfg.algorithms):
-        for gi, gamma in enumerate(cfg.gammas):
-            _group_rows(summary, history, [algo, str(cfg.n), str(cfg.p), _fmt(gamma)],
-                        [algo, _fmt(gamma)],
-                        [records[(ai, gi, t)] for t in range(cfg.trials)], inst.optimum_value)
-
-    provenance = [
-        ("command", "eigen"), ("n", cfg.n), ("p", cfg.p), ("trials", cfg.trials),
-        ("seed", cfg.seed), ("gammas", ",".join(_fmt(g) for g in cfg.gammas)),
-        ("algorithms", ",".join(cfg.algorithms)),
-        ("max_iters", stop.max_iters),
-        ("optimum", _fmt(inst.optimum_value)),
-    ]
-    _write_csv(cfg.out, provenance, SUMMARY_HEADER, summary)
-    _write_csv(_history_path(cfg.out), provenance, HISTORY_HEADER, history)
-    print(f"eigen: wrote {len(summary)} summary rows to {cfg.out} "
-          f"and {len(history)} history rows to {_history_path(cfg.out)}")
-    return EXIT_OK
-
-
-# --------------------------------------------------------------------------
-# singular
+    groups = [([algo], functools.partial(_dispatch_solver, algo, f)) for algo in cfg.algorithms]
+    return _race(cfg, groups, _trial_start_frames(cfg), inst.optimum_value,
+                 SUMMARY_HEADER, HISTORY_HEADER,
+                 [("algorithms", ",".join(cfg.algorithms)), ("max_iters", cfg.max_iters),
+                  ("optimum", _fmt(inst.optimum_value))])
 
 
 SINGULAR_HEADER = ("algorithm", "theta", "n", "p", "gamma_initial", "trial", "fval",
@@ -383,40 +375,13 @@ def cmd_singular(cfg: ExperimentConfig) -> int:
     _, u_star = problems.rotation_center(math.pi, cfg.n, cfg.p)
     f = problems.distance_cost(u_star)
     _, u0_canonical = problems.rotation_center(math.pi / 4.0, cfg.n, cfg.p)
-    starts = _trial_start_frames(cfg, first=u0_canonical)
     centers = [problems.rotation_center(theta, cfg.n, cfg.p)[0] for theta in SINGULAR_THETAS]
-    stop = cfg.stopping()
-
-    tasks = []
-    for ti in range(len(SINGULAR_THETAS)):
-        for gi, gamma in enumerate(cfg.gammas):
-            bt = BacktrackingConfig(gamma_initial=gamma)
-            for t in range(cfg.trials):
-                tasks.append(((ti, gi, t),
-                              functools.partial(run_gdm_cp, f, starts[t],
-                                                center=centers[ti], bt=bt, stop=stop)))
-    records = _run_tasks(tasks)
-
-    summary: List[List[str]] = []
-    history: List[List[str]] = []
-    for ti, theta in enumerate(SINGULAR_THETAS):
-        for gi, gamma in enumerate(cfg.gammas):
-            _group_rows(summary, history,
-                        ["gdm-cp", _fmt(theta), str(cfg.n), str(cfg.p), _fmt(gamma)],
-                        ["gdm-cp", _fmt(theta), _fmt(gamma)],
-                        [records[(ti, gi, t)] for t in range(cfg.trials)], 0.0)
-
-    provenance = [
-        ("command", "singular"), ("n", cfg.n), ("p", cfg.p), ("trials", cfg.trials),
-        ("seed", cfg.seed), ("gammas", ",".join(_fmt(g) for g in cfg.gammas)),
-        ("thetas", ",".join(_fmt(th) for th in SINGULAR_THETAS)),
-        ("max_iters", stop.max_iters),
-    ]
-    _write_csv(cfg.out, provenance, SINGULAR_HEADER, summary)
-    _write_csv(_history_path(cfg.out), provenance, SINGULAR_HISTORY_HEADER, history)
-    print(f"singular: wrote {len(summary)} summary rows to {cfg.out} "
-          f"and {len(history)} history rows to {_history_path(cfg.out)}")
-    return EXIT_OK
+    groups = [(["gdm-cp", _fmt(theta)], functools.partial(run_gdm_cp, f, center=center))
+              for theta, center in zip(SINGULAR_THETAS, centers)]
+    return _race(cfg, groups, _trial_start_frames(cfg, first=u0_canonical), 0.0,
+                 SINGULAR_HEADER, SINGULAR_HISTORY_HEADER,
+                 [("thetas", ",".join(_fmt(th) for th in SINGULAR_THETAS)),
+                  ("max_iters", cfg.max_iters)])
 
 
 # --------------------------------------------------------------------------
@@ -587,48 +552,39 @@ def cmd_bounds(cfg: ExperimentConfig) -> int:
     return EXIT_OK if report.passed else EXIT_NUMERICAL
 
 
-_COMMANDS: Dict[str, Callable[[ExperimentConfig], int]] = {
-    "eigen": cmd_eigen,
-    "singular": cmd_singular,
-    "mobility": cmd_mobility,
-    "gradcheck": cmd_gradcheck,
-    "bounds": cmd_bounds,
+class _Experiment(NamedTuple):
+    command: Callable[[ExperimentConfig], int]
+    help: str
+    #: The keys the experiment reads, in flag order, with their defaults.
+    #: Any other key or flag is rejected, so no setting is silently ignored.
+    defaults: Dict[str, object]
+
+
+_EXPERIMENTS: Dict[str, _Experiment] = {
+    "eigen": _Experiment(
+        cmd_eigen, "solver comparison on a trace-minimization instance",
+        dict(n=200, p=10, trials=3, seed=7, gamma=(0.1, 0.01, 0.001), algo=ALGORITHMS,
+             out="bench_eigen.csv", **asdict(StoppingConfig()))),
+    "singular": _Experiment(
+        cmd_singular, "descent with centers near the excluded set",
+        dict(n=200, p=10, trials=3, seed=7, gamma=(0.1,), out="bench_singular.csv",
+             **asdict(StoppingConfig()))),
+    "mobility": _Experiment(
+        cmd_mobility, "inverse-transform sensitivity sweep",
+        dict(n=200, p=10, trials=10, seed=7, out="bench_mobility.csv", points=26)),
+    "gradcheck": _Experiment(
+        cmd_gradcheck, "finite-difference gradient validation",
+        dict(n=60, p=5, trials=5, seed=7, out="bench_gradcheck.csv", directions=20,
+             fd_step=1e-6)),
+    "bounds": _Experiment(
+        cmd_bounds, "sampled gradient bound report",
+        dict(n=60, p=5, seed=7, out="bench_bounds.csv", samples=1000, sigma=1.0,
+             variance_draws=10000)),
 }
 
 
 # --------------------------------------------------------------------------
 # argument parsing
-
-
-#: argparse options of each config key's flag ``--<key>`` (``_`` as ``-``).
-_FLAG_OPTIONS: Dict[str, Dict[str, object]] = {
-    "n": dict(type=int, help="ambient dimension"),
-    "p": dict(type=int, help="frame width (columns)"),
-    "trials": dict(type=int, help="independent repetitions"),
-    "seed": dict(type=int, help="root RNG seed"),
-    "gamma": dict(type=float, action="append", dest="gammas", metavar="G",
-                  help="initial stepsize (repeatable)"),
-    "algo": dict(action="append", dest="algorithms", choices=ALGORITHMS,
-                 help="solver to run (repeatable)"),
-    "out": dict(help="output CSV path"),
-    "max_iters": dict(type=int, help="stopping override: iteration cap"),
-    "grad_ratio_tol": dict(type=float, help="stopping override: gradient-ratio tolerance"),
-    "fval_rel_tol": dict(type=float, help="stopping override: relative f-change tolerance"),
-    "points": dict(type=int, help="grid points along the sweep"),
-    "directions": dict(type=int, help="random directions per state"),
-    "fd_step": dict(type=float, help="central-difference step"),
-    "samples": dict(type=int, help="random parameter pairs to test"),
-    "sigma": dict(type=float, help="stochastic family noise level"),
-    "variance_draws": dict(type=int, help="draws for the variance estimate"),
-}
-
-_COMMAND_HELP = {
-    "eigen": "solver comparison on a trace-minimization instance",
-    "singular": "descent with centers near the excluded set",
-    "mobility": "inverse-transform sensitivity sweep",
-    "gradcheck": "finite-difference gradient validation",
-    "bounds": "sampled gradient bound report",
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -637,10 +593,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Benchmark harness for Cayley-parametrized optimization "
                     "on the Stiefel manifold.")
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for experiment, help_text in _COMMAND_HELP.items():
-        sp = sub.add_parser(experiment, help=help_text)
-        for key in _COMMAND_KEYS[experiment]:
-            sp.add_argument("--" + key.replace("_", "-"), **_FLAG_OPTIONS[key])
+    for experiment, entry in _EXPERIMENTS.items():
+        sp = sub.add_parser(experiment, help=entry.help)
+        for key in entry.defaults:
+            sp.add_argument("--" + key.replace("_", "-"), **_KEYS[key])
         sp.add_argument("--config", help="flat key=value config file; flags override it")
     return parser
 
@@ -653,7 +609,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _COMMANDS[cfg.experiment](cfg)
+        return _EXPERIMENTS[cfg.experiment].command(cfg)
     except Exception as exc:  # solver/linear-algebra failures -> exit 3
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -15,7 +15,7 @@ the p-by-p matrix ``M`` and costs ``O(N p^2)`` beyond the ambient gradient;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -149,22 +149,7 @@ class BoundReport:
 
     def to_row(self) -> dict:
         """Flat record for CSV serialization."""
-        return {
-            "samples": self.samples,
-            "mu": self.mu,
-            "lipschitz_const": self.lipschitz_const,
-            "lipschitz_limit": self.lipschitz_limit,
-            "lipschitz_worst_ratio": self.lipschitz_worst_ratio,
-            "lipschitz_violations": self.lipschitz_violations,
-            "norm_limit": self.norm_limit,
-            "norm_worst_ratio": self.norm_worst_ratio,
-            "norm_violations": self.norm_violations,
-            "variance_draws": self.variance_draws,
-            "variance_ratio": self.variance_ratio,
-            "variance_limit": self.variance_limit,
-            "variance_violations": self.variance_violations,
-            "passed": int(self.passed),
-        }
+        return {**asdict(self), "passed": int(self.passed)}
 
 
 def _random_param(rng: np.random.Generator, n: int, p: int, scale: float) -> SkewParam:

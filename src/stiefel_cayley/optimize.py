@@ -31,6 +31,7 @@ change of the cost value.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
@@ -103,8 +104,8 @@ class BacktrackingConfig:
             raise ValueError(f"c must be in (0,1), got {self.c}")
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"rho must be in (0,1), got {self.rho}")
-        if not self.gamma_initial > 0.0:
-            raise ValueError(f"gamma_initial must be positive, got {self.gamma_initial}")
+        if not 0.0 < self.gamma_initial < math.inf:
+            raise ValueError(f"gamma_initial must be positive and finite, got {self.gamma_initial}")
         if self.max_halvings < 1:
             raise ValueError(f"max_halvings must be >= 1, got {self.max_halvings}")
 
@@ -120,10 +121,11 @@ class StoppingConfig:
     def __post_init__(self):
         if self.max_iters <= 0:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
-        if self.grad_ratio_tol <= 0.0:
-            raise ValueError(f"grad_ratio_tol must be positive, got {self.grad_ratio_tol}")
-        if self.fval_rel_tol <= 0.0:
-            raise ValueError(f"fval_rel_tol must be positive, got {self.fval_rel_tol}")
+        if not 0.0 < self.grad_ratio_tol < math.inf:
+            raise ValueError(
+                f"grad_ratio_tol must be positive and finite, got {self.grad_ratio_tol}")
+        if not 0.0 < self.fval_rel_tol < math.inf:
+            raise ValueError(f"fval_rel_tol must be positive and finite, got {self.fval_rel_tol}")
 
 
 @dataclass

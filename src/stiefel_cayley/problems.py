@@ -157,8 +157,8 @@ class StochasticEigenFamily:
     """
 
     def __init__(self, inst: EigenInstance, sigma: float, seed: int):
-        if sigma < 0.0:
-            raise ValueError(f"sigma must be nonnegative, got {sigma}")
+        if not 0.0 <= sigma < math.inf:
+            raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
         self.inst = inst
         self.sigma = float(sigma)
         self.seed = int(seed)

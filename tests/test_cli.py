@@ -1,7 +1,10 @@
 """End-to-end command-line tests: config resolution, CSV shapes,
 determinism, and exit codes for every subcommand."""
 
+import argparse
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +91,19 @@ def test_semantic_validation_exits_2(tmp_path):
         cfg_file = tmp_path / name
         cfg_file.write_text(text)
         assert cli.main([experiment, "--config", str(cfg_file), *small]) == 2, name
+    # non-finite settings are usage errors, as flags and as config keys
+    short = ["--n", "8", "--p", "2", "--out", out]
+    for experiment, key, text in [("eigen", "gamma", "nan"), ("eigen", "gamma", "inf"),
+                                  ("singular", "gamma", "nan"),
+                                  ("eigen", "grad_ratio_tol", "nan"),
+                                  ("eigen", "fval_rel_tol", "inf"),
+                                  ("gradcheck", "fd_step", "nan"),
+                                  ("gradcheck", "fd_step", "inf"),
+                                  ("bounds", "sigma", "nan"), ("bounds", "sigma", "inf")]:
+        assert cli.main([experiment, *short, "--" + key.replace("_", "-"), text]) == 2, key
+        cfg_file = tmp_path / f"{experiment}-{key}-{text}.cfg"
+        cfg_file.write_text(f"{key} = {text}\n")
+        assert cli.main([experiment, "--config", str(cfg_file), *short]) == 2, cfg_file.name
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -185,6 +201,76 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
                      "--algo", "gdm-cp", "--max-iters", "5", "--out", out]) == 3
     assert capsys.readouterr().err.startswith(
         "numerical failure: FactorizationError: SVD did not converge")
+
+
+#: Each experiment at a tiny size, and every file it writes (by suffix of
+#: the --out stem) with its provenance keys in order and its header row.
+RACE_KEYS = ["schema", "command", "n", "p", "trials", "seed", "gammas"]
+CSV_CONTRACTS = {
+    "eigen": (["--n", "6", "--p", "2", "--trials", "1", "--gamma", "0.1",
+               "--algo", "gdm-cp", "--max-iters", "5"], {
+        "": ([*RACE_KEYS, "algorithms", "max_iters", "optimum"],
+             "algorithm,n,p,gamma_initial,trial,fval,fval_minus_optimal,feasi,nrmg,itr,"
+             "time_s,stop_reason"),
+        "_history": ([*RACE_KEYS, "algorithms", "max_iters", "optimum"],
+                     "algorithm,gamma_initial,trial,iter,cum_time_s,f_gap"),
+    }),
+    "singular": (["--n", "6", "--p", "2", "--trials", "1", "--max-iters", "5"], {
+        "": ([*RACE_KEYS, "thetas", "max_iters"],
+             "algorithm,theta,n,p,gamma_initial,trial,fval,fval_minus_optimal,feasi,nrmg,"
+             "itr,time_s,stop_reason"),
+        "_history": ([*RACE_KEYS, "thetas", "max_iters"],
+                     "algorithm,theta,gamma_initial,trial,iter,cum_time_s,f_gap"),
+    }),
+    "mobility": (["--n", "6", "--p", "2", "--trials", "1", "--points", "3"], {
+        "": (["schema", "command", "n", "p", "trials", "seed", "points"],
+             "b_norm2,observed_change,mobility"),
+    }),
+    "gradcheck": (["--n", "6", "--p", "2", "--trials", "1", "--directions", "2"], {
+        "": (["schema", "command", "n", "p", "trials", "seed", "directions", "fd_step"],
+             "cost,engine,states,directions,worst_rel_err,tolerance,status"),
+    }),
+    "bounds": (["--n", "6", "--p", "2", "--samples", "5", "--variance-draws", "5"], {
+        "": (["schema", "command", "n", "p", "seed", "sigma"],
+             "samples,mu,lipschitz_const,lipschitz_limit,lipschitz_worst_ratio,"
+             "lipschitz_violations,norm_limit,norm_worst_ratio,norm_violations,"
+             "variance_draws,variance_ratio,variance_limit,variance_violations,passed"),
+    }),
+}
+
+
+@pytest.mark.parametrize("experiment", CSV_CONTRACTS)
+def test_csv_contract(tmp_path, experiment):
+    args, files = CSV_CONTRACTS[experiment]
+    assert cli.main([experiment, *args, "--out", str(tmp_path / "run.csv")]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"run{s}.csv" for s in files)
+    for suffix, (keys, header) in files.items():
+        provenance, written, _ = read_csv(tmp_path / f"run{suffix}.csv")
+        assert list(provenance) == keys, suffix
+        assert provenance["command"] == experiment
+        assert ",".join(written) == header, suffix
+
+
+def test_readme_flag_table_matches_parsers():
+    """Each row of the README's "Flags" table names exactly the flags its
+    experiment's subparser registers, each with that experiment's default."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Flags\n", 1)[1].split("\n### ", 1)[0]
+    rows = dict(re.findall(r"^\| `(\w+)` \| (.+) \|$", table, flags=re.MULTILINE))
+    subparsers = next(action for action in cli._build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert rows.keys() == subparsers.choices.keys()
+    for experiment, cell in rows.items():
+        registered = {opt for action in subparsers.choices[experiment]._actions
+                      for opt in action.option_strings} - {"-h", "--help", "--config"}
+        named = re.findall(r"`(--[a-z-]+)", cell)
+        assert sorted(named) == sorted(registered), experiment
+        pairs = re.findall(r"`--([a-z-]+) ([^`]+)`", cell)
+        assert len(pairs) == len(named), experiment
+        defaults = cli._EXPERIMENTS[experiment].defaults
+        for flag, text in pairs:
+            key = flag.replace("-", "_")
+            assert cli._parse_value(key, text) == defaults[key], (experiment, flag)
 
 
 # ----------------------------------------------------------------- eigen

@@ -54,11 +54,14 @@ def assert_monotone(rec):
 def test_config_validation():
     for bad in (dict(c=0.0), dict(c=1.0), dict(rho=0.0), dict(rho=1.0),
                 dict(gamma_initial=0.0), dict(gamma_initial=-1.0),
+                dict(gamma_initial=math.inf), dict(gamma_initial=math.nan),
                 dict(max_halvings=0)):
         with pytest.raises(ValueError):
             BacktrackingConfig(**bad)
     for bad in (dict(max_iters=0), dict(grad_ratio_tol=0.0),
-                dict(fval_rel_tol=-1e-3)):
+                dict(fval_rel_tol=-1e-3),
+                dict(grad_ratio_tol=math.nan), dict(grad_ratio_tol=math.inf),
+                dict(fval_rel_tol=math.nan), dict(fval_rel_tol=math.inf)):
         with pytest.raises(ValueError):
             StoppingConfig(**bad)
 

@@ -135,8 +135,9 @@ def test_stochastic_family_degenerate_and_seeded():
     rng = np.random.default_rng(6)
     u = problems.random_stiefel(rng, 10, 2)
     assert fam0.draw(3).eval(u) == fam0.mean_cost.eval(u)
-    with pytest.raises(ValueError):
-        problems.stochastic_eigen_family(inst, noise_sigma=-1.0, seed=0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            problems.stochastic_eigen_family(inst, noise_sigma=bad, seed=0)
     fam = problems.stochastic_eigen_family(inst, noise_sigma=1.0, seed=7)
     assert fam.draw(5).eval(u) == fam.draw(5).eval(u)
     assert fam.draw(5).eval(u) != fam.draw(6).eval(u)
