@@ -10,8 +10,10 @@ block.
 Frames are plain ndarrays; ``SkewParam``, ``Center`` and
 ``retractions.TangentVector`` are small immutable classes because they carry
 contracts (the factor-2 inner product, structured-versus-general center
-dispatch, tangency) that the rest of the package relies on.  Only their
-constructors check values; arithmetic on checked values keeps the invariants.
+dispatch, tangency) that the rest of the package relies on.  A caller's
+construction is checked in full.  A value the package builds keeps the
+invariant by construction: it gets an O(size) finiteness check where
+non-finite input can reach it, then the unchecked constructor ``_trusted``.
 """
 
 from __future__ import annotations

@@ -199,7 +199,23 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         if name in merged and value is not None:
             merged[name] = tuple(value) if isinstance(value, list) else value
     _pool_size()  # reject a malformed BENCH_THREADS before any work starts
-    return ExperimentConfig(**merged)
+    cfg = ExperimentConfig(**merged)
+    _check_outputs(cfg)
+    return cfg
+
+
+def _check_outputs(cfg: ExperimentConfig) -> None:
+    """Reject, before any work starts, an output path whose directory is
+    missing or that names a directory.  Creates and truncates nothing."""
+    paths = [cfg.out]
+    if cfg.experiment in ("eigen", "singular"):
+        paths.append(_history_path(cfg.out))
+    for path in paths:
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise ValueError(f"cannot write {path!r}: no directory {directory!r}")
+        if not os.path.basename(path) or os.path.isdir(path):
+            raise ValueError(f"cannot write {path!r}: it names a directory, not a file")
 
 
 # --------------------------------------------------------------------------

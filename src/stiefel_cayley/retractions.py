@@ -18,7 +18,8 @@ Given the kernel and the ambient gradient ``g``, the gradient
 (:func:`grad_retraction_pullback`) works in p-by-p coefficients: two
 p-row products against ``g`` (``U^T g``, ``Y^T g``), one assembly of the
 N-by-p result in the ``[U, Y, g]`` basis, then the two-pass tangent
-projection with its tangency check: 10 products of order N p^2 in all.
+projection (no tangency check: see :func:`project_tangent`): 9 products
+of order N p^2 in all.
 """
 
 from __future__ import annotations
@@ -68,9 +69,11 @@ class TangentVector:
 
     A caller's construction checks finite 2-D arrays of one shape and the
     tangency identity ``U^T D + D^T U = 0`` (tolerance ``1e-10``, scaled by
-    the norm) and stores read-only copies.  ``+``, ``-`` and scalar ``*``
-    (same base only) trust their operands, since tangency is linear.
-    ``norm`` and ``inner`` use the Frobenius geometry of the ambient matrix.
+    the norm) and stores read-only copies.  Vectors the package builds go
+    through :meth:`_trusted` instead: ``zero``, :func:`project_tangent`,
+    and ``+``, ``-`` and scalar ``*`` (same base only), which trust their
+    operands since tangency is linear.  ``norm`` and ``inner`` use the
+    Frobenius geometry of the ambient matrix.
     """
 
     base: np.ndarray
@@ -93,6 +96,13 @@ class TangentVector:
         _frozen(self, base=base.copy(), mat=mat.copy())
 
     @classmethod
+    def _trusted(cls, base: np.ndarray, mat: np.ndarray) -> "TangentVector":
+        """Wrap fresh or already read-only arrays without checks or copies;
+        ``mat`` must be finite, of ``base``'s shape and tangent at it.  The
+        arrays become read-only."""
+        return _frozen(object.__new__(cls), base=base, mat=mat)
+
+    @classmethod
     def zero(cls, base) -> "TangentVector":
         """The zero vector at ``base``.
 
@@ -100,7 +110,7 @@ class TangentVector:
         finite) and copied; the tangency product is skipped.
         """
         base = linalg.as_matrix(base, "base frame").copy()
-        return _frozen(object.__new__(cls), base=base, mat=np.zeros_like(base))
+        return cls._trusted(base, np.zeros_like(base))
 
     def _same_base(self, other: "TangentVector") -> None:
         if not np.array_equal(self.base, other.base):
@@ -115,14 +125,14 @@ class TangentVector:
 
     def __add__(self, other: "TangentVector") -> "TangentVector":
         self._same_base(other)
-        return _frozen(object.__new__(TangentVector), base=self.base, mat=self.mat + other.mat)
+        return TangentVector._trusted(self.base, self.mat + other.mat)
 
     def __sub__(self, other: "TangentVector") -> "TangentVector":
         self._same_base(other)
-        return _frozen(object.__new__(TangentVector), base=self.base, mat=self.mat - other.mat)
+        return TangentVector._trusted(self.base, self.mat - other.mat)
 
     def __mul__(self, scalar) -> "TangentVector":
-        return _frozen(object.__new__(TangentVector), base=self.base, mat=float(scalar) * self.mat)
+        return TangentVector._trusted(self.base, float(scalar) * self.mat)
 
     __rmul__ = __mul__
 
@@ -147,17 +157,21 @@ def project_tangent(u: np.ndarray, x: np.ndarray) -> TangentVector:
     ``X - P(X)`` is orthogonal to every tangent vector.
 
     The formula is applied twice: one pass leaves a skew-coupling defect
-    proportional to roundoff in ``X``, which breaks the TangentVector
-    tolerance exactly when the tangential part is far smaller than ``X``
-    (a converged gradient of a large-norm cost); the second pass shrinks
-    the defect to the scale of the output itself.
+    proportional to roundoff in ``X``, which breaks the public
+    :class:`TangentVector` tolerance exactly when the tangential part is
+    far smaller than ``X`` (a converged gradient of a large-norm cost); the
+    second pass shrinks the defect to the scale of the output itself, so
+    the result meets that tolerance (a test pins it for ``||X||`` from 1e-8
+    to 1e12).  So the result skips the tangency check; a NaN or Inf in it
+    still raises ``ValueError``.  Its base is a private copy of ``u``.
     """
     u = np.asarray(u, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     utx = u.T @ x
     once = x - u @ ((utx + utx.T) / 2.0)
     uto = u.T @ once
-    return TangentVector(u, once - u @ ((uto + uto.T) / 2.0))
+    mat = linalg.as_matrix(once - u @ ((uto + uto.T) / 2.0), "tangent matrix")
+    return TangentVector._trusted(u.copy(), mat)
 
 
 def riemannian_grad(u: np.ndarray, f: CostFunction) -> TangentVector:

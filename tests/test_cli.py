@@ -104,6 +104,16 @@ def test_semantic_validation_exits_2(tmp_path):
         cfg_file = tmp_path / f"{experiment}-{key}-{text}.cfg"
         cfg_file.write_text(f"{key} = {text}\n")
         assert cli.main([experiment, "--config", str(cfg_file), *short]) == 2, cfg_file.name
+    # output paths that cannot be written are usage errors, found before the
+    # work starts and without creating any file: a missing directory,
+    # --out naming a directory or nothing, and a race whose history path is
+    # a directory
+    (tmp_path / "h_history.csv").mkdir()
+    assert cli.main(["eigen", *small[:-1], str(tmp_path / "missing" / "x.csv")]) == 2
+    for path in (str(tmp_path), ""):
+        assert cli.main(["mobility", "--points", "2", "--trials", "1", "--out", path]) == 2
+    assert cli.main(["eigen", *small[:-1], str(tmp_path / "h.csv")]) == 2
+    assert not (tmp_path / "missing").exists() and not (tmp_path / "h.csv").exists()
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -158,28 +158,6 @@ def test_run_gdm_cp_max_iters_stops_first():
     assert rec.iters == [0, 1]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("good_calls", [0, 1])
-def test_run_gdm_cp_rejects_non_finite_gradient(good_calls):
-    # The gradient turns NaN at the start frame (good_calls=0) or at the
-    # first accepted step, which is also the last one allowed: either way
-    # the run raises instead of recording a NaN gradient norm.
-    inst = problems.make_eigen_instance(10, 2, seed=3)
-    f = problems.eigen_cost(inst)
-    calls = []
-
-    def value_and_grad(u):
-        fval, g = f.value_and_grad(u)
-        calls.append(None)
-        return fval, g if len(calls) <= good_calls else np.full_like(g, np.nan)
-
-    bad = CostFunction(dim_n=10, dim_p=2, eval=f.eval, grad=f.grad,
-                       eval_grad=value_and_grad)
-    u0 = problems.random_stiefel(np.random.default_rng(3), 10, 2)
-    with pytest.raises(ValueError, match="NaN or Inf"):
-        run_gdm_cp(bad, u0, stop=StoppingConfig(max_iters=1))
-
-
 def test_run_gdm_cp_deterministic():
     inst = problems.make_eigen_instance(12, 3, seed=3)
     rng = np.random.default_rng(3)
@@ -324,6 +302,34 @@ SOLVERS = {
     **{f"gdm-{kind}": (lambda f, u0, kind=kind, **kw: run_gdm_retraction(f, u0, kind, **kw))
        for kind in ("qr", "polar", "cayley")},
 }
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("good_calls", [0, 1])
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_every_solver_rejects_non_finite_gradient(solver, good_calls):
+    # Every solver takes one gradient at the start frame (from grad or
+    # eval_grad) and one per trial.  The gradient turns NaN at the start
+    # frame (good_calls=0) or from the first trial on, so at the first
+    # accepted step, which is also the last one allowed: either way the run
+    # raises instead of recording a NaN gradient norm.
+    inst = problems.make_eigen_instance(10, 2, seed=3)
+    f = problems.eigen_cost(inst)
+    calls = []
+
+    def grad(u):
+        calls.append(None)
+        g = f.grad(u)
+        return g if len(calls) <= good_calls else np.full_like(g, np.nan)
+
+    def value_and_grad(u):
+        return f.eval(u), grad(u)
+
+    bad = CostFunction(dim_n=10, dim_p=2, eval=f.eval, grad=grad, eval_grad=value_and_grad)
+    u0 = problems.random_stiefel(np.random.default_rng(3), 10, 2)
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        SOLVERS[solver](bad, u0, stop=StoppingConfig(max_iters=1))
+    assert len(calls) >= good_calls + 1
 
 
 @pytest.mark.parametrize("fused", [True, False], ids=["eval_grad", "no-eval_grad"])

@@ -249,3 +249,4 @@ def test_grad_retraction_pullback_matches_panel_reference(case):
     rebuilt = retractions.grad_retraction_pullback(u, d, f)
     for grad in (carried, rebuilt):
         assert np.linalg.norm(grad.mat - grad_ref) <= bar
+        retractions.TangentVector(u, grad.mat)  # tangent to the public tolerance

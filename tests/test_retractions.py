@@ -94,6 +94,18 @@ def test_project_tangent_fixed_point_and_kernel():
     assert np.linalg.norm(again.mat - d.mat) <= 1e-12
     zero = retractions.project_tangent(u, u)
     assert np.linalg.norm(zero.mat) <= 1e-14
+    # X = U S + T with a normal part U S (S symmetric) of any size and a
+    # tangent part T far smaller than it: one pass would leave a coupling
+    # defect of roundoff in ||S||, so the result passes the public
+    # tangency check only because of the second pass
+    for n, p in ((6, 1), (9, 3), (50, 5), (200, 10), (40, 40)):
+        u = problems.random_stiefel(rng, n, p)
+        for s_norm in 10.0 ** np.arange(-8, 13, 4):
+            s = rng.standard_normal((p, p))
+            s = (s_norm / np.linalg.norm(s + s.T)) * (s + s.T)
+            for ratio in (1e-14, 1e-7, 1.0):
+                t = random_tangent(rng, u, norm=ratio * s_norm)
+                TangentVector(u, retractions.project_tangent(u, u @ s + t.mat).mat)
 
 
 def test_project_tangent_residual_orthogonality():
@@ -108,6 +120,13 @@ def test_project_tangent_residual_orthogonality():
     # idempotence
     twice = retractions.project_tangent(u, proj.mat)
     assert np.linalg.norm(twice.mat - proj.mat) <= 1e-12
+    # the result is read-only and its base a copy of the caller's frame
+    base = u.copy()
+    for arr in (proj.mat, proj.base):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 5.0
+    u[0, 0] = 5.0
+    np.testing.assert_array_equal(proj.base, base)
 
 
 def test_riemannian_grad():
