@@ -85,7 +85,7 @@ def feasibility(u) -> float:
     """Orthonormality defect ``||u^T u - I||_F`` of a column frame."""
     u = np.asarray(u, dtype=np.float64)
     g = u.T @ u
-    g[np.diag_indices_from(g)] -= 1.0
+    g.flat[:: g.shape[0] + 1] -= 1.0  # the diagonal
     return float(np.linalg.norm(g))
 
 

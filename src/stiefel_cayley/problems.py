@@ -77,16 +77,42 @@ def make_eigen_instance(n: int, p: int, seed: int) -> EigenInstance:
     )
 
 
+#: Above this value of ``p N^2``, :func:`_sym_times` forms ``A U`` as
+#: ``(U^T A)^T``.  It is OpenBLAS's small-matrix GEMM limit (100^3): at
+#: one BLAS thread (scipy-openblas 0.3.31, AVX-512 cores) ``A @ U`` jumps
+#: from 82.6 us at N=316, p=10 to 148.6 us at N=317, and the same jump
+#: shows at p=2 (N 707/708), p=5 (447/448) and p=20 (223/224).  Above it
+#: the transposed product took 0.58-0.80 of the time for p from 2 to 30
+#: (295 against 394 us at N=500, p=10) and was neutral (0.96-1.06) for
+#: p=40 and 64 near the limit; at or below it, it is slower.
+TRANSPOSED_PRODUCT_MIN = 100**3
+
+
+def _sym_times(a: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``A U`` for an exactly symmetric ``A`` (C-ordered result).
+
+    Above :data:`TRANSPOSED_PRODUCT_MIN` it is computed as ``(U^T A)^T``,
+    which equals ``A U`` only because ``A = A^T`` holds exactly: both
+    :func:`make_eigen_instance` and :meth:`StochasticEigenFamily.draw`
+    build ``a`` that way.  The two forms sum in different orders, so they
+    may differ at roundoff.
+    """
+    n, p = u.shape
+    if p * n * n > TRANSPOSED_PRODUCT_MIN:
+        return np.ascontiguousarray((u.T @ a).T)
+    return a @ u
+
+
 def _trace_cost(a: np.ndarray, n: int, p: int) -> CostFunction:
     def ev(u: np.ndarray) -> float:
-        return -float(np.tensordot(u, a @ u))
+        return -float(np.vdot(u, _sym_times(a, u)))
 
     def gr(u: np.ndarray) -> np.ndarray:
-        return -2.0 * (a @ u)
+        return -2.0 * _sym_times(a, u)
 
     def evgr(u: np.ndarray):
-        au = a @ u
-        return -float(np.tensordot(u, au)), -2.0 * au
+        au = _sym_times(a, u)
+        return -float(np.vdot(u, au)), -2.0 * au
 
     return CostFunction(dim_n=n, dim_p=p, eval=ev, grad=gr, eval_grad=evgr)
 
@@ -96,7 +122,13 @@ def eigen_cost(inst: EigenInstance) -> CostFunction:
 
     Minimized exactly by any orthonormal basis of the top-p eigenspace;
     invariant under right-multiplication of ``U`` by any orthogonal p-by-p
-    matrix.  The fused evaluation shares the single product ``A U``.
+    matrix.  The value, the gradient and the fused evaluation all take
+    the one product ``A U`` from the same helper, so they agree bitwise.
+    Below ``p N^2 = 100^3`` that product is ``A @ U``; above it, where
+    OpenBLAS leaves its small-matrix path and ``A @ U`` slows down, it is
+    ``(U^T A)^T``, which relies on ``inst.a`` being exactly symmetric (see
+    :data:`TRANSPOSED_PRODUCT_MIN`).  The summation order, and so the last
+    bits, therefore change across that size.
     """
     return _trace_cost(inst.a, inst.n, inst.p)
 

@@ -70,10 +70,10 @@ class TangentVector:
     A caller's construction checks finite 2-D arrays of one shape and the
     tangency identity ``U^T D + D^T U = 0`` (tolerance ``1e-10``, scaled by
     the norm) and stores read-only copies.  Vectors the package builds go
-    through :meth:`_trusted` instead: ``zero``, :func:`project_tangent`,
-    and ``+``, ``-`` and scalar ``*`` (same base only), which trust their
-    operands since tangency is linear.  ``norm`` and ``inner`` use the
-    Frobenius geometry of the ambient matrix.
+    through :meth:`_trusted` instead: :func:`project_tangent`, the zero
+    steps of the retraction solvers, and ``+``, ``-`` and scalar ``*``
+    (same base only), which trust their operands since tangency is linear.
+    ``norm`` and ``inner`` use the Frobenius geometry of the ambient matrix.
     """
 
     base: np.ndarray
@@ -102,18 +102,8 @@ class TangentVector:
         arrays become read-only."""
         return _frozen(object.__new__(cls), base=base, mat=mat)
 
-    @classmethod
-    def zero(cls, base) -> "TangentVector":
-        """The zero vector at ``base``.
-
-        Zero is tangent at every frame, so only ``base`` is checked (2-D,
-        finite) and copied; the tangency product is skipped.
-        """
-        base = linalg.as_matrix(base, "base frame").copy()
-        return cls._trusted(base, np.zeros_like(base))
-
     def _same_base(self, other: "TangentVector") -> None:
-        if not np.array_equal(self.base, other.base):
+        if self.base is not other.base and not np.array_equal(self.base, other.base):
             raise ValueError("tangent vectors live at different base frames")
 
     def norm(self) -> float:
@@ -228,7 +218,13 @@ def _cayley_kernel(u: np.ndarray, dmat: np.ndarray) -> _CayleyKernel:
     y = dmat - 0.5 * u @ utd
     uty = utd - 0.5 * utu @ utd
     yty = y.T @ y
-    k = np.eye(2 * p) + np.block([[0.5 * uty.T, 0.25 * yty], [-utu, -0.5 * uty]])
+    # K = I + [[(U^T Y)^T / 2, Y^T Y / 4], [-U^T U, -U^T Y / 2]], each block
+    # added into the identity in place
+    k = np.eye(2 * p)
+    k[:p, :p] += 0.5 * uty.T
+    k[:p, p:] += 0.25 * yty
+    k[p:, :p] -= utu
+    k[p:, p:] -= 0.5 * uty
     try:
         k_inv = np.linalg.inv(k)
         cond = float(np.linalg.norm(k, 1) * np.linalg.norm(k_inv, 1))

@@ -90,6 +90,51 @@ def test_cost_gradients_pass_finite_differences():
         assert fd_check(f, u, rng) <= 1e-5
 
 
+def _eigen_costs():
+    """Eigen costs on either side of the A U size rule's p N^2 = 100^3 at
+    p = 10, and one stochastic draw above it."""
+    small = problems.make_eigen_instance(200, 10, seed=10)
+    large = problems.make_eigen_instance(500, 10, seed=11)
+    fam = problems.stochastic_eigen_family(large, noise_sigma=1.0, seed=12)
+    return {"n200": problems.eigen_cost(small), "n500": problems.eigen_cost(large),
+            "n500-draw": fam.draw(3)}
+
+
+def _matrix_of(f):
+    """The matrix of a trace cost, read off its gradient at blocks of
+    identity columns (products with 0 and 1 are exact)."""
+    eye = np.eye(f.dim_n)
+    cols = [-0.5 * f.grad(eye[:, j:j + f.dim_p]) for j in range(0, f.dim_n, f.dim_p)]
+    return np.hstack(cols)
+
+
+def test_eigen_cost_members_agree_bitwise_and_with_the_formulas():
+    for name, f in _eigen_costs().items():
+        a = _matrix_of(f)
+        rng = np.random.default_rng(13)
+        for _ in range(3):
+            u = problems.random_stiefel(rng, f.dim_n, f.dim_p)
+            value, grad = f.value_and_grad(u)
+            assert value == f.eval(u), name
+            assert np.array_equal(grad, f.grad(u)) and grad.flags.c_contiguous, name
+            ref_value = -float(np.trace(u.T @ a @ u))
+            assert abs(value - ref_value) <= 1e-14 * abs(ref_value), name
+            ref_grad = -2.0 * (a @ u)
+            assert np.linalg.norm(grad - ref_grad) <= 1e-14 * np.linalg.norm(ref_grad), name
+            if f.dim_p * f.dim_n**2 <= problems.TRANSPOSED_PRODUCT_MIN:
+                # below the size rule the product is the plain A @ U
+                assert np.array_equal(grad, -2.0 * (a @ u)), name
+
+
+def test_eigen_matrices_are_exactly_symmetric():
+    # the transposed product (U^T A)^T equals A U only for exactly symmetric A
+    for n in (15, 500):
+        a = problems.make_eigen_instance(n, 3, seed=n).a
+        assert np.array_equal(a, a.T)
+    a = _matrix_of(_eigen_costs()["n500-draw"])
+    assert np.array_equal(a, a.T)
+
+
 def test_distance_cost_at_target():
     rng = np.random.default_rng(5)
     target = problems.random_stiefel(rng, 8, 2)
