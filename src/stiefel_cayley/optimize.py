@@ -50,6 +50,7 @@ from .retractions import (
     retract_cayley,
     retract_polar,
     retract_qr,
+    riemannian_grad,
 )
 
 __all__ = [
@@ -445,20 +446,19 @@ def run_gdm_retraction(
         fval, g_euclid = f.value_and_grad(u_cand)
         return fval, (u_cand, g_euclid)
 
-    def at_frame(u: np.ndarray, g_euclid: np.ndarray):
-        # the zero step shares the projected gradient's base, the one copy
-        # of u that project_tangent makes
-        g = project_tangent(u, g_euclid)
-        return TangentVector._trusted(g.base, np.zeros_like(g.base)), g
+    def zero_step(g: TangentVector) -> TangentVector:
+        # shares the gradient's base, the one copy of the frame that
+        # project_tangent made
+        return TangentVector._trusted(g.base, np.zeros_like(g.base))
 
     def reanchor(n: int, step: TangentVector, payload):
         u, g_euclid = payload
-        x, g = at_frame(u, g_euclid)
-        return x, u, g
+        g = project_tangent(u, g_euclid)
+        return zero_step(g), u, g
 
     def setup(u0: np.ndarray, record: RunRecord):
         f0 = f.eval(u0)
-        x0, g0 = at_frame(u0, f.grad(u0))
-        return x0, g0, f0, eval_step, reanchor
+        g0 = riemannian_grad(u0, f)
+        return zero_step(g0), g0, f0, eval_step, reanchor
 
     return _descend(f, u0, bt, stop, setup, retry=(StepTooLargeError, linalg.RankError))
