@@ -124,7 +124,7 @@ def eigen_cost(inst: EigenInstance) -> CostFunction:
     invariant under right-multiplication of ``U`` by any orthogonal p-by-p
     matrix.  The value, the gradient and the fused evaluation all take
     the one product ``A U`` from the same helper, so they agree bitwise.
-    Below ``p N^2 = 100^3`` that product is ``A @ U``; above it, where
+    At or below ``p N^2 = 100^3`` that product is ``A @ U``; above it, where
     OpenBLAS leaves its small-matrix path and ``A @ U`` slows down, it is
     ``(U^T A)^T``, which relies on ``inst.a`` being exactly symmetric (see
     :data:`TRANSPOSED_PRODUCT_MIN`).  The summation order, and so the last

@@ -71,9 +71,10 @@ class TangentVector:
     tangency identity ``U^T D + D^T U = 0`` (tolerance ``1e-10``, scaled by
     the norm) and stores read-only copies.  Vectors the package builds go
     through :meth:`_trusted` instead: :func:`project_tangent`, the zero
-    steps of the retraction solvers, and ``+``, ``-`` and scalar ``*``
-    (same base only), which trust their operands since tangency is linear.
-    ``norm`` and ``inner`` use the Frobenius geometry of the ambient matrix.
+    steps of ``optimize.run_gdm_retraction``, and ``+``, ``-`` and scalar
+    ``*`` (same base only), which trust their operands since tangency is
+    linear.  ``norm`` and ``inner`` use the Frobenius geometry of the
+    ambient matrix.
     """
 
     base: np.ndarray
