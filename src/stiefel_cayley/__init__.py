@@ -46,7 +46,6 @@ from .linalg import (
 )
 from .optimize import (
     BacktrackingConfig,
-    LineSearchStallError,
     RunRecord,
     StoppingConfig,
     run_gdm_cp,
@@ -84,7 +83,6 @@ __all__ = [
     "DimensionError",
     "EigenInstance",
     "FactorizationError",
-    "LineSearchStallError",
     "RankError",
     "RunRecord",
     "SingularMatrixError",

@@ -184,14 +184,22 @@ class Center:
 
     Block actions take the column split ``p`` explicitly because a general
     center does not know it; structured centers check it against ``T``.
+    Only those two constructors build centers: calling ``Center(...)``
+    raises ``TypeError``.
     """
 
     __slots__ = ("n", "s", "t")
 
-    def __init__(self, *, s=None, t=None, n=None):
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "n", n)
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a Center with Center.general or Center.structured")
+
+    @classmethod
+    def _build(cls, s, t, n: int) -> "Center":
+        center = object.__new__(cls)
+        object.__setattr__(center, "s", s)
+        object.__setattr__(center, "t", t)
+        object.__setattr__(center, "n", n)
+        return center
 
     def __setattr__(self, name, value):
         raise AttributeError("Center is immutable")
@@ -205,7 +213,7 @@ class Center:
             raise ValueError("center matrix is not orthogonal")
         s = s.copy()
         s.setflags(write=False)
-        return cls(s=s, n=s.shape[0])
+        return cls._build(s, None, s.shape[0])
 
     @classmethod
     def structured(cls, t, n: int) -> "Center":
@@ -218,7 +226,7 @@ class Center:
             raise ValueError("center block is not orthogonal")
         t = t.copy()
         t.setflags(write=False)
-        return cls(t=t, n=int(n))
+        return cls._build(None, t, int(n))
 
     @property
     def is_structured(self) -> bool:

@@ -1,20 +1,23 @@
 """Gradient descent on the parametrized manifold and its baselines.
 
 Five solvers share one descent loop (:func:`_descend`), one Armijo
-backtracking rule and one three-clause stopping test; they differ only in
-the variable they update and where they anchor it:
+backtracking rule and one three-clause stopping test.  Each solver
+supplies its own trial step at a step size gamma; they differ only in the
+variable that step updates and how:
 
-* :func:`run_gdm_cp` -- descend in the skew parameter space of a center;
-  every iterate is mapped back through the inverse transform, so
-  feasibility holds to roundoff by construction.  A center passed by the
-  caller stays fixed; without one the solver builds its own and rebuilds
-  it whenever the parameter drifts past :data:`RECENTER_B_NORM`.
-* :func:`run_gdm_cp_retraction` -- descend in the tangent space at a fixed
-  anchor frame, stepping through the Cayley retraction and its pulled-back
-  gradient.
+* :func:`run_gdm_cp` -- the variable is a skew parameter at a center and
+  the step is plain vector arithmetic, ``V - gamma G``; every iterate is
+  mapped back through the inverse transform, so feasibility holds to
+  roundoff by construction.  A center passed by the caller stays fixed;
+  without one the solver builds its own and rebuilds it whenever the
+  parameter drifts past :data:`RECENTER_B_NORM`.
+* :func:`run_gdm_cp_retraction` -- the variable is a tangent vector at a
+  fixed anchor frame, again stepped as ``V - gamma G``, and each trial
+  frame comes from the Cayley retraction at the anchor; the gradient is
+  the retraction's pullback.
 * :func:`run_gdm_retraction` -- classic retraction-based steepest descent
-  (QR, polar, or Cayley): the same loop re-anchored at every accepted
-  frame, re-projecting the gradient there.
+  (QR, polar, or Cayley): the variable is the frame itself and the step is
+  ``R_U(-gamma G)`` with the Riemannian gradient ``G`` at ``U``.
 
 Every line-search trial makes one fused call to the cost,
 :meth:`CostFunction.value_and_grad`; the accepted trial's ambient gradient
@@ -26,7 +29,8 @@ Every solver checks its start frame once, on entry: it must have the
 cost's shape and orthonormal columns.  Stopping clauses are checked in a
 fixed order each iteration: iteration budget first, then the
 gradient-norm ratio against the starting gradient, then the relative
-change of the cost value.
+change of the cost value; a line search that finds no sufficient decrease
+ends the run at the last accepted frame.
 """
 
 from __future__ import annotations
@@ -57,7 +61,6 @@ __all__ = [
     "BacktrackingConfig",
     "StoppingConfig",
     "RunRecord",
-    "LineSearchStallError",
     "run_gdm_cp",
     "run_gdm_cp_retraction",
     "run_gdm_retraction",
@@ -159,16 +162,8 @@ class RunRecord:
         self.times.append(float(t))
 
 
-class LineSearchStallError(RuntimeError):
-    """Armijo never fired within the halving budget; carries the last step."""
-
-    def __init__(self, msg: str, gamma: float):
-        super().__init__(msg)
-        self.gamma = gamma
-
-
 def _backtrack_full(
-    eval_step: Callable,
+    step: Callable,
     x,
     g,
     f0: float,
@@ -176,30 +171,26 @@ def _backtrack_full(
     cfg: BacktrackingConfig,
     retry_errors: tuple = (),
 ):
-    """Shared Armijo loop over candidates ``x - gamma_init rho^k g``.
+    """Armijo backtracking over ``gamma = gamma_initial rho^k``, largest first.
 
-    ``eval_step`` maps a candidate point to ``(fval, payload)``; raising one
-    of ``retry_errors`` counts as a failed trial (the step was too large to
-    evaluate at all).  Returns ``(gamma, candidate, fval, payload)`` for the
-    first accepted step, largest first.
+    ``step(x, g, gamma)`` is the solver's trial at step size ``gamma``: it
+    returns ``(fval, candidate, payload)``, and raising one of
+    ``retry_errors`` counts as a failed trial (the step was too large to
+    evaluate at all).  Returns ``(gamma, fval, candidate, payload)`` for the
+    first trial with sufficient decrease, or ``None`` when none of the
+    ``max_halvings + 1`` trials has it.
     """
-    gamma = last_tried = cfg.gamma_initial
+    gamma = cfg.gamma_initial
     for _ in range(cfg.max_halvings + 1):
-        last_tried = gamma
-        cand = x - gamma * g
         try:
-            f_new, payload = eval_step(cand)
+            f_new, cand, payload = step(x, g, gamma)
         except retry_errors:
-            gamma *= cfg.rho
-            continue
-        if f_new <= f0 - cfg.c * gamma * g_norm_sq:
-            return gamma, cand, f_new, payload
+            pass
+        else:
+            if f_new <= f0 - cfg.c * gamma * g_norm_sq:
+                return gamma, f_new, cand, payload
         gamma *= cfg.rho
-    raise LineSearchStallError(
-        f"sufficient decrease not reached within {cfg.max_halvings} halvings "
-        f"(last step tried {last_tried:.3e})",
-        gamma=last_tried,
-    )
+    return None
 
 
 def _check_stop(
@@ -249,18 +240,20 @@ def _descend(
     setup: Callable,
     retry: tuple = (),
 ) -> RunRecord:
-    """The descent loop every solver runs, over an additively updated ``x``.
+    """The descent loop every solver runs.
 
     Checks the start frame (:func:`_check_frame`), fills in the default
     configurations, starts the clock and the record, and calls
-    ``setup(u0, record)``, which returns ``(x0, g0, f0, eval_step, reanchor)``:
+    ``setup(u0, record)``, which returns ``(x0, g0, f0, step, reanchor)``:
 
     * ``x0`` is the start variable, ``g0`` its gradient in the descent
       geometry and ``f0`` the cost at ``u0``;
-    * ``eval_step(cand)`` returns ``(fval, payload)`` for a line-search
-      candidate, with one fused call to the cost
-      (:meth:`CostFunction.value_and_grad`) whose ambient gradient goes
-      into the payload; raising one of ``retry`` counts as a failed trial;
+    * ``step(x, g, gamma)`` is the line-search trial at step size
+      ``gamma`` (see :func:`_backtrack_full`): it forms the candidate
+      variable, makes one fused call to the cost
+      (:meth:`CostFunction.value_and_grad`) at the candidate's frame and
+      returns ``(fval, candidate, payload)``, with the ambient gradient in
+      the payload; raising one of ``retry`` counts as a failed trial;
     * ``reanchor(n, x, payload)`` runs after each accepted step ``n`` and
       returns ``(x, u, g)``: the variable to continue from (it may
       re-express the same frame in new coordinates), the frame, and the
@@ -272,7 +265,7 @@ def _descend(
     u = _check_frame(f, u0, "start frame")
     t0 = time.perf_counter()
     record = RunRecord()
-    x, g, f_cur, eval_step, reanchor = setup(u, record)
+    x, g, f_cur, step, reanchor = setup(u, record)
     f_cur = float(f_cur)
     d0 = g_norm = g.norm()
     record.append(0, f_cur, d0, linalg.feasibility(u), time.perf_counter() - t0)
@@ -287,13 +280,11 @@ def _descend(
         if reason is not None:
             record.stop_reason = reason
             break
-        try:
-            _, x, f_new, payload = _backtrack_full(
-                eval_step, x, g, f_cur, g_norm**2, bt, retry_errors=retry
-            )
-        except LineSearchStallError:
+        accepted = _backtrack_full(step, x, g, f_cur, g_norm**2, bt, retry_errors=retry)
+        if accepted is None:
             record.stop_reason = STOP_STALL
             break
+        _, f_new, x, payload = accepted
         n += 1
         f_prev, f_cur = f_cur, f_new
         x, u, g = reanchor(n, x, payload)
@@ -339,10 +330,11 @@ def run_gdm_cp(
     def setup(u0: np.ndarray, record: RunRecord):
         s = construct_center(u0) if center is None else center
 
-        def eval_step(v_cand: SkewParam):
+        def step(v: SkewParam, g: SkewParam, gamma: float):
+            v_cand = v - gamma * g
             u_cand, b_norm = inverse(s, v_cand, return_b_norm=True)
             fval, g_euclid = f.value_and_grad(u_cand)
-            return fval, (u_cand, b_norm, g_euclid)
+            return fval, v_cand, (u_cand, b_norm, g_euclid)
 
         def reanchor(n: int, v: SkewParam, payload):
             nonlocal s
@@ -356,7 +348,7 @@ def run_gdm_cp(
         v0 = forward(s, u0)
         f0, g_euclid = f.value_and_grad(u0)
         g0 = pullback_from_euclidean(s, v0, g_euclid, u0)
-        return v0, g0, f0, eval_step, reanchor
+        return v0, g0, f0, step, reanchor
 
     return _descend(f, u0, bt, stop, setup)
 
@@ -389,10 +381,11 @@ def run_gdm_cp_retraction(
     """
     u_anchor = _check_frame(f, u_anchor, "anchor frame")
 
-    def eval_step(v_cand: TangentVector):
+    def step(v: TangentVector, g: TangentVector, gamma: float):
+        v_cand = v - gamma * g
         u_cand, kernel = retract_cayley(u_anchor, v_cand, return_kernel=True)
         fval, g_euclid = f.value_and_grad(u_cand)
-        return fval, (u_cand, g_euclid, kernel)
+        return fval, v_cand, (u_cand, g_euclid, kernel)
 
     def reanchor(n: int, v: TangentVector, payload):
         u, g_euclid, kernel = payload
@@ -401,7 +394,7 @@ def run_gdm_cp_retraction(
     def setup(u0: np.ndarray, record: RunRecord):
         v0 = inverse_retract_cayley(u_anchor, u0)
         g0 = grad_retraction_pullback(u_anchor, v0, f)
-        return v0, g0, f.eval(u0), eval_step, reanchor
+        return v0, g0, f.eval(u0), step, reanchor
 
     return _descend(f, u0, bt, stop, setup, retry=(StepTooLargeError,))
 
@@ -426,10 +419,10 @@ def run_gdm_retraction(
     Each iteration projects the ambient gradient onto the tangent space at
     the current frame and retracts along its negative, with the Armijo test
     ``f(R_U(-gamma D)) <= f(U) - c gamma ||D||_F^2``.  Retraction failures
-    (step too large, rank deficiency) count as failed trials.  This is the
-    common loop re-anchored at every step: the variable is the zero tangent
-    vector at the current frame, and each accepted frame becomes the next
-    anchor.
+    (step too large, rank deficiency) count as failed trials.  The
+    variable of the common loop is the frame itself: each trial is
+    ``R_U(-gamma D)``, and the accepted frame is where the next gradient is
+    projected.
 
     Raises
     ------
@@ -441,24 +434,16 @@ def run_gdm_retraction(
         raise ValueError(f"unknown retraction kind {kind!r}; choose from {sorted(RETRACTION_KINDS)}")
     retraction = RETRACTION_KINDS[kind]
 
-    def eval_step(step: TangentVector):
-        u_cand = retraction(step.base, step)
+    def step(u: np.ndarray, g: TangentVector, gamma: float):
+        u_cand = retraction(u, -gamma * g)
         fval, g_euclid = f.value_and_grad(u_cand)
-        return fval, (u_cand, g_euclid)
+        return fval, u_cand, g_euclid
 
-    def zero_step(g: TangentVector) -> TangentVector:
-        # shares the gradient's base, the one copy of the frame that
-        # project_tangent made
-        return TangentVector._trusted(g.base, np.zeros_like(g.base))
-
-    def reanchor(n: int, step: TangentVector, payload):
-        u, g_euclid = payload
-        g = project_tangent(u, g_euclid)
-        return zero_step(g), u, g
+    def reanchor(n: int, u: np.ndarray, g_euclid: np.ndarray):
+        return u, u, project_tangent(u, g_euclid)
 
     def setup(u0: np.ndarray, record: RunRecord):
         f0 = f.eval(u0)
-        g0 = riemannian_grad(u0, f)
-        return zero_step(g0), g0, f0, eval_step, reanchor
+        return u0, riemannian_grad(u0, f), f0, step, reanchor
 
     return _descend(f, u0, bt, stop, setup, retry=(StepTooLargeError, linalg.RankError))

@@ -63,18 +63,18 @@ class StepTooLargeError(RuntimeError):
         self.cond = cond
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TangentVector:
     """A tangent vector ``mat`` at the feasible frame ``base``.
 
     A caller's construction checks finite 2-D arrays of one shape and the
     tangency identity ``U^T D + D^T U = 0`` (tolerance ``1e-10``, scaled by
     the norm) and stores read-only copies.  Vectors the package builds go
-    through :meth:`_trusted` instead: :func:`project_tangent`, the zero
-    steps of ``optimize.run_gdm_retraction``, and ``+``, ``-`` and scalar
-    ``*`` (same base only), which trust their operands since tangency is
-    linear.  ``norm`` and ``inner`` use the Frobenius geometry of the
-    ambient matrix.
+    through :meth:`_trusted` instead: :func:`project_tangent` and ``+``,
+    ``-`` and scalar ``*`` (same base only), which trust their operands
+    since tangency is linear.  ``norm`` and ``inner`` use the Frobenius
+    geometry of the ambient matrix.  Equality and hashing are by identity,
+    as for :class:`SkewParam`.
     """
 
     base: np.ndarray

@@ -63,6 +63,14 @@ def test_center_validation():
     assert not g.is_structured
 
 
+def test_center_has_no_unchecked_constructor():
+    # an unchecked center such as S = 2I makes inverse return a frame with
+    # defect 3.0, and one without n cannot take a block action
+    for kwargs in (dict(s=2.0 * np.eye(3), n=3), dict(t=np.eye(2), n=5), {}):
+        with pytest.raises(TypeError, match="Center.general or Center.structured"):
+            Center(**kwargs)
+
+
 def test_check_stiefel():
     rng = np.random.default_rng(2)
     u = problems.random_stiefel(rng, 10, 3)

@@ -13,10 +13,10 @@ from stiefel_cayley.optimize import (
     STOP_FVAL_CHANGE,
     STOP_GRAD_RATIO,
     STOP_MAX_ITERS,
+    STOP_STALL,
     STOP_STATIONARY,
     RECENTER_B_NORM,
     BacktrackingConfig,
-    LineSearchStallError,
     RunRecord,
     StoppingConfig,
     _backtrack_full,
@@ -77,34 +77,49 @@ def test_run_record_requires_increasing_iters():
 # ------------------------------------------------------------- backtrack
 
 
+def descent_step(cost):
+    """A line-search step ``x - gamma g`` scored by ``cost``."""
+    def step(x, g, gamma):
+        cand = x - gamma * g
+        return cost(cand), cand, None
+    return step
+
+
 def test_backtrack_quadratic_accepts_initial_step():
     rng = np.random.default_rng(0)
     v = problems.random_skew_param(rng, 6, 2, norm=3.0)
-    gamma, _, _, _ = _backtrack_full(lambda w: (0.5 * w.norm() ** 2, None), v, v,
-                                     0.5 * v.norm() ** 2, v.norm() ** 2,
-                                     BacktrackingConfig())
+    gamma, fval, cand, _ = _backtrack_full(descent_step(lambda w: 0.5 * w.norm() ** 2), v, v,
+                                           0.5 * v.norm() ** 2, v.norm() ** 2,
+                                           BacktrackingConfig())
     assert gamma == 0.1
+    assert fval == 0.5 * cand.norm() ** 2
 
 
 def test_backtrack_shrinks_into_descent_range():
     # cost rises along the ray except for steps below ~1.2e-4, so the
     # first accepted candidate is 0.1 * 0.5^10
     v = SkewParam(np.zeros((1, 1)), np.ones((1, 1)))
+    tried = []
 
-    def eval_step(w):
+    def cost(w):
         step = 1.0 - float(w.b[0, 0])
         if step == 0.0:
-            return 0.0, None
-        return (-step if step <= 1.2e-4 else step), None
+            return 0.0
+        return -step if step <= 1.2e-4 else step
 
-    def accepted_step(cfg):
-        return _backtrack_full(eval_step, v, v, 0.0, v.norm() ** 2, cfg)[0]
+    scored = descent_step(cost)
 
-    assert accepted_step(BacktrackingConfig()) == 0.1 * 0.5**10
+    def step(x, g, gamma):
+        tried.append(gamma)
+        return scored(x, g, gamma)
 
-    with pytest.raises(LineSearchStallError) as exc:
-        accepted_step(BacktrackingConfig(max_halvings=9))
-    assert exc.value.gamma == 0.1 * 0.5**9
+    def line_search(cfg):
+        tried.clear()
+        return _backtrack_full(step, v, v, 0.0, v.norm() ** 2, cfg)
+
+    assert line_search(BacktrackingConfig())[0] == 0.1 * 0.5**10
+    assert line_search(BacktrackingConfig(max_halvings=9)) is None
+    assert tried == [0.1 * 0.5**k for k in range(10)]
 
 
 # -------------------------------------------------------------- cp solver
@@ -332,6 +347,21 @@ def test_every_solver_rejects_non_finite_gradient(solver, good_calls):
     assert len(calls) >= good_calls + 1
 
 
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_every_solver_stops_on_stall_at_last_accepted_frame(solver):
+    # With the gradient's sign flipped, small steps go uphill, so the short
+    # halving budget soon runs out: the run ends on the stall clause and
+    # keeps the last frame it accepted.
+    plain = problems.eigen_cost(problems.make_eigen_instance(30, 3, seed=1))
+    f = CostFunction(dim_n=30, dim_p=3, eval=plain.eval, grad=lambda u: -plain.grad(u))
+    u0 = problems.random_stiefel(np.random.default_rng(1), 30, 3)
+    rec = SOLVERS[solver](f, u0, bt=BacktrackingConfig(gamma_initial=0.1, max_halvings=3))
+    assert rec.stop_reason == STOP_STALL
+    assert_monotone(rec)
+    assert max(rec.feasibilities) <= 1e-12
+    assert f.eval(rec.final_u) == rec.fvals[-1]
+
+
 @pytest.mark.parametrize("fused", [True, False], ids=["eval_grad", "no-eval_grad"])
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
 def test_one_cost_call_per_trial_and_none_after_acceptance(monkeypatch, solver, fused):
@@ -351,18 +381,18 @@ def test_one_cost_call_per_trial_and_none_after_acceptance(monkeypatch, solver, 
     backtrack = optimize._backtrack_full
     setup_calls = []
 
-    def counting_backtrack(eval_step, *args, **kwargs):
-        def step(cand):
+    def counting_backtrack(step, *args, **kwargs):
+        def counted_step(*step_args):
             if not trials:
                 setup_calls.extend(calls)
                 calls.clear()
             start = len(calls)
             try:
-                return eval_step(cand)
+                return step(*step_args)
             finally:
                 trials.append(calls[start:])
                 del calls[start:]
-        return backtrack(step, *args, **kwargs)
+        return backtrack(counted_step, *args, **kwargs)
 
     monkeypatch.setattr(optimize, "_backtrack_full", counting_backtrack)
     u0 = problems.random_stiefel(np.random.default_rng(3), 50, 4)

@@ -74,6 +74,18 @@ def test_tangent_vector_arithmetic_and_immutability():
         d1.mat[0, 0] = 5.0
 
 
+def test_tangent_vector_equality_and_hash_are_by_identity():
+    # comparing by the arrays has no truth value, and read-only arrays
+    # have no hash
+    rng = np.random.default_rng(0)
+    u = problems.random_stiefel(rng, 6, 2)
+    d = random_tangent(rng, u)
+    copy = TangentVector(u, d.mat)
+    assert d == d and d != copy
+    assert len({d, copy, d}) == 2
+    assert hash(d) == hash(d)
+
+
 def test_tangent_difference_of_large_vectors():
     # roundoff in (x + e) - x scales with ||x||, not with the small result
     rng = np.random.default_rng(3)
