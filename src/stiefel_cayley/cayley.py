@@ -19,6 +19,7 @@ non-finite input can reach it, then the unchecked constructor ``_trusted``.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -69,15 +70,17 @@ def _frozen(obj, **arrays):
     return obj
 
 
-def check_stiefel(u, tol: float = FEASIBILITY_TOL) -> np.ndarray:
-    """Validate that ``u`` is an N-by-p frame with orthonormal columns."""
+def check_stiefel(u) -> np.ndarray:
+    """Validate that ``u`` is an N-by-p frame with orthonormal columns, to
+    within :data:`FEASIBILITY_TOL`."""
     u = linalg.as_matrix(u, "frame")
     n, p = u.shape
     if p > n:
         raise DimensionError(f"frame must be tall, got shape {u.shape}")
     defect = linalg.feasibility(u)
-    if defect > tol:
-        raise ValueError(f"frame is not orthonormal: defect {defect:.3e} > {tol:.1e}")
+    if defect > FEASIBILITY_TOL:
+        raise ValueError(
+            f"frame is not orthonormal: defect {defect:.3e} > {FEASIBILITY_TOL:.1e}")
     return u
 
 
@@ -218,6 +221,7 @@ class Center:
     @classmethod
     def structured(cls, t, n: int) -> "Center":
         t = linalg.as_matrix(t, "center block")
+        n = operator.index(n)
         if t.shape[0] != t.shape[1]:
             raise DimensionError(f"center block must be square, got {t.shape}")
         if t.shape[0] > n:
@@ -226,7 +230,7 @@ class Center:
             raise ValueError("center block is not orthogonal")
         t = t.copy()
         t.setflags(write=False)
-        return cls._build(None, t, int(n))
+        return cls._build(None, t, n)
 
     @property
     def is_structured(self) -> bool:

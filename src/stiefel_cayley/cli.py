@@ -31,7 +31,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -90,8 +90,6 @@ class ExperimentConfig:
     variance_draws: int
 
     def __post_init__(self):
-        if self.experiment not in _EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.experiment!r}")
         if not (self.n > self.p >= 1):
             raise ValueError(f"need n > p >= 1, got n={self.n}, p={self.p}")
         if self.experiment == "singular" and self.p < 2:
@@ -222,19 +220,25 @@ def _check_outputs(cfg: ExperimentConfig) -> None:
 # CSV plumbing
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+def _fmt(value: object) -> str:
+    """The one text form of a CSV cell or provenance value: a float to 17
+    significant digits, a tuple comma-joined, anything else as ``str``."""
+    if isinstance(value, tuple):
+        return ",".join(map(_fmt, value))
+    return f"{float(value):.17g}" if isinstance(value, float) else str(value)
 
 
-def _write_csv(path: str, provenance: Sequence[Tuple[str, object]],
-               header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
+def _write_csv(cfg: ExperimentConfig, path: str, keys: Sequence[str],
+               extra: Sequence[Tuple[str, object]], header: Sequence[str],
+               rows: Iterable[Iterable[object]]) -> None:
+    """Write the provenance lines (the schema, the command, the settings
+    ``keys`` names, then the ``extra`` pairs), the header row and ``rows``."""
+    provenance = [("schema", SCHEMA_VERSION), ("command", cfg.experiment),
+                  *((key, getattr(cfg, key)) for key in keys), *extra]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# schema={SCHEMA_VERSION}\n")
-        for key, value in provenance:
-            fh.write(f"# {key}={value}\n")
+        fh.writelines(f"# {key}={_fmt(value)}\n" for key, value in provenance)
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(cell) for cell in row) + "\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def _history_path(out: str) -> str:
@@ -261,45 +265,6 @@ def _run_tasks(tasks: Sequence[Tuple[tuple, Callable[[], object]]]) -> Dict[tupl
         return {key: fut.result() for key, fut in futures}
 
 
-def _final_metrics(rec: RunRecord, optimum: float) -> Tuple[float, ...]:
-    return (
-        rec.fvals[-1],
-        rec.fvals[-1] - optimum,
-        rec.feasibilities[-1],
-        rec.grad_norms[-1],
-        float(rec.iters[-1]),
-        rec.times[-1],
-    )
-
-
-def _group_rows(summary: List[List[str]], history: List[List[str]],
-                summary_prefix: List[str], history_prefix: List[str],
-                records: Sequence[RunRecord], optimum: float) -> None:
-    """Append one solver/stepsize group's rows: a summary row per trial
-    (then mean/std rows for two or more trials) and every history row."""
-    block: List[Tuple[float, ...]] = []
-    for t, rec in enumerate(records):
-        metrics = _final_metrics(rec, optimum)
-        block.append(metrics)
-        summary.append([*summary_prefix, str(t), *(_fmt(x) for x in metrics[:4]),
-                        str(rec.iters[-1]), _fmt(metrics[5]), rec.stop_reason])
-        for it, t_s, fval in zip(rec.iters, rec.times, rec.fvals):
-            history.append([*history_prefix, str(t), str(it), _fmt(t_s), _fmt(fval - optimum)])
-    if len(records) > 1:
-        summary.extend(_aggregate_rows(summary_prefix, block))
-
-
-def _aggregate_rows(prefix: List[str], metrics: List[Tuple[float, ...]]) -> List[List[str]]:
-    """mean/std rows over the trial axis (only meaningful for >= 2 trials)."""
-    arr = np.asarray(metrics, dtype=np.float64)
-    mean = arr.mean(axis=0)
-    std = arr.std(axis=0, ddof=1)
-    return [
-        [*prefix, "mean", *(_fmt(x) for x in mean), ""],
-        [*prefix, "std", *(_fmt(x) for x in std), ""],
-    ]
-
-
 def _trial_start_frames(cfg: ExperimentConfig, first: Optional[np.ndarray] = None) -> List[np.ndarray]:
     """One start frame per trial, shared across algorithms and stepsizes.
 
@@ -319,13 +284,24 @@ def _trial_start_frames(cfg: ExperimentConfig, first: Optional[np.ndarray] = Non
 # eigen and singular: solver races
 
 
-def _race(cfg: ExperimentConfig, groups: Sequence[Tuple[List[str], Callable[..., RunRecord]]],
-          starts: Sequence[np.ndarray], optimum: float, summary_header: Sequence[str],
-          history_header: Sequence[str], extra: Sequence[Tuple[str, object]]) -> int:
+SUMMARY_HEADER = ("algorithm", "n", "p", "gamma_initial", "trial", "fval",
+                  "fval_minus_optimal", "feasi", "nrmg", "itr", "time_s", "stop_reason")
+HISTORY_HEADER = ("algorithm", "gamma_initial", "trial", "iter", "cum_time_s", "f_gap")
+SINGULAR_HEADER = ("algorithm", "theta", *SUMMARY_HEADER[1:])
+
+#: The settings every race records, ahead of its experiment's ``extra`` lines.
+_RACE_KEYS = ("n", "p", "trials", "seed", "gammas", "grad_ratio_tol", "fval_rel_tol")
+
+
+def _race(cfg: ExperimentConfig, columns: Sequence[str],
+          groups: Sequence[Tuple[Sequence[object], Callable[..., RunRecord]]],
+          starts: Sequence[np.ndarray], optimum: float,
+          extra: Sequence[Tuple[str, object]]) -> int:
     """Race each group's solver from every trial's start at every stepsize
-    and write the summary and history CSVs.  A group is its leading CSV
-    cells and a solver called as ``solve(u0, bt=bt, stop=stop)``; the
-    ``extra`` provenance lines follow the ones every race writes."""
+    and write the summary and history CSVs.  A group is its values of the
+    leading ``columns`` (``algorithm`` first) and a solver called as
+    ``solve(u0, bt=bt, stop=stop)``; the ``extra`` provenance pairs follow
+    :data:`_RACE_KEYS`.  Two or more trials add mean and std summary rows."""
     stop = cfg.stopping()
     tasks = []
     for g, (_, solve) in enumerate(groups):
@@ -335,20 +311,25 @@ def _race(cfg: ExperimentConfig, groups: Sequence[Tuple[List[str], Callable[...,
                 tasks.append(((g, gi, t), functools.partial(solve, starts[t], bt=bt, stop=stop)))
     records = _run_tasks(tasks)
 
-    summary: List[List[str]] = []
-    history: List[List[str]] = []
+    summary: List[List[object]] = []
+    history: List[List[object]] = []
     for g, (cells, _) in enumerate(groups):
         for gi, gamma in enumerate(cfg.gammas):
-            _group_rows(summary, history, [*cells, str(cfg.n), str(cfg.p), _fmt(gamma)],
-                        [*cells, _fmt(gamma)],
-                        [records[(g, gi, t)] for t in range(cfg.trials)], optimum)
+            runs = [records[(g, gi, t)] for t in range(cfg.trials)]
+            # One row per trial; itr is a float here, and .17g prints it as an integer.
+            finals = np.array([(r.fvals[-1], r.fvals[-1] - optimum, r.feasibilities[-1],
+                                r.grad_norms[-1], r.iters[-1], r.times[-1]) for r in runs])
+            lead = [*cells, cfg.n, cfg.p, gamma]
+            summary += [[*lead, t, *finals[t], r.stop_reason] for t, r in enumerate(runs)]
+            if cfg.trials > 1:
+                summary += [[*lead, "mean", *finals.mean(axis=0), ""],
+                            [*lead, "std", *finals.std(axis=0, ddof=1), ""]]
+            history += [[*cells, gamma, t, it, t_s, fval - optimum] for t, r in enumerate(runs)
+                        for it, t_s, fval in zip(r.iters, r.times, r.fvals)]
 
-    provenance = [
-        ("command", cfg.experiment), ("n", cfg.n), ("p", cfg.p), ("trials", cfg.trials),
-        ("seed", cfg.seed), ("gammas", ",".join(_fmt(g) for g in cfg.gammas)), *extra,
-    ]
-    _write_csv(cfg.out, provenance, summary_header, summary)
-    _write_csv(_history_path(cfg.out), provenance, history_header, history)
+    _write_csv(cfg, cfg.out, _RACE_KEYS, extra, (*columns, *SUMMARY_HEADER[1:]), summary)
+    _write_csv(cfg, _history_path(cfg.out), _RACE_KEYS, extra,
+               (*columns, *HISTORY_HEADER[1:]), history)
     print(f"{cfg.experiment}: wrote {len(summary)} summary rows to {cfg.out} "
           f"and {len(history)} history rows to {_history_path(cfg.out)}")
     return EXIT_OK
@@ -363,26 +344,14 @@ def _dispatch_solver(algo: str, f: CostFunction, u0: np.ndarray,
     return run_gdm_retraction(f, u0, algo.removeprefix("gdm-"), bt=bt, stop=stop)
 
 
-SUMMARY_HEADER = ("algorithm", "n", "p", "gamma_initial", "trial", "fval",
-                  "fval_minus_optimal", "feasi", "nrmg", "itr", "time_s", "stop_reason")
-HISTORY_HEADER = ("algorithm", "gamma_initial", "trial", "iter", "cum_time_s", "f_gap")
-
-
 def cmd_eigen(cfg: ExperimentConfig) -> int:
     """Benchmark every requested solver/stepsize on one eigen instance."""
     inst = problems.make_eigen_instance(cfg.n, cfg.p, cfg.seed)
     f = problems.eigen_cost(inst)
-    groups = [([algo], functools.partial(_dispatch_solver, algo, f)) for algo in cfg.algorithms]
-    return _race(cfg, groups, _trial_start_frames(cfg), inst.optimum_value,
-                 SUMMARY_HEADER, HISTORY_HEADER,
-                 [("algorithms", ",".join(cfg.algorithms)), ("max_iters", cfg.max_iters),
-                  ("optimum", _fmt(inst.optimum_value))])
-
-
-SINGULAR_HEADER = ("algorithm", "theta", "n", "p", "gamma_initial", "trial", "fval",
-                   "fval_minus_optimal", "feasi", "nrmg", "itr", "time_s", "stop_reason")
-SINGULAR_HISTORY_HEADER = ("algorithm", "theta", "gamma_initial", "trial", "iter",
-                           "cum_time_s", "f_gap")
+    groups = [((algo,), functools.partial(_dispatch_solver, algo, f)) for algo in cfg.algorithms]
+    return _race(cfg, ("algorithm",), groups, _trial_start_frames(cfg), inst.optimum_value,
+                 [("algorithms", cfg.algorithms), ("max_iters", cfg.max_iters),
+                  ("optimum", inst.optimum_value)])
 
 
 def cmd_singular(cfg: ExperimentConfig) -> int:
@@ -392,12 +361,11 @@ def cmd_singular(cfg: ExperimentConfig) -> int:
     f = problems.distance_cost(u_star)
     _, u0_canonical = problems.rotation_center(math.pi / 4.0, cfg.n, cfg.p)
     centers = [problems.rotation_center(theta, cfg.n, cfg.p)[0] for theta in SINGULAR_THETAS]
-    groups = [(["gdm-cp", _fmt(theta)], functools.partial(run_gdm_cp, f, center=center))
+    groups = [(("gdm-cp", theta), functools.partial(run_gdm_cp, f, center=center))
               for theta, center in zip(SINGULAR_THETAS, centers)]
-    return _race(cfg, groups, _trial_start_frames(cfg, first=u0_canonical), 0.0,
-                 SINGULAR_HEADER, SINGULAR_HISTORY_HEADER,
-                 [("thetas", ",".join(_fmt(th) for th in SINGULAR_THETAS)),
-                  ("max_iters", cfg.max_iters)])
+    return _race(cfg, ("algorithm", "theta"), groups,
+                 _trial_start_frames(cfg, first=u0_canonical), 0.0,
+                 [("thetas", SINGULAR_THETAS), ("max_iters", cfg.max_iters)])
 
 
 # --------------------------------------------------------------------------
@@ -446,10 +414,8 @@ def cmd_mobility(cfg: ExperimentConfig) -> int:
     changes = np.mean([results[(t,)][0] for t in range(cfg.trials)], axis=0)
     rates = np.mean([results[(t,)][1] for t in range(cfg.trials)], axis=0)
 
-    rows = [[_fmt(grid[i]), _fmt(changes[i]), _fmt(rates[i])] for i in range(grid.size)]
-    provenance = [("command", "mobility"), ("n", cfg.n), ("p", cfg.p),
-                  ("trials", cfg.trials), ("seed", cfg.seed), ("points", cfg.points)]
-    _write_csv(cfg.out, provenance, MOBILITY_HEADER, rows)
+    rows = np.column_stack((grid, changes, rates))
+    _write_csv(cfg, cfg.out, ("n", "p", "trials", "seed", "points"), (), MOBILITY_HEADER, rows)
     print(f"mobility: wrote {len(rows)} rows to {cfg.out}")
     return EXIT_OK
 
@@ -514,22 +480,20 @@ def cmd_gradcheck(cfg: ExperimentConfig) -> int:
 
     engines = [("parameter-space", _check_parameter_engine),
                ("retraction-pullback", _check_retraction_engine)]
-    rows: List[List[str]] = []
+    rows: List[List[object]] = []
     all_ok = True
     for cost_name, f in costs:
         for engine_name, check in engines:
             worst = check(f, cfg)
             ok = worst <= GRADCHECK_RTOL
             all_ok = all_ok and ok
-            rows.append([cost_name, engine_name, str(cfg.trials), str(cfg.directions),
-                         _fmt(worst), _fmt(GRADCHECK_RTOL), "pass" if ok else "FAIL"])
+            rows.append([cost_name, engine_name, cfg.trials, cfg.directions, worst,
+                         GRADCHECK_RTOL, "pass" if ok else "FAIL"])
             print(f"gradcheck {cost_name}/{engine_name}: worst rel err {worst:.3e} "
                   f"(tol {GRADCHECK_RTOL:g}) -> {'pass' if ok else 'FAIL'}")
 
-    provenance = [("command", "gradcheck"), ("n", cfg.n), ("p", cfg.p),
-                  ("trials", cfg.trials), ("seed", cfg.seed),
-                  ("directions", cfg.directions), ("fd_step", _fmt(cfg.fd_step))]
-    _write_csv(cfg.out, provenance, GRADCHECK_HEADER, rows)
+    _write_csv(cfg, cfg.out, ("n", "p", "trials", "seed", "directions", "fd_step"), (),
+               GRADCHECK_HEADER, rows)
     print(f"gradcheck: wrote {len(rows)} rows to {cfg.out}")
     return EXIT_OK if all_ok else EXIT_NUMERICAL
 
@@ -553,11 +517,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> int:
         family=family, variance_draws=cfg.variance_draws, seed=cfg.seed)
 
     row = report.to_row()
-    _write_csv(cfg.out,
-               [("command", "bounds"), ("n", cfg.n), ("p", cfg.p), ("seed", cfg.seed),
-                ("sigma", _fmt(cfg.sigma))],
-               tuple(row.keys()),
-               [[_fmt(v) if isinstance(v, float) else str(v) for v in row.values()]])
+    _write_csv(cfg, cfg.out, ("n", "p", "seed", "sigma"), (), tuple(row), [row.values()])
     print(f"bounds: lipschitz worst ratio {report.lipschitz_worst_ratio:.3f} "
           f"({report.lipschitz_violations} violations), "
           f"norm worst ratio {report.norm_worst_ratio:.3f} "

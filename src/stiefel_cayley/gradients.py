@@ -158,6 +158,11 @@ def _random_param(rng: np.random.Generator, n: int, p: int, scale: float) -> Ske
     return v if nrm == 0.0 else (scale / nrm) * v
 
 
+#: :func:`check_gradient_bounds` draws each parameter with a norm uniform
+#: in ``[0, BOUND_PARAM_SCALE]``.
+BOUND_PARAM_SCALE = 10.0
+
+
 def check_gradient_bounds(
     f: CostFunction,
     center: Center,
@@ -168,17 +173,17 @@ def check_gradient_bounds(
     grad_norm_max: float,
     family=None,
     variance_draws: int = 10_000,
-    param_scale: float = 10.0,
     seed: int = 0,
 ) -> BoundReport:
     """Sample-check the bounds the pullback inherits from the ambient cost.
 
-    Over ``samples`` random parameter pairs with norms up to ``param_scale``
-    verifies the Lipschitz bound ``4 (mu + L)`` and the norm bound
-    ``2 max ||grad f||_F``; when a stochastic ``family`` is supplied (an
-    object with ``sigma``, ``mean_cost`` and ``draw(k)``), additionally
-    estimates the pulled-back gradient variance over ``variance_draws``
-    draws against the limit ``4 sigma^2`` plus three standard errors.
+    Over ``samples`` random parameter pairs with norms up to
+    :data:`BOUND_PARAM_SCALE`, verifies the Lipschitz bound ``4 (mu + L)``
+    and the norm bound ``2 max ||grad f||_F``.  When a stochastic
+    ``family`` is supplied (an object with ``sigma``, ``mean_cost`` and
+    ``draw(k)``), also estimates the pulled-back gradient variance over
+    ``variance_draws`` draws against the limit ``4 sigma^2`` plus three
+    standard errors.
 
     ``mu`` (spectral-norm bound on the ambient gradient over the manifold),
     ``lipschitz`` (Lipschitz constant of the ambient gradient) and
@@ -203,8 +208,8 @@ def check_gradient_bounds(
     norm_worst = 0.0
     norm_bad = 0
     for _ in range(samples):
-        scale1 = param_scale * float(rng.uniform(0.0, 1.0))
-        scale2 = param_scale * float(rng.uniform(0.0, 1.0))
+        scale1 = BOUND_PARAM_SCALE * float(rng.uniform(0.0, 1.0))
+        scale2 = BOUND_PARAM_SCALE * float(rng.uniform(0.0, 1.0))
         v1 = _random_param(rng, n, p, scale1)
         v2 = _random_param(rng, n, p, scale2)
         g1 = grad_pullback(center, v1, f)

@@ -59,6 +59,9 @@ def test_center_validation():
         Center.structured(np.array([[2.0]]), 5)
     c = Center.structured(np.array([[-1.0]]), 4)
     assert c.is_structured and c.n == 4
+    with pytest.raises(TypeError):
+        Center.structured(np.eye(2), 4.9)  # a size is an integer, never truncated
+    assert Center.structured(np.eye(2), np.int64(4)).n == 4
     g = Center.general(np.eye(3))
     assert not g.is_structured
 

@@ -215,7 +215,8 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
 
 #: Each experiment at a tiny size, and every file it writes (by suffix of
 #: the --out stem) with its provenance keys in order and its header row.
-RACE_KEYS = ["schema", "command", "n", "p", "trials", "seed", "gammas"]
+RACE_KEYS = ["schema", "command", "n", "p", "trials", "seed", "gammas", "grad_ratio_tol",
+             "fval_rel_tol"]
 CSV_CONTRACTS = {
     "eigen": (["--n", "6", "--p", "2", "--trials", "1", "--gamma", "0.1",
                "--algo", "gdm-cp", "--max-iters", "5"], {
@@ -259,6 +260,21 @@ def test_csv_contract(tmp_path, experiment):
         assert list(provenance) == keys, suffix
         assert provenance["command"] == experiment
         assert ",".join(written) == header, suffix
+
+
+@pytest.mark.parametrize("experiment", CSV_CONTRACTS)
+def test_deterministic_modulo_time(tmp_path, experiment):
+    args, files = CSV_CONTRACTS[experiment]
+    runs = []
+    for name in ("a", "b"):
+        assert cli.main([experiment, *args, "--out", str(tmp_path / f"{name}.csv")]) == 0
+        run = []
+        for suffix in files:
+            provenance, header, rows = read_csv(tmp_path / f"{name}{suffix}.csv")
+            drop = [i for i, h in enumerate(header) if h in ("time_s", "cum_time_s")]
+            run.append((provenance, [[c for i, c in enumerate(r) if i not in drop] for r in rows]))
+        runs.append(run)
+    assert runs[0] == runs[1]
 
 
 def test_readme_flag_table_matches_parsers():
@@ -312,23 +328,6 @@ def test_eigen_row_shape(tmp_path):
     assert iters[0] == 0  # every run's history starts at the initial point
     # four runs -> four zero rows
     assert sum(1 for i in iters if i == 0) == 4
-
-
-def test_eigen_deterministic_modulo_time(tmp_path):
-    outs = []
-    for name in ("a.csv", "b.csv"):
-        out = tmp_path / name
-        assert cli.main(EIGEN_ARGS + ["--out", str(out)]) == 0
-        outs.append(out)
-
-    for suffix in ("", "_history"):
-        pair = []
-        for out in outs:
-            path = out.with_name(out.stem + suffix + ".csv")
-            provenance, header, rows = read_csv(path)
-            drop = [i for i, h in enumerate(header) if h in ("time_s", "cum_time_s")]
-            pair.append([[c for i, c in enumerate(r) if i not in drop] for r in rows])
-        assert pair[0] == pair[1]
 
 
 def test_eigen_converges_on_small_instance(tmp_path):

@@ -362,6 +362,39 @@ def test_every_solver_stops_on_stall_at_last_accepted_frame(solver):
     assert f.eval(rec.final_u) == rec.fvals[-1]
 
 
+@pytest.mark.parametrize("solver", ["gdm-cayley", "gdm-cp-retraction"])
+def test_line_search_retries_after_step_too_large(monkeypatch, solver):
+    # A first trial step of 1e8 is far past what the Cayley kernel accepts,
+    # so the line search must treat its StepTooLargeError as a failed trial
+    # and keep halving instead of ending the run.
+    f = problems.eigen_cost(problems.make_eigen_instance(30, 3, seed=1))
+    u0 = problems.random_stiefel(np.random.default_rng(1), 30, 3)
+    kernel, refused = retractions._cayley_kernel, []
+
+    def counting_kernel(u, dmat):
+        try:
+            return kernel(u, dmat)
+        except retractions.StepTooLargeError:
+            refused.append(1)
+            raise
+
+    monkeypatch.setattr(retractions, "_cayley_kernel", counting_kernel)
+    rec = SOLVERS[solver](f, u0, bt=BacktrackingConfig(gamma_initial=1e8),
+                          stop=StoppingConfig(max_iters=20))
+    assert refused
+    assert rec.stop_reason == STOP_MAX_ITERS
+    assert_monotone(rec)
+    assert max(rec.feasibilities) <= 1e-12
+
+
+def test_check_stop_at_zero_cost():
+    # At f = 0 the relative change is undefined: the clause fires only when
+    # f is unchanged.
+    stop = StoppingConfig()
+    assert optimize._check_stop(1, 1.0, 1.0, 0.0, 0.0, stop) == STOP_FVAL_CHANGE
+    assert optimize._check_stop(1, 1.0, 1.0, 0.0, 1e-3, stop) is None
+
+
 @pytest.mark.parametrize("fused", [True, False], ids=["eval_grad", "no-eval_grad"])
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
 def test_one_cost_call_per_trial_and_none_after_acceptance(monkeypatch, solver, fused):
