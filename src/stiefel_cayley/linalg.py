@@ -110,6 +110,11 @@ def qr_orthonormalize(x) -> np.ndarray:
 
     The R-factor diagonal is sign-fixed to be nonnegative, so the result is
     a deterministic function of ``x`` (up to the LAPACK build in use).
+    Householder QR is backward stable for any full-rank ``x``; its one
+    caller in the package is ``problems.random_stiefel``, whose input is an
+    arbitrary Gaussian matrix.  The QR and polar retractions, whose input
+    ``U + D`` has no singular value below 1, use the cheaper Cholesky QR of
+    ``retractions._gram_qr`` instead.
 
     Raises
     ------
@@ -134,6 +139,8 @@ def polar_factor(x) -> np.ndarray:
     """Orthonormal polar factor ``x (x^T x)^{-1/2}``, computed as ``u @ vt``.
 
     This is the nearest matrix with orthonormal columns in Frobenius norm.
+    ``retractions.retract_polar`` applies it to the p-by-p R factor of
+    ``U + D``, since ``polar(Q R) = Q polar(R)``.
 
     Raises
     ------

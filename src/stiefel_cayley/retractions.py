@@ -6,6 +6,16 @@ Cayley retraction, the linear bridge between tangent vectors and the skew
 parameter space, and the gradient of a cost composed with the Cayley
 retraction.
 
+The QR and polar retractions share one O(Np^2) kernel, :func:`_gram_qr`:
+Cholesky QR applied twice to ``X = U + D``.  Its N-row work is two Gram
+products and two products with a p-by-p inverse; every factorization is
+p-by-p (Cholesky, and for the polar factor the SVD of ``R``).  Two passes
+are accurate here because ``X^T X = I + D^T D`` for a tangent step, so the
+smallest singular value of ``X`` is at least 1 and ``cond(X)`` is at most
+``sqrt(1 + ||D||_2^2)``.  A step too large for the Gram matrix to carry
+raises :class:`linalg.RankError`, which line searches treat like
+:class:`StepTooLargeError`.
+
 The Cayley retraction and its gradient share one O(Np^2) kernel,
 :func:`_cayley_kernel`: the low-rank (Sherman-Morrison-Woodbury) form of
 ``(I + W)^{-1}``, whose 2p-by-2p matrix is built from p-by-p Gram blocks
@@ -25,7 +35,7 @@ of order N p^2 in all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -170,14 +180,102 @@ def riemannian_grad(u: np.ndarray, f: CostFunction) -> TangentVector:
     return project_tangent(u, f.grad(np.asarray(u, dtype=np.float64)))
 
 
+def _gram_qr(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``X = Q R`` by Cholesky QR applied twice (CholeskyQR2).
+
+    Pass 1 factors the Gram matrix ``X^T X = R1^T R1`` and forms
+    ``Q1 = X R1^{-1}``; pass 2 does the same on ``Q1``, so
+    ``Q = Q1 R2^{-1}`` and ``R = R2 R1``.  ``R`` has a positive diagonal,
+    the sign convention of :func:`linalg.qr_orthonormalize`.  Cost: two Gram
+    products and two N-row products with a p-by-p inverse, plus p-by-p
+    Cholesky factors and inverses.
+
+    One pass leaves ``||Q1^T Q1 - I||`` of order ``eps cond(X)^2``; while
+    that is below 1, ``Q1`` is well conditioned and the second pass makes
+    ``Q`` orthonormal to roundoff (Yamamoto, Nakatsukasa, Yanagisawa and
+    Fukaya 2015).  For ``X = U + D`` with a tangent ``D``, ``cond(X)`` is at
+    most ``sqrt(1 + ||D||_2^2)``.  For steps beyond about ``1e8`` the
+    rounded Gram matrix need not be positive definite; Cholesky then fails.
+
+    Raises
+    ------
+    ValueError
+        If ``X`` contains NaN or Inf.
+    linalg.DimensionError
+        If ``X`` has fewer rows than columns.
+    linalg.RankError
+        If a Gram matrix is not finite (overflow, ``||X||`` beyond about
+        ``1e154``), a Cholesky factorization fails, or the smallest
+        ``|R_ii|`` falls below ``1e-12 ||X||_F`` (the bar of
+        :func:`linalg.qr_orthonormalize`).
+    """
+    n, p = x.shape
+    if n < p:
+        raise linalg.DimensionError(f"need rows >= cols for a column frame, got {x.shape}")
+    gram = x.T @ x
+    r1 = _cholesky_r(gram, x)
+    q1 = x @ np.linalg.inv(r1)
+    r2 = _cholesky_r(q1.T @ q1, x)
+    q, r = q1 @ np.linalg.inv(r2), r2 @ r1
+    r_min = float(np.min(np.diagonal(r)))
+    if r_min < 1e-12 * float(np.sqrt(np.trace(gram))):  # trace(X^T X) = ||X||_F^2
+        raise linalg.RankError(f"numerically rank-deficient input: min |R_ii| = {r_min:.3e}")
+    return q, r
+
+
+def _cholesky_r(gram: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The upper Cholesky factor ``R`` of ``gram = R^T R``, a Gram matrix
+    in :func:`_gram_qr` on ``x``, raising that function's errors."""
+    # a NaN or Inf in a column of x reaches that column's diagonal entry
+    if not np.isfinite(gram).all():
+        linalg.as_matrix(x, "retraction input")
+        raise linalg.RankError("Gram matrix is not finite: the step is too large")
+    try:
+        return np.linalg.cholesky(gram).T
+    except np.linalg.LinAlgError as exc:
+        raise linalg.RankError(f"Cholesky QR failed: {exc}") from exc
+
+
 def retract_qr(u: np.ndarray, d: TangentVector) -> np.ndarray:
-    """QR retraction: orthonormalize ``U + D``."""
-    return linalg.qr_orthonormalize(u + d.mat)
+    """QR retraction: the Q factor of ``U + D``, with positive ``diag(R)``.
+
+    Computed by :func:`_gram_qr` in O(Np^2): two Gram products, two N-row
+    products and p-by-p factorizations.  Since ``sigma_min(U + D) >= 1``,
+    the frame is orthonormal to roundoff and matches Householder QR
+    (:func:`linalg.qr_orthonormalize`) to within roundoff times
+    ``cond(U + D)``.
+
+    Raises
+    ------
+    ValueError
+        If ``U + D`` contains NaN or Inf.
+    linalg.RankError
+        If the step is too large for the Gram matrix (see
+        :func:`_gram_qr`); line searches should retry with a smaller step.
+    """
+    return _gram_qr(np.asarray(u, dtype=np.float64) + d.mat)[0]
 
 
 def retract_polar(u: np.ndarray, d: TangentVector) -> np.ndarray:
-    """Polar retraction: closest feasible frame to ``U + D``."""
-    return linalg.polar_factor(u + d.mat)
+    """Polar retraction: closest feasible frame to ``U + D``.
+
+    With ``U + D = Q R`` from :func:`_gram_qr`, the polar factor is
+    ``Q polar(R)``, exactly, so the only SVD is of the p-by-p ``R``
+    (:func:`linalg.polar_factor`): O(Np^2) in all, one N-row product more
+    than :func:`retract_qr`.  ``R`` has the singular values of ``U + D``,
+    all at least 1.
+
+    Raises
+    ------
+    ValueError
+        If ``U + D`` contains NaN or Inf.
+    linalg.RankError
+        If the step is too large for the Gram matrix (see
+        :func:`_gram_qr`), or ``sigma_min(R) < 1e-12 sigma_max(R)``; line
+        searches should retry with a smaller step.
+    """
+    q, r = _gram_qr(np.asarray(u, dtype=np.float64) + d.mat)
+    return q @ linalg.polar_factor(r)
 
 
 class _CayleyKernel(NamedTuple):

@@ -8,7 +8,9 @@ both kinds of center and parameters from 1e-3 to 1e3 in norm.  The Cayley
 retraction stays feasible and agrees with its dense oracle, within bounds
 scaled by the condition number of its 2p-by-2p system, or refuses the
 step; its pulled-back gradient agrees with the panel oracle, from a
-carried kernel and from a rebuilt one."""
+carried kernel and from a rebuilt one.  The QR and polar retractions
+(Cholesky QR) stay feasible and agree with Householder QR and the SVD
+polar factor for steps from 1e-8 to 1e6 in norm."""
 
 import math
 
@@ -155,6 +157,48 @@ def test_forward_and_inverse_round_trip(case):
     back = cayley.inverse(center, w)
     assert linalg.feasibility(back) <= 1e-12
     assert np.linalg.norm(back - u) <= 1e-13 * (1.0 + m)
+
+
+# --------------------------------------------------------------------------
+# The QR and polar retractions
+
+
+@st.composite
+def gram_qr_cases(draw):
+    """A frame and a tangent step: the shapes p=1, p=N, N-p<p and N-p>=p
+    with N <= 40, step norm 1e-8 to 1e6."""
+    kind = draw(st.sampled_from(["p=1", "p=N", "N-p<p", "N-p>=p"]))
+    if kind == "p=1":
+        n, p = draw(st.integers(1, 40)), 1
+    elif kind == "p=N":
+        n = p = draw(st.integers(1, 20))
+    elif kind == "N-p<p":
+        n = draw(st.integers(3, 40))
+        p = draw(st.integers(n // 2 + 1, n - 1))
+    else:
+        p = draw(st.integers(1, 20))
+        n = draw(st.integers(2 * p, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = problems.random_stiefel(rng, n, p)
+    d = retractions.project_tangent(u, rng.standard_normal((n, p)))
+    norm = 10.0 ** draw(st.floats(-8.0, 6.0))
+    return u, d if d.norm() == 0.0 else (norm / d.norm()) * d  # St(1, 1) has D = 0
+
+
+@SETTINGS
+@given(gram_qr_cases())
+def test_qr_and_polar_retractions_match_householder_and_svd(case):
+    u, d = case
+    n, p = u.shape
+    x = u + d.mat
+    # Both sides are backward stable, so they agree to roundoff times the
+    # sensitivity of the factor, cond(U + D) <= sqrt(1 + ||D||_2^2).
+    bar = 1e-14 * (math.sqrt(n * p) + np.linalg.cond(x))
+    for retract, reference in ((retractions.retract_qr, linalg.qr_orthonormalize),
+                               (retractions.retract_polar, linalg.polar_factor)):
+        frame = retract(u, d)
+        assert linalg.feasibility(frame) <= 1e-13
+        assert np.linalg.norm(frame - reference(x)) <= bar
 
 
 # --------------------------------------------------------------------------

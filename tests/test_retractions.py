@@ -206,6 +206,29 @@ def test_retract_cayley_rejects_huge_step():
     assert exc.value.cond > 1e14
 
 
+@pytest.mark.parametrize("retract", [retractions.retract_qr, retractions.retract_polar])
+def test_qr_and_polar_retractions_raise_on_bad_steps(retract):
+    rng = np.random.default_rng(8)
+    u = problems.random_stiefel(rng, 9, 3)
+    # a step of norm 1e160 overflows the Gram matrix (numpy's Cholesky
+    # would return inf without an error): refused, so a line search shrinks it
+    with pytest.raises(linalg.RankError), np.errstate(over="ignore"):
+        retract(u, random_tangent(rng, u, norm=1e160))
+    # NaN or Inf in U + D is bad input
+    d = random_tangent(rng, u)
+    for bad in (np.nan, np.inf):
+        broken = u.copy()
+        broken[4, 1] = bad
+        with pytest.raises(ValueError):
+            retract(broken, d)
+    # rank-deficient U + D: a Gram matrix Cholesky refuses, and a column
+    # below 1e-12 ||U + D||_F
+    for base in (np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]),
+                 np.array([[1.0, 0.0], [0.0, 1e-14], [0.0, 0.0]])):
+        with pytest.raises(linalg.RankError):
+            retract(base, TangentVector(base, np.zeros_like(base)))
+
+
 def test_cayley_retraction_equals_transform_of_bridge():
     # the sampled equivalence between the retraction and the inverse
     # transform applied to the bridged parameter, across many shapes
