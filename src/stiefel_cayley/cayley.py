@@ -3,9 +3,9 @@
 The forward map sends a feasible frame ``U`` (an N-by-p matrix with
 orthonormal columns) to a compressed skew parameter ``V = (A, B)`` living in
 a fixed vector space; the inverse map reconstructs ``U`` from ``V``.  Both
-directions are anchored at an orthogonal *center* ``S`` and only ever invert
-p-by-p matrices; the inverse map also takes at most one QR of the (N-p)-by-p
-block.
+directions are anchored at an orthogonal *center* ``S`` and only ever factor
+p-by-p matrices: the inverse map's N-row work is two Gram products and two
+panel products with the (N-p)-by-p block.
 
 Frames are plain ndarrays; ``SkewParam``, ``Center`` and
 ``retractions.TangentVector`` are small immutable classes because they carry
@@ -44,22 +44,28 @@ __all__ = [
 #: Feasibility tolerance for frame validation on construction.
 FEASIBILITY_TOL = 1e-10
 
-#: The forward map rejects inputs whose p-by-p pivot matrix has
-#: ``|det| < DET_FLOOR * 2**p`` (checked in log scale to avoid overflow).
-DET_FLOOR = 1e-12
+#: The forward map and the inverse Cayley retraction refuse a frame whose
+#: p-by-p pivot matrix ``K`` has its smallest singular value below this
+#: floor.  It does not depend on p, so every frame that
+#: :func:`construct_center` certifies (``K`` symmetric with eigenvalues
+#: ``>= 1``) passes at every p.  The forward map's ``B = -S_ri^T U K^{-1}``
+#: then has ``||B||_2 <= 1 / PIVOT_FLOOR``.  A floor on ``|det K|`` would
+#: refuse well-conditioned pivots at large p: ``K``'s singular values lie
+#: in ``[0, 2]``, so its determinant can be tiny while none of them is.
+PIVOT_FLOOR = 1e-12
 
 
 class SingularPointError(RuntimeError):
     """The frame sits (numerically) on the excluded singular set.
 
-    Carries the sign and log of ``|det(I_p + S_le^T U)|`` so callers can see
-    how close the rejected point was.
+    Carries ``sigma_min``, the smallest singular value of the pivot matrix
+    ``I_p + S_le^T U``, so callers can see how close the rejected point
+    was.
     """
 
-    def __init__(self, msg: str, sign: float, logabsdet: float):
+    def __init__(self, msg: str, sigma_min: float):
         super().__init__(msg)
-        self.sign = sign
-        self.logabsdet = logabsdet
+        self.sigma_min = sigma_min
 
 
 def _frozen(obj, **arrays):
@@ -261,10 +267,11 @@ class Center:
         return self.s[:, :p].T @ x
 
     def riT_mul(self, x, p: int) -> np.ndarray:
-        """``S_ri^T x`` for an n-by-k panel."""
+        """``S_ri^T x`` for an n-by-k panel; for a structured center, a view
+        of the last n-p rows of ``x``."""
         self._check_p(p)
         if self.is_structured:
-            return np.array(x[p:])
+            return x[p:]
         return self.s[:, p:].T @ x
 
     def __repr__(self) -> str:
@@ -272,15 +279,15 @@ class Center:
         return f"Center({kind}, n={self.n})"
 
 
-def _pivot_check(k: np.ndarray, p: int, what: str) -> None:
-    """Reject a p-by-p pivot matrix whose determinant is numerically zero."""
-    sign, logabsdet = np.linalg.slogdet(k)
-    if sign == 0.0 or logabsdet < math.log(DET_FLOOR) + p * math.log(2.0):
+def _pivot_check(k: np.ndarray, what: str) -> None:
+    """Reject a p-by-p pivot matrix whose smallest singular value is below
+    :data:`PIVOT_FLOOR`."""
+    sigma_min = float(np.linalg.svd(k, compute_uv=False)[-1])
+    if not sigma_min >= PIVOT_FLOOR:
         raise SingularPointError(
-            f"{what}: |det| estimate exp({logabsdet:.3f}) with sign {sign:+.0f} "
-            f"is below the floor {DET_FLOOR:.0e} * 2^{p}",
-            sign=float(sign),
-            logabsdet=float(logabsdet),
+            f"{what}: the pivot matrix has smallest singular value {sigma_min:.3e}, "
+            f"below the floor {PIVOT_FLOOR:.0e}",
+            sigma_min=sigma_min,
         )
 
 
@@ -300,15 +307,16 @@ def forward(center: Center, u) -> SkewParam:
     DimensionError, ValueError
         If the frame is not a finite orthonormal N-by-p array.
     SingularPointError
-        If ``det(I_p + S_le^T U)`` is numerically zero (the frame lies on
-        the excluded set for this center).
+        If the smallest singular value of ``I_p + S_le^T U`` is below
+        :data:`PIVOT_FLOOR` (the frame lies on the excluded set for this
+        center, numerically).
     """
     u = check_stiefel(u)
     n, p = u.shape
     if n != center.n:
         raise DimensionError(f"frame has {n} rows but center is {center.n}-by-{center.n}")
     k = np.eye(p) + center.leftT_mul(u, p)
-    _pivot_check(k, p, "forward map")
+    _pivot_check(k, "forward map")
     k_inv = np.linalg.solve(k, np.eye(p))
     a = k_inv - k_inv.T
     b = -center.riT_mul(u, p) @ k_inv
@@ -317,77 +325,90 @@ def forward(center: Center, u) -> SkewParam:
 
 def _cayley_frame(v: SkewParam):
     """Identity-center frame ``[2 M^{-1} - I; -2 B M^{-1}]`` of a parameter,
-    returned with ``||B||_2`` (read off the SVD below at no extra cost).
+    returned with ``||B||_2``.
 
     ``M = I_p + A + B^T B`` is always nonsingular (its symmetric part is
     ``I + B^T B``), but a direct solve with it loses ~ ``eps * ||B||^2``
-    of orthonormality in the result.  Instead, with the SVD
-    ``B = Q diag(sigma) W^T`` and ``D = diag(sqrt(1 + sigma^2))``,
+    of orthonormality in the result.  Instead, ``I + B^T B = X^T X`` for
+    ``X = [I_p; B]``, whose singular values are all at least 1, so
+    Cholesky QR applied twice gives ``X = Q R`` with ``Q`` orthonormal to
+    roundoff (the argument of ``retractions._gram_qr``): pass 1 factors
+    ``I + B^T B = R1^T R1``, pass 2 the Gram matrix of
+    ``X R1^{-1} = [R1^{-1}; B R1^{-1}]``, and ``R = R2 R1``.  Then
 
-        ``M^{-1} = W D^{-1} (I + A_s)^{-1} D^{-1} W^T``,
-        ``A_s = D^{-1} W^T A W D^{-1}``  (skew),
+        ``M^{-1} = R^{-1} (I + A_s)^{-1} R^{-T}``,
+        ``A_s = R^{-T} A R^{-1}``  (skew),
 
-    and ``I + A_s`` has all singular values >= 1, so every factor of the
-    assembled frame has spectral norm <= 1 and the defect stays near
-    roundoff (~ ``eps * (1 + ||A||)``) no matter how large ``B`` is.
+    and with ``G = (I + A_s)^{-1} R^{-T}`` the frame is
+    ``[2 R^{-1} G - I; (B R1^{-1}) (-2 R2^{-1} G)]``.  ``I + A_s`` has all
+    singular values >= 1, and ``R^{-1}`` and ``B R^{-1}`` are blocks of
+    ``Q``, so every factor has spectral norm <= 1 and the defect stays
+    near roundoff (~ ``eps * (1 + ||A||)``).  The N-row work is four
+    products: the Gram matrices ``B^T B`` and ``(B R1^{-1})^T (B R1^{-1})``,
+    the panel ``B R1^{-1}`` and the bottom block; every factorization is
+    p-by-p.  ``||B||_2`` is the square root of the largest eigenvalue of
+    ``B^T B``, which is accurate to a few eps relative.
 
-    Only ``sigma`` and ``W`` are used.  They come from the SVD of the R
-    factor of a Householder QR ``B = Q_B R``: ``Q_B`` has orthonormal
-    columns, so R has the singular values and right singular vectors of B,
-    and the (N-p)-by-p factor ``Q`` is never formed.  The Gram matrix
-    ``B^T B``, whose eigenvalues would carry errors of order
-    ``eps * ||B||^2``, is never formed either.  Cost: the QR,
-    ``O(N p^2)``, plus ``O(p^3)``.
+    Range: the rounded ``I + B^T B`` stays positive definite while
+    ``cond(X)^2 = (1 + sigma_max(B)^2) / (1 + sigma_min(B)^2)`` is well
+    below ``1 / eps``.  From ``||B||_2`` near ``1e8`` on, a B with a
+    singular value near 0 (always the case when B has fewer rows than
+    columns) falls outside it, and the failed Cholesky raises
+    ``linalg.RankError``; a frame is never returned from a failed pass.
     """
     p = v.p
     ip = np.eye(p)
-    if v.b.shape[0] == 0:
-        z = np.linalg.solve(ip + v.a, ip)
-        return 2.0 * z - ip, 0.0
-    res = linalg.svd(np.linalg.qr(v.b, mode="r"))
-    if res.vt.shape[0] < p:
-        # B has fewer rows than columns: complete the right singular basis.
-        # QR of an orthonormal panel reproduces its columns up to sign, and
-        # the sign cancels because only B @ w is used below; the appended
-        # columns span ker(B) and get sigma = 0.
-        w = np.linalg.qr(res.vt.T, mode="complete")[0]
-        sigma = np.zeros(p)
-        sigma[: res.sigma.size] = res.sigma
-    else:
-        w = res.vt.T
-        sigma = res.sigma
-    d = np.sqrt(1.0 + sigma * sigma)
-    ws = w / d  # W D^{-1}
-    f = (v.b @ w) / d  # B W D^{-1}, spectral norm <= 1
-    a_s = ws.T @ v.a @ ws
+    btb = v.b.T @ v.b
+    r1_inv = np.linalg.inv(linalg._cholesky_r(ip + btb, "I + B^T B"))
+    b_norm = math.sqrt(max(float(np.linalg.eigvalsh(btb)[-1]), 0.0))
+    q1_lo = v.b @ r1_inv  # B R1^{-1}
+    gram2 = r1_inv.T @ r1_inv + q1_lo.T @ q1_lo  # (X R1^{-1})^T (X R1^{-1})
+    r2_inv = np.linalg.inv(linalg._cholesky_r(gram2, "the Gram matrix of X R1^{-1}"))
+    r_inv = r1_inv @ r2_inv  # R^{-1}, the top block of Q
+    a_s = r_inv.T @ v.a @ r_inv
     a_s = (a_s - a_s.T) / 2.0
-    g = np.linalg.solve(ip + a_s, ws.T)  # (I + A_s)^{-1} D^{-1} W^T
+    g = np.linalg.solve(ip + a_s, r_inv.T)  # (I + A_s)^{-1} R^{-T}
     frame = np.empty((v.n, p))
-    frame[:p] = 2.0 * (ws @ g) - ip
-    frame[p:] = -2.0 * (f @ g)
-    return frame, float(sigma[0])
+    frame[:p] = 2.0 * (r_inv @ g) - ip
+    np.matmul(q1_lo, -2.0 * (r2_inv @ g), out=frame[p:])
+    return frame, b_norm
 
 
 def inverse(center: Center, v: SkewParam, return_b_norm: bool = False):
     """Map a skew parameter back to its feasible frame.
 
     Builds the identity-center frame ``W = [2 M^{-1} - I; -2 B M^{-1}]``
-    (orthonormal columns up to roundoff for every valid ``v``, see
-    :func:`_cayley_frame`) and applies the center orthogonally: ``U = S W``,
-    which for a structured center touches only the top p-by-p block.
-    Defined for all of parameter space.  Cost: at most one Householder QR
-    of the (N-p)-by-p block B plus p-by-p work, ``O(N p^2)``.  With
-    ``return_b_norm`` the result is the pair ``(U, ||B||_2)``; the norm
-    comes from the SVD the map already takes.
+    (orthonormal columns up to roundoff, see :func:`_cayley_frame`) and
+    applies the center orthogonally: ``U = S W``, which for a structured
+    center touches only the top p-by-p block.  Cost: two Cholesky QR
+    passes over the p-by-p Gram matrix ``I + B^T B``, four N-row products
+    in all plus p-by-p work, ``O(N p^2)``.  With ``return_b_norm`` the
+    result is the pair ``(U, ||B||_2)``; the norm comes from the Gram
+    matrix ``B^T B`` the map already forms.
+
+    Defined for every parameter whose ``I + B^T B`` stays positive
+    definite once rounded: every parameter with ``||B||_2`` below about
+    ``1e7``, and beyond that those whose B keeps its singular values away
+    from 0.  From ``||B||_2`` near ``1e8`` on, a B with a singular value
+    near 0 (always the case when B has fewer rows than columns, and
+    certain at ``||B||_2 >= 1e9``) is outside that range, and the map
+    raises rather than return an inaccurate frame.
+
+    Raises
+    ------
+    DimensionError
+        If the parameter and the center differ in size.
+    linalg.RankError
+        If ``v`` is outside that range (see :func:`_cayley_frame`); line
+        searches should retry with a smaller step.
     """
     p, n = v.p, v.n
     if n != center.n:
         raise DimensionError(f"parameter has n={n} but center is {center.n}-by-{center.n}")
     w, b_norm = _cayley_frame(v)
     if center.is_structured:
-        u = np.empty((n, p))
-        u[:p] = center.t @ w[:p]
-        u[p:] = w[p:]
+        w[:p] = center.t @ w[:p]
+        u = w
     else:
         u = center.s @ w
     return (u, b_norm) if return_b_norm else u

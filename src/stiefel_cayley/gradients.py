@@ -7,9 +7,9 @@ the Lipschitz / boundedness / variance bounds the pullback inherits from the
 ambient cost.
 
 Everything here works on compressed blocks.  The pullback factorizes only
-the p-by-p matrix ``M`` and costs ``O(N p^2)`` beyond the ambient gradient;
-:func:`grad_pullback` adds the inverse map when it has to build the frame
-(one Householder QR of the (N-p)-by-p block plus p-by-p work).
+the p-by-p matrix ``M`` and costs four N-row products beyond the ambient
+gradient; :func:`grad_pullback` adds the inverse map when it has to build
+the frame (four more N-row products, every factorization p-by-p).
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def pullback_from_euclidean(
 
         ``W11 = M^{-1} g^T X M^{-1}``
         ``a   = W11 - W11^T``
-        ``b   = -B W11 - (B (g^T X M^{-1})^T + S_ri^T g) M^{-T}``
+        ``b   = -B (W11 + (g^T X M^{-1})^T M^{-T}) - S_ri^T g M^{-T}``
 
     ``M^{-1}`` is formed once and applied by matrix products.  That is
     safe: the symmetric part of ``M`` is ``I + B^T B``, which is ``>= I``,
@@ -82,8 +82,9 @@ def pullback_from_euclidean(
     the result is built without the checked constructor's copies; its
     finiteness check is kept, so a non-finite ``g`` raises ``ValueError``.
 
-    Cost for a structured center: five products of ``O(N p^2)`` flops
-    each plus ``O(p^3)``.  Separated from :func:`grad_pullback` so
+    Cost for a structured center: four N-row products of ``O(N p^2)``
+    flops each (``B^T B``, ``(S_ri^T g)^T B``, and the two terms of ``b``)
+    plus ``O(p^3)``.  Separated from :func:`grad_pullback` so
     optimization loops that already hold ``u`` and ``g`` (from a fused cost
     evaluation) pay nothing twice.
     """
@@ -95,8 +96,7 @@ def pullback_from_euclidean(
     gtx = gle.T - gri.T @ v.b  # g^T (S_le - S_ri B)
     gp = gtx @ m_inv  # g^T X M^{-1}
     w11 = m_inv @ gp
-    z = v.b @ gp.T + gri
-    b = -v.b @ w11 - z @ m_inv.T
+    b = -v.b @ (w11 + gp.T @ m_inv.T) - gri @ m_inv.T
     return SkewParam._trusted(
         linalg.as_matrix(w11 - w11.T, "a block"), linalg.as_matrix(b, "b block")
     )

@@ -1,8 +1,10 @@
 """Dense real linear-algebra substrate shared by every other module.
 
-Checked SVD, QR and polar-factor wrappers, the orthonormality defect
-:func:`feasibility`, the input coercion :func:`as_matrix`, and the error
-taxonomy the other modules raise.
+Checked SVD, QR and polar-factor wrappers, the Cholesky factor of a Gram
+matrix (:func:`_cholesky_r`, shared by the inverse map and the QR and
+polar retractions), the orthonormality defect :func:`feasibility`, the
+input coercion :func:`as_matrix`, and the error taxonomy the other modules
+raise.
 
 Conventions
 -----------
@@ -119,7 +121,9 @@ def qr_orthonormalize(x) -> np.ndarray:
     Raises
     ------
     RankError
-        If the smallest ``|R_ii|`` falls below ``1e-12 * ||x||_F``.
+        If the smallest ``|R_ii|`` falls below ``1e-12 * ||x||_F`` (both
+        taken relative to ``max |x_ij|``, so an input whose norm would
+        overflow is judged like its rescaled copy), or ``x`` is zero.
     """
     x = as_matrix(x, "qr input")
     n, p = x.shape
@@ -127,12 +131,36 @@ def qr_orthonormalize(x) -> np.ndarray:
         raise DimensionError(f"need rows >= cols for a column frame, got {x.shape}")
     q, r = np.linalg.qr(x)
     diag = np.diag(r)
-    if np.min(np.abs(diag)) < 1e-12 * np.linalg.norm(x):
-        raise RankError(
-            f"numerically rank-deficient input: min |R_ii| = {np.min(np.abs(diag)):.3e}"
-        )
+    scale = float(np.max(np.abs(x)))
+    r_min = float(np.min(np.abs(diag)))
+    if scale == 0.0 or r_min / scale < 1e-12 * np.linalg.norm(x / scale):
+        raise RankError(f"numerically rank-deficient input: min |R_ii| = {r_min:.3e}")
     signs = np.where(diag < 0.0, -1.0, 1.0)
     return q * signs
+
+
+def _cholesky_r(gram: np.ndarray, what: str) -> np.ndarray:
+    """The upper Cholesky factor ``R`` of a Gram matrix ``gram = R^T R``.
+
+    Shared by the inverse map (``cayley._cayley_frame``, on ``I + B^T B``)
+    and the Cholesky QR of the QR and polar retractions
+    (``retractions._gram_qr``).  Forming a Gram matrix rounds its entries
+    by about ``eps ||gram||``, so one whose eigenvalues spread beyond about
+    ``1 / eps`` need not be positive definite once rounded; Cholesky then
+    fails.  ``what`` names the matrix in the error message.
+
+    Raises
+    ------
+    RankError
+        If ``gram`` is not finite (its entries overflowed) or Cholesky
+        fails on it.
+    """
+    if not np.isfinite(gram).all():
+        raise RankError(f"{what} is not finite")
+    try:
+        return np.linalg.cholesky(gram).T
+    except np.linalg.LinAlgError as exc:
+        raise RankError(f"Cholesky factorization of {what} failed: {exc}") from exc
 
 
 def polar_factor(x) -> np.ndarray:

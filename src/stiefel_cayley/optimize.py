@@ -315,8 +315,11 @@ def run_gdm_cp(
     parameter is then re-mapped with :func:`forward`.  The frame and the
     cost value are unchanged by a rebuild, so descent stays monotone and
     feasible; the iterations at which it happened are listed in
-    ``RunRecord.recenter_iters``.  ``||B||_2`` comes from the SVD the
-    inverse map already takes, so the check costs nothing extra.
+    ``RunRecord.recenter_iters``.  ``||B||_2`` comes from the Gram matrix
+    ``B^T B`` the inverse map already forms (one p-by-p eigenvalue
+    problem).  A trial parameter outside the inverse map's range (see
+    :func:`cayley.inverse`) raises ``linalg.RankError``, which counts as a
+    failed line-search trial and shrinks the step.
 
     Raises
     ------
@@ -350,7 +353,7 @@ def run_gdm_cp(
         g0 = pullback_from_euclidean(s, v0, g_euclid, u0)
         return v0, g0, f0, step, reanchor
 
-    return _descend(f, u0, bt, stop, setup)
+    return _descend(f, u0, bt, stop, setup, retry=(linalg.RankError,))
 
 
 def run_gdm_cp_retraction(

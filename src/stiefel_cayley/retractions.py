@@ -195,7 +195,8 @@ def _gram_qr(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     ``Q`` orthonormal to roundoff (Yamamoto, Nakatsukasa, Yanagisawa and
     Fukaya 2015).  For ``X = U + D`` with a tangent ``D``, ``cond(X)`` is at
     most ``sqrt(1 + ||D||_2^2)``.  For steps beyond about ``1e8`` the
-    rounded Gram matrix need not be positive definite; Cholesky then fails.
+    rounded Gram matrix need not be positive definite; Cholesky
+    (:func:`linalg._cholesky_r`, shared with the inverse map) then fails.
 
     Raises
     ------
@@ -213,27 +214,17 @@ def _gram_qr(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     if n < p:
         raise linalg.DimensionError(f"need rows >= cols for a column frame, got {x.shape}")
     gram = x.T @ x
-    r1 = _cholesky_r(gram, x)
+    if not np.isfinite(gram).all():
+        # a NaN or Inf in a column of x reaches that column's diagonal entry
+        linalg.as_matrix(x, "retraction input")
+    r1 = linalg._cholesky_r(gram, "the Gram matrix of U + D")
     q1 = x @ np.linalg.inv(r1)
-    r2 = _cholesky_r(q1.T @ q1, x)
+    r2 = linalg._cholesky_r(q1.T @ q1, "the Gram matrix of Q1")
     q, r = q1 @ np.linalg.inv(r2), r2 @ r1
     r_min = float(np.min(np.diagonal(r)))
     if r_min < 1e-12 * float(np.sqrt(np.trace(gram))):  # trace(X^T X) = ||X||_F^2
         raise linalg.RankError(f"numerically rank-deficient input: min |R_ii| = {r_min:.3e}")
     return q, r
-
-
-def _cholesky_r(gram: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The upper Cholesky factor ``R`` of ``gram = R^T R``, a Gram matrix
-    in :func:`_gram_qr` on ``x``, raising that function's errors."""
-    # a NaN or Inf in a column of x reaches that column's diagonal entry
-    if not np.isfinite(gram).all():
-        linalg.as_matrix(x, "retraction input")
-        raise linalg.RankError("Gram matrix is not finite: the step is too large")
-    try:
-        return np.linalg.cholesky(gram).T
-    except np.linalg.LinAlgError as exc:
-        raise linalg.RankError(f"Cholesky QR failed: {exc}") from exc
 
 
 def retract_qr(u: np.ndarray, d: TangentVector) -> np.ndarray:
@@ -390,14 +381,15 @@ def inverse_retract_cayley(u: np.ndarray, ufrak: np.ndarray) -> TangentVector:
     Raises
     ------
     SingularPointError
-        If ``det(I + ufrak^T U)`` is numerically zero (``ufrak`` is outside
-        the retraction's range from ``u``).
+        If ``I + ufrak^T U`` has its smallest singular value below
+        ``cayley.PIVOT_FLOOR`` (``ufrak`` is outside the retraction's
+        range from ``u``, numerically).
     """
     u = np.asarray(u, dtype=np.float64)
     ufrak = np.asarray(ufrak, dtype=np.float64)
     p = u.shape[1]
     k = np.eye(p) + ufrak.T @ u
-    _pivot_check(k, p, "inverse Cayley retraction")
+    _pivot_check(k, "inverse Cayley retraction")
     term1 = 2.0 * np.linalg.solve(k.T, u.T).T  # U (I + ufrak^T U)^{-1}
     term2 = 2.0 * np.linalg.solve(k, ufrak.T).T  # ufrak (I + U^T ufrak)^{-1}
     # tangent in exact arithmetic; the roundoff defect grows with cond(k),

@@ -2,6 +2,7 @@
 their closed-form oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,51 @@ def test_inverse_feasibility_including_huge_params():
             u = cayley.inverse(center, v)
             worst = max(worst, linalg.feasibility(u))
     assert worst <= 1e-12
+
+
+def spread_param(rng, n, p, b_norm, low=1e-6):
+    """A parameter whose B has ``||B||_2 = b_norm`` and its other singular
+    values spaced logarithmically down to ``low``."""
+    k = min(n - p, p)
+    left = np.linalg.qr(rng.standard_normal((n - p, k)))[0]
+    right = np.linalg.qr(rng.standard_normal((p, p)))[0][:, :k]
+    sigma = np.logspace(math.log10(b_norm), math.log10(low), k)
+    return SkewParam(rng.standard_normal((p, p)), (left * sigma) @ right.T)
+
+
+@pytest.mark.parametrize("n, p", [(2000, 40), (60, 20)])
+def test_inverse_stays_feasible_at_large_b_with_spread_singular_values(n, p):
+    # A direct solve with M = I + A + B^T B loses about eps ||B||^2 of
+    # orthonormality, and a frame built from an SVD of B still about 1e-11
+    # here; the two Cholesky QR passes over I + B^T B keep roundoff.
+    rng = np.random.default_rng(13)
+    for structured in (True, False):
+        center = problems.random_center(rng, n, p, structured=structured)
+        v = spread_param(rng, n, p, 1e6)
+        u, b_norm = cayley.inverse(center, v, return_b_norm=True)
+        assert linalg.feasibility(u) <= 1e-13
+        assert abs(b_norm - 1e6) <= 1e-12 * 1e6
+
+
+def test_inverse_raises_rank_error_beyond_its_range():
+    # With fewer rows than columns, B^T B is singular, and at ||B||_2 >= 1e9
+    # its rounding error (eps ||B||^2 >= 200) swamps the identity in
+    # I + B^T B: Cholesky fails and the map refuses, with no warning and no
+    # NaN frame.
+    rng = np.random.default_rng(14)
+    n, p = 30, 20
+    center = problems.random_center(rng, n, p)
+    for b_norm in (1e9, 1e12, 1e150):
+        for _ in range(5):
+            v = spread_param(rng, n, p, b_norm)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(linalg.RankError):
+                    cayley.inverse(center, v)
+    # past 1e154 the Gram matrix overflows; that is refused the same way
+    v = SkewParam(np.zeros((p, p)), np.full((n - p, p), 1e160))
+    with pytest.raises(linalg.RankError), np.errstate(over="ignore"):
+        cayley.inverse(center, v)
 
 
 def test_inverse_square_case_without_lower_block():

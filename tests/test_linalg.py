@@ -1,6 +1,8 @@
 """Dense-kernel tests: factorizations and the norm facts every other module
 leans on."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,23 @@ def test_qr_orthonormalize_rank_error():
     x = np.ones((6, 2))  # two identical columns
     with pytest.raises(linalg.RankError):
         linalg.qr_orthonormalize(x)
+
+
+def test_qr_orthonormalize_judges_rank_without_overflow():
+    # ||x||_F overflows at this scale; the rank bar must not, so a full-rank
+    # input gives the frame of its rescaled copy, with no warning
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((50, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = linalg.qr_orthonormalize(1e160 * x)
+        assert linalg.feasibility(q) <= 1e-13
+        assert np.linalg.norm(q - linalg.qr_orthonormalize(x)) <= 1e-13
+        rank_one = 1e160 * np.outer(x[:, 0], [1.0, 2.0, 3.0])
+        with pytest.raises(linalg.RankError):
+            linalg.qr_orthonormalize(rank_one)
+        with pytest.raises(linalg.RankError):
+            linalg.qr_orthonormalize(np.zeros((4, 2)))
 
 
 def test_polar_factor_fixed_point_and_scaling():

@@ -163,6 +163,49 @@ def test_run_gdm_cp_rejects_excluded_start():
                    center=center)
 
 
+def test_run_gdm_cp_starts_at_its_own_center_for_large_p():
+    # construct_center certifies det K >= 1 at the start frame (here
+    # log det K = 27.74, sigma_min(K) = 1.0004), so the run must start and
+    # descend.  A floor of 1e-12 2^p on det K (27.82 in log) refused it.
+    n, p = 320, 80
+    rng = np.random.default_rng(18)
+    f = problems.distance_cost(problems.random_stiefel(rng, n, p))
+    u0 = problems.random_stiefel(rng, n, p)
+    rec = run_gdm_cp(f, u0, stop=StoppingConfig(max_iters=15))
+    assert rec.iters[-1] == 15 and rec.stop_reason == STOP_MAX_ITERS
+    assert_monotone(rec)
+    assert rec.fvals[-1] < 0.5 * rec.fvals[0]
+    assert max(rec.feasibilities) <= 1e-12
+
+
+def test_run_gdm_cp_retries_steps_beyond_the_inverse_maps_range(monkeypatch):
+    # A fixed center and gamma_0 = 1e12 put the first trials at ||B||_2 near
+    # 1e12, where the inverse map raises RankError (B has fewer rows than
+    # columns); the line search shrinks the step instead of aborting.
+    n, p = 30, 20
+    rng = np.random.default_rng(19)
+    f = problems.distance_cost(problems.random_stiefel(rng, n, p))
+    u0 = problems.random_stiefel(rng, n, p)
+    center = construct_center(u0)
+    refused = []
+    inverse = optimize.inverse
+
+    def counting(*args, **kwargs):
+        try:
+            return inverse(*args, **kwargs)
+        except linalg.RankError:
+            refused.append(args[1].norm())
+            raise
+
+    monkeypatch.setattr(optimize, "inverse", counting)
+    rec = run_gdm_cp(f, u0, center=center, bt=BacktrackingConfig(gamma_initial=1e12),
+                     stop=StoppingConfig(max_iters=5))
+    assert refused and min(refused) >= 1e8
+    assert rec.iters[-1] == 5
+    assert_monotone(rec)
+    assert max(rec.feasibilities) <= 1e-12
+
+
 def test_run_gdm_cp_max_iters_stops_first():
     inst = problems.make_eigen_instance(8, 2, seed=2)
     rng = np.random.default_rng(2)

@@ -4,7 +4,9 @@ Sums and scalar multiples of checked tangent vectors and skew parameters
 keep their invariants, are read-only and equal the raw numpy arithmetic bit
 for bit.  The inverse map stays feasible and agrees with its dense oracle,
 and the forward and inverse maps undo each other, on every block shape,
-both kinds of center and parameters from 1e-3 to 1e3 in norm.  The Cayley
+both kinds of center and parameters from 1e-3 to 1e3 in norm; the
+forward map accepts every frame at the center built from it, for p up to
+100.  The Cayley
 retraction stays feasible and agrees with its dense oracle, within bounds
 scaled by the condition number of its 2p-by-2p system, or refuses the
 step; its pulled-back gradient agrees with the panel oracle, from a
@@ -89,9 +91,10 @@ def test_param_combinations_stay_exactly_skew(case):
 @st.composite
 def map_cases(draw):
     """A parameter at a center.  The shapes p=1, p=N-1, N-p=p, N-p>p and
-    p=N reach every branch of ``_cayley_frame``; the center is structured
-    or general, the weighted norm 1e-3 to 1e3, and B is scaled against A
-    by 1e-2 to 1e2 before that norm is set."""
+    p=N give B every relation of rows to columns, an empty B included
+    (``_cayley_frame`` has one path for all of them); the center is
+    structured or general, the weighted norm 1e-3 to 1e3, and B is scaled
+    against A by 1e-2 to 1e2 before that norm is set."""
     kind = draw(st.sampled_from(["p=1", "p=N-1", "N-p=p", "N-p>p", "p=N"]))
     if kind == "p=1":
         n, p = draw(st.integers(2, 40)), 1
@@ -142,21 +145,40 @@ def test_forward_and_inverse_round_trip(case):
     center, v = case
     p = v.p
     u = cayley.inverse(center, v)
-    try:
-        w = cayley.forward(center, u)
-    except cayley.SingularPointError:
-        # Refused only near the excluded set: det(K) = g(V) is then within
-        # a factor e of the floor the forward map enforces.
-        floor = math.log(cayley.DET_FLOOR) + p * math.log(2.0)
-        assert cayley.singular_diagnostic(v).log_value < floor + 1.0
-        return
     # The forward map inverts K = 2 M^{-1} with M = I + A + B^T B, so its
     # conditioning, and with it both round-trip errors, grows with ||M||_2.
     m = float(np.linalg.norm(np.eye(p) + v.a + v.b.T @ v.b, 2))
+    try:
+        w = cayley.forward(center, u)
+    except cayley.SingularPointError:
+        # Refused only near the excluded set: sigma_min(K) = 2 / ||M||_2 is
+        # then within a factor e of the floor the forward map enforces.
+        assert 2.0 / m < math.e * cayley.PIVOT_FLOOR
+        return
     assert (w - v).norm() <= 1e-14 * (1.0 + m) ** 2
     back = cayley.inverse(center, w)
     assert linalg.feasibility(back) <= 1e-12
     assert np.linalg.norm(back - u) <= 1e-13 * (1.0 + m)
+
+
+@st.composite
+def center_cases(draw):
+    """A random frame with p from 1 to 100 and N from p to 5p."""
+    p = draw(st.integers(1, 100))
+    n = draw(st.integers(p, 5 * p))
+    return problems.random_stiefel(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, p)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(center_cases())
+def test_forward_accepts_the_frame_its_own_center_was_built_from(u):
+    # construct_center certifies det K >= 1 and ||B||_2 <= 1 at u; a
+    # singular-set floor that grew with p refused such frames for p >= 40.
+    center = cayley.construct_center(u)
+    v = cayley.forward(center, u)
+    if v.b.size:
+        assert np.linalg.norm(v.b, 2) <= 1.0 + 1e-10
+    assert np.linalg.norm(cayley.inverse(center, v) - u) <= 1e-12 * math.sqrt(u.size)
 
 
 # --------------------------------------------------------------------------
