@@ -325,7 +325,7 @@ def forward(center: Center, u) -> SkewParam:
 
 def _cayley_frame(v: SkewParam):
     """Identity-center frame ``[2 M^{-1} - I; -2 B M^{-1}]`` of a parameter,
-    returned with ``||B||_2``.
+    returned with the Gram matrix ``B^T B`` it forms.
 
     ``M = I_p + A + B^T B`` is always nonsingular (its symmetric part is
     ``I + B^T B``), but a direct solve with it loses ~ ``eps * ||B||^2``
@@ -346,21 +346,19 @@ def _cayley_frame(v: SkewParam):
     near roundoff (~ ``eps * (1 + ||A||)``).  The N-row work is four
     products: the Gram matrices ``B^T B`` and ``(B R1^{-1})^T (B R1^{-1})``,
     the panel ``B R1^{-1}`` and the bottom block; every factorization is
-    p-by-p.  ``||B||_2`` is the square root of the largest eigenvalue of
-    ``B^T B``, which is accurate to a few eps relative.
+    p-by-p.
 
     Range: the rounded ``I + B^T B`` stays positive definite while
     ``cond(X)^2 = (1 + sigma_max(B)^2) / (1 + sigma_min(B)^2)`` is well
     below ``1 / eps``.  From ``||B||_2`` near ``1e8`` on, a B with a
     singular value near 0 (always the case when B has fewer rows than
     columns) falls outside it, and the failed Cholesky raises
-    ``linalg.RankError``; a frame is never returned from a failed pass.
+    ``linalg.RankError``.
     """
     p = v.p
     ip = np.eye(p)
     btb = v.b.T @ v.b
     r1_inv = np.linalg.inv(linalg._cholesky_r(ip + btb, "I + B^T B"))
-    b_norm = math.sqrt(max(float(np.linalg.eigvalsh(btb)[-1]), 0.0))
     q1_lo = v.b @ r1_inv  # B R1^{-1}
     gram2 = r1_inv.T @ r1_inv + q1_lo.T @ q1_lo  # (X R1^{-1})^T (X R1^{-1})
     r2_inv = np.linalg.inv(linalg._cholesky_r(gram2, "the Gram matrix of X R1^{-1}"))
@@ -371,7 +369,7 @@ def _cayley_frame(v: SkewParam):
     frame = np.empty((v.n, p))
     frame[:p] = 2.0 * (r_inv @ g) - ip
     np.matmul(q1_lo, -2.0 * (r2_inv @ g), out=frame[p:])
-    return frame, b_norm
+    return frame, btb
 
 
 def inverse(center: Center, v: SkewParam, return_b_norm: bool = False):
@@ -380,11 +378,12 @@ def inverse(center: Center, v: SkewParam, return_b_norm: bool = False):
     Builds the identity-center frame ``W = [2 M^{-1} - I; -2 B M^{-1}]``
     (orthonormal columns up to roundoff, see :func:`_cayley_frame`) and
     applies the center orthogonally: ``U = S W``, which for a structured
-    center touches only the top p-by-p block.  Cost: two Cholesky QR
-    passes over the p-by-p Gram matrix ``I + B^T B``, four N-row products
-    in all plus p-by-p work, ``O(N p^2)``.  With ``return_b_norm`` the
-    result is the pair ``(U, ||B||_2)``; the norm comes from the Gram
-    matrix ``B^T B`` the map already forms.
+    center touches only the top p-by-p block.  Cost: Cholesky QR applied
+    twice to ``[I_p; B]``, four N-row products in all plus p-by-p work,
+    ``O(N p^2)``.  With ``return_b_norm`` the
+    result is the pair ``(U, ||B||_2)``; the norm is the square root of
+    the largest eigenvalue of the Gram matrix ``B^T B`` the map already
+    forms, accurate to a few eps relative.
 
     Defined for every parameter whose ``I + B^T B`` stays positive
     definite once rounded: every parameter with ``||B||_2`` below about
@@ -405,13 +404,15 @@ def inverse(center: Center, v: SkewParam, return_b_norm: bool = False):
     p, n = v.p, v.n
     if n != center.n:
         raise DimensionError(f"parameter has n={n} but center is {center.n}-by-{center.n}")
-    w, b_norm = _cayley_frame(v)
+    w, btb = _cayley_frame(v)
     if center.is_structured:
         w[:p] = center.t @ w[:p]
         u = w
     else:
         u = center.s @ w
-    return (u, b_norm) if return_b_norm else u
+    if not return_b_norm:
+        return u
+    return u, math.sqrt(max(float(np.linalg.eigvalsh(btb)[-1]), 0.0))
 
 
 def construct_center(u) -> Center:

@@ -226,9 +226,9 @@ def spread_param(rng, n, p, b_norm, low=1e-6):
 
 @pytest.mark.parametrize("n, p", [(2000, 40), (60, 20)])
 def test_inverse_stays_feasible_at_large_b_with_spread_singular_values(n, p):
-    # A direct solve with M = I + A + B^T B loses about eps ||B||^2 of
-    # orthonormality, and a frame built from an SVD of B still about 1e-11
-    # here; the two Cholesky QR passes over I + B^T B keep roundoff.
+    # A direct solve with M = I + A + B^T B would lose about eps ||B||^2 of
+    # orthonormality; the two Cholesky QR passes over I + B^T B keep it at
+    # roundoff, with ||B||_2 read from B^T B to a few eps.
     rng = np.random.default_rng(13)
     for structured in (True, False):
         center = problems.random_center(rng, n, p, structured=structured)

@@ -164,9 +164,9 @@ def test_run_gdm_cp_rejects_excluded_start():
 
 
 def test_run_gdm_cp_starts_at_its_own_center_for_large_p():
-    # construct_center certifies det K >= 1 at the start frame (here
-    # log det K = 27.74, sigma_min(K) = 1.0004), so the run must start and
-    # descend.  A floor of 1e-12 2^p on det K (27.82 in log) refused it.
+    # construct_center certifies sigma_min(K) >= 1 at the start frame (here
+    # 1.0004, while log det K = 27.74 is below log(1e-12 2^p) = 27.82), so
+    # the run must start and descend.
     n, p = 320, 80
     rng = np.random.default_rng(18)
     f = problems.distance_cost(problems.random_stiefel(rng, n, p))

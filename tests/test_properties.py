@@ -172,8 +172,8 @@ def center_cases(draw):
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(center_cases())
 def test_forward_accepts_the_frame_its_own_center_was_built_from(u):
-    # construct_center certifies det K >= 1 and ||B||_2 <= 1 at u; a
-    # singular-set floor that grew with p refused such frames for p >= 40.
+    # construct_center certifies det K >= 1 and ||B||_2 <= 1 at u, at every
+    # p; det K itself can fall below 1e-12 2^p from p = 40 on.
     center = cayley.construct_center(u)
     v = cayley.forward(center, u)
     if v.b.size:
