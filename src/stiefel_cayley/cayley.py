@@ -372,7 +372,9 @@ def _cayley_frame(v: SkewParam):
     return frame, btb
 
 
-def inverse(center: Center, v: SkewParam, return_b_norm: bool = False):
+def inverse(
+    center: Center, v: SkewParam, return_b_norm: bool = False, *, _return_gram: bool = False
+):
     """Map a skew parameter back to its feasible frame.
 
     Builds the identity-center frame ``W = [2 M^{-1} - I; -2 B M^{-1}]``
@@ -383,7 +385,9 @@ def inverse(center: Center, v: SkewParam, return_b_norm: bool = False):
     ``O(N p^2)``.  With ``return_b_norm`` the
     result is the pair ``(U, ||B||_2)``; the norm is the square root of
     the largest eigenvalue of the Gram matrix ``B^T B`` the map already
-    forms, accurate to a few eps relative.
+    forms, accurate to a few eps relative.  (``run_gdm_cp`` passes the
+    private ``_return_gram`` for the pair ``(U, B^T B)`` instead, and
+    carries the Gram matrix into its pullback.)
 
     Defined for every parameter whose ``I + B^T B`` stays positive
     definite once rounded: every parameter with ``||B||_2`` below about
@@ -410,9 +414,15 @@ def inverse(center: Center, v: SkewParam, return_b_norm: bool = False):
         u = w
     else:
         u = center.s @ w
-    if not return_b_norm:
-        return u
-    return u, math.sqrt(max(float(np.linalg.eigvalsh(btb)[-1]), 0.0))
+    if _return_gram:
+        return u, btb
+    return (u, _gram_norm(btb)) if return_b_norm else u
+
+
+def _gram_norm(btb: np.ndarray) -> float:
+    """``||B||_2`` from the Gram matrix ``B^T B``: the square root of its
+    largest eigenvalue (one p-by-p symmetric eigenvalue problem)."""
+    return math.sqrt(max(float(np.linalg.eigvalsh(btb)[-1]), 0.0))
 
 
 def construct_center(u) -> Center:

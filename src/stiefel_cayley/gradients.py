@@ -62,7 +62,7 @@ class CostFunction:
 
 
 def pullback_from_euclidean(
-    center: Center, v: SkewParam, g: np.ndarray, u: np.ndarray
+    center: Center, v: SkewParam, g: np.ndarray, u: np.ndarray, *, btb: Optional[np.ndarray] = None
 ) -> SkewParam:
     """Assemble the pulled-back gradient from an ambient gradient.
 
@@ -86,12 +86,18 @@ def pullback_from_euclidean(
     flops each (``B^T B``, ``(S_ri^T g)^T B``, and the two terms of ``b``)
     plus ``O(p^3)``.  Separated from :func:`grad_pullback` so
     optimization loops that already hold ``u`` and ``g`` (from a fused cost
-    evaluation) pay nothing twice.
+    evaluation) pay nothing twice.  For the same reason a caller that
+    holds the Gram matrix ``B^T B`` of this ``v`` (``inverse`` forms it)
+    passes it as ``btb`` and saves the first of those products; it must
+    be ``v.b.T @ v.b`` as formed from this very ``v``, and then the result
+    is bit-identical to the one without it.
     """
     p = v.p
     gle = center.leftT_mul(g, p)  # S_le^T g
     gri = center.riT_mul(g, p)  # S_ri^T g
-    m = np.eye(p) + v.a + v.b.T @ v.b
+    if btb is None:
+        btb = v.b.T @ v.b
+    m = np.eye(p) + v.a + btb
     m_inv = np.linalg.inv(m)
     gtx = gle.T - gri.T @ v.b  # g^T (S_le - S_ri B)
     gp = gtx @ m_inv  # g^T X M^{-1}

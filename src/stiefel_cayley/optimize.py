@@ -43,7 +43,15 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from . import linalg
-from .cayley import Center, SkewParam, check_stiefel, construct_center, forward, inverse
+from .cayley import (
+    Center,
+    SkewParam,
+    _gram_norm,
+    check_stiefel,
+    construct_center,
+    forward,
+    inverse,
+)
 from .gradients import CostFunction, pullback_from_euclidean
 from .retractions import (
     StepTooLargeError,
@@ -315,9 +323,11 @@ def run_gdm_cp(
     parameter is then re-mapped with :func:`forward`.  The frame and the
     cost value are unchanged by a rebuild, so descent stays monotone and
     feasible; the iterations at which it happened are listed in
-    ``RunRecord.recenter_iters``.  ``||B||_2`` comes from the Gram matrix
-    ``B^T B`` the inverse map already forms (one p-by-p eigenvalue
-    problem).  A trial parameter outside the inverse map's range (see
+    ``RunRecord.recenter_iters``.  Each trial's inverse map hands back the
+    Gram matrix ``B^T B`` it forms, in the trial's payload: the accepted
+    step takes ``||B||_2`` from it (one p-by-p eigenvalue problem) and
+    passes it to the pullback, which would otherwise form it again.  A
+    trial parameter outside the inverse map's range (see
     :func:`cayley.inverse`) raises ``linalg.RankError``, which counts as a
     failed line-search trial and shrinks the step.
 
@@ -335,18 +345,19 @@ def run_gdm_cp(
 
         def step(v: SkewParam, g: SkewParam, gamma: float):
             v_cand = v - gamma * g
-            u_cand, b_norm = inverse(s, v_cand, return_b_norm=True)
+            u_cand, btb = inverse(s, v_cand, _return_gram=True)
             fval, g_euclid = f.value_and_grad(u_cand)
-            return fval, v_cand, (u_cand, b_norm, g_euclid)
+            return fval, v_cand, (u_cand, btb, g_euclid)
 
         def reanchor(n: int, v: SkewParam, payload):
             nonlocal s
-            u, b_norm, g_euclid = payload
-            if center is None and b_norm > RECENTER_B_NORM:
+            u, btb, g_euclid = payload
+            if center is None and _gram_norm(btb) > RECENTER_B_NORM:
                 s = construct_center(u)
                 v = forward(s, u)
                 record.recenter_iters.append(n)
-            return v, u, pullback_from_euclidean(s, v, g_euclid, u)
+                btb = None  # the new parameter has another B
+            return v, u, pullback_from_euclidean(s, v, g_euclid, u, btb=btb)
 
         v0 = forward(s, u0)
         f0, g_euclid = f.value_and_grad(u0)

@@ -18,18 +18,22 @@ raises :class:`linalg.RankError`, which line searches treat like
 
 The Cayley retraction and its gradient share one O(Np^2) kernel,
 :func:`_cayley_kernel`: the low-rank (Sherman-Morrison-Woodbury) form of
-``(I + W)^{-1}``, whose 2p-by-2p matrix is built from p-by-p Gram blocks
-and inverted once.  That matrix becomes ill-conditioned for large steps;
-its exact 1-norm condition number, taken from the inverse, is checked and
-an unreliable step raises :class:`StepTooLargeError`, so line searches can
+``(I + W)^{-1}`` (Wen and Yin 2013), whose 2p-by-2p matrix is built from
+p-by-p Gram blocks and inverted once.  Every N-by-p term of the low-rank
+form lies in the span of ``[U, D]``, so the kernel carries p-by-p
+coefficients and never forms an N-by-p panel besides the frame: five
+N-row products in all (``U^T D``, ``U^T U``, ``D^T D`` and the frame's
+two).  The 2p-by-2p matrix becomes ill-conditioned for large steps; its
+exact 1-norm condition number, taken from the inverse, is checked and an
+unreliable step raises :class:`StepTooLargeError`, so line searches can
 shrink it instead of aborting.
 
 Given the kernel and the ambient gradient ``g``, the gradient
-(:func:`grad_retraction_pullback`) works in p-by-p coefficients: two
-p-row products against ``g`` (``U^T g``, ``Y^T g``), one assembly of the
-N-by-p result in the ``[U, Y, g]`` basis, then the two-pass tangent
-projection (no tangency check: see :func:`project_tangent`): 9 products
-of order N p^2 in all.
+(:func:`grad_retraction_pullback`) works in p-by-p coefficients in the
+``[U, D, g]`` basis: two p-row products against ``g`` (``U^T g``,
+``D^T g``), one assembly of the N-by-p result (three products), then one
+correcting tangent projection (two products; no tangency check, see
+there): 7 products of order N p^2 in all.
 """
 
 from __future__ import annotations
@@ -272,12 +276,13 @@ def retract_polar(u: np.ndarray, d: TangentVector) -> np.ndarray:
 class _CayleyKernel(NamedTuple):
     """What :func:`_cayley_kernel` computes at ``(U, D)``; see there."""
 
-    y: np.ndarray
+    frame: np.ndarray
     k_inv: np.ndarray
-    zu: np.ndarray
     x: np.ndarray
     utu: np.ndarray
     uty: np.ndarray
+    utd: np.ndarray
+    dmat: np.ndarray
 
 
 def _cayley_kernel(u: np.ndarray, dmat: np.ndarray) -> _CayleyKernel:
@@ -285,16 +290,30 @@ def _cayley_kernel(u: np.ndarray, dmat: np.ndarray) -> _CayleyKernel:
 
     ``Z = (I + W)^{-1}`` for the rank-2p skew ``W = A B^T`` with
     ``A = [U, Y/2]``, ``B = [Y/2, -U]`` and ``Y = (I - U U^T / 2) D``, so
-    ``Z = I - A K^{-1} B^T`` with ``K = I + B^T A``.  ``K`` is assembled
-    from the p-by-p blocks ``U^T D``, ``U^T U``,
-    ``U^T Y = U^T D - (U^T U)(U^T D)/2`` and ``Y^T Y``, and inverted once;
-    with ``[X1; X2] = K^{-1} B^T U`` (refined once against ``K``),
-    ``Z U = U - U X1 - Y X2 / 2``.
+    ``Z = I - A K^{-1} B^T`` with ``K = I + B^T A``.  ``Y`` is never
+    formed: every N-by-p term lies in the span of ``[U, D]`` and is carried
+    by p-by-p coefficients.  With ``T = U^T D`` and ``S = U^T U``, the
+    blocks of ``K`` are ``T``, ``S``, ``U^T Y = T - S T / 2`` and
 
-    Returns the fields ``y`` (``Y``, N-by-p), ``k_inv`` (``K^{-1}``,
-    2p-by-2p), ``zu`` (``Z U``, N-by-p), ``x`` (the refined
-    ``[X1; X2]``, 2p-by-p), ``utu`` (``U^T U``) and ``uty`` (``U^T Y``),
-    in that order.
+        ``Y^T Y = D^T D - T^T (T - S T / 4)``,
+
+    one Gram product of ``D`` in place of one of ``Y``.  The subtraction
+    does not cancel: for a tangent ``D``, ``T`` is skew and ``S = I`` up to
+    roundoff, so with ``D = U T + E`` (``U^T E = 0``) the result is
+    ``E^T E + T^T T / 4``, at least a quarter of ``D^T D``; its rounding
+    error is a few eps relative to ``||Y^T Y||``.  ``K`` is inverted once;
+    with ``[X1; X2] = K^{-1} B^T U`` (refined once against ``K``),
+    ``Z U = U - U X1 - Y X2 / 2`` and the retraction's frame is
+
+        ``2 Z U - U = U (I - 2 X1 + T X2 / 2) - D X2``,
+
+    two N-row products and one update in place: five N-row products in
+    all, with ``T``, ``S`` and ``D^T D``.
+
+    Returns the fields ``frame`` (``2 Z U - U``, N-by-p), ``k_inv``
+    (``K^{-1}``, 2p-by-2p), ``x`` (the refined ``[X1; X2]``, 2p-by-p),
+    ``utu`` (``S``), ``uty`` (``U^T Y``), ``utd`` (``T``) and ``dmat``
+    (``D`` itself), in that order.
 
     ``I + W`` is never singular (``det >= 1`` for skew ``W``), but ``K``
     can be arbitrarily ill-conditioned for large ``D``.  A condition
@@ -305,9 +324,9 @@ def _cayley_kernel(u: np.ndarray, dmat: np.ndarray) -> _CayleyKernel:
     p = u.shape[1]
     utd = u.T @ dmat
     utu = u.T @ u
-    y = dmat - 0.5 * u @ utd
-    uty = utd - 0.5 * utu @ utd
-    yty = y.T @ y
+    s_t = utu @ utd
+    uty = utd - 0.5 * s_t
+    yty = dmat.T @ dmat - utd.T @ (utd - 0.25 * s_t)
     # K = I + [[(U^T Y)^T / 2, Y^T Y / 4], [-U^T U, -U^T Y / 2]], each block
     # added into the identity in place
     k = np.eye(2 * p)
@@ -332,8 +351,9 @@ def _cayley_kernel(u: np.ndarray, dmat: np.ndarray) -> _CayleyKernel:
     rhs = np.vstack([0.5 * uty.T, -utu])
     x = k_inv @ rhs
     x += k_inv @ (rhs - k @ x)
-    zu = u - u @ x[:p] - 0.5 * (y @ x[p:])
-    return _CayleyKernel(y, k_inv, zu, x, utu, uty)
+    frame = u @ (np.eye(p) - 2.0 * x[:p] + 0.5 * (utd @ x[p:]))
+    frame -= dmat @ x[p:]
+    return _CayleyKernel(frame, k_inv, x, utu, uty, utd, dmat)
 
 
 def retract_cayley(u: np.ndarray, d: TangentVector, *, return_kernel: bool = False):
@@ -352,10 +372,8 @@ def retract_cayley(u: np.ndarray, d: TangentVector, *, return_kernel: bool = Fal
     StepTooLargeError
         If the kernel's 2p-by-2p matrix is too ill-conditioned to trust.
     """
-    u = np.asarray(u, dtype=np.float64)
-    kernel = _cayley_kernel(u, d.mat)
-    frame = 2.0 * kernel.zu - u
-    return (frame, kernel) if return_kernel else frame
+    kernel = _cayley_kernel(np.asarray(u, dtype=np.float64), d.mat)
+    return (kernel.frame, kernel) if return_kernel else kernel.frame
 
 
 def psi_map(u: np.ndarray, uperp: np.ndarray, d: TangentVector) -> SkewParam:
@@ -405,25 +423,47 @@ def grad_retraction_pullback(
     At step ``D`` the gradient is ``-2 P_U Skew(Z U g^T Z) U`` with
     ``g = grad f(R(D))``, ``Z`` the kernel of :func:`_cayley_kernel` and
     ``P_U = I - U U^T / 2``.  Every N-by-p term lies in the span of
-    ``[U, Y, g]``: with ``C_U = I - X1`` and ``C_Y = -X2 / 2`` the
+    ``[U, D, g]``; ``Y = D - U T / 2`` (``T = U^T D``) is used only through
+    its coefficients.  With ``C_U = I - X1`` and ``C_Y = -X2 / 2`` the
     kernel's ``Z U = U C_U + Y C_Y``, and with
-    ``q = K^{-T} [U^T g; Y^T g / 2]``, ``Z^T g = g - Y q1 / 2 + U q2``.
+    ``q = K^{-T} [U^T g; Y^T g / 2]`` and
+    ``Y^T g = D^T g - T^T (U^T g) / 2``, ``Z^T g = g - Y q1 / 2 + U q2``.
     So ``G1 = g^T Z U``, ``G2 = (Z U)^T U`` and the coefficients
     ``P_U = C_U G1 - q2 G2``, ``P_Y = C_Y G1 + q1 G2 / 2`` are p-by-p,
-    ``2 Skew(Z U g^T Z) U = U P_U + Y P_Y - g G2``, and the result is
-    ``U (U^T dmat / 2 - P_U) - Y P_Y + g G2`` with
-    ``U^T dmat = (U^T U) P_U + (U^T Y) P_Y - (U^T g) G2``.  The N-row work
-    is the two p-row products ``U^T g`` and ``Y^T g``, this one assembly
-    ``[U, Y, g] C`` (as three products summed), and the two-pass
-    :func:`project_tangent`.  At ``D = 0`` the result agrees with
-    :func:`riemannian_grad` to within ``1e-13 max(1, ||grad||)``.
+    ``2 Skew(Z U g^T Z) U = U P_U + Y P_Y - g G2 =: E``, and the result
+    ``-(I - U U^T / 2) E`` is
+
+        ``U (U^T E / 2 - P_U + T P_Y / 2) - D P_Y + g G2``
+
+    with ``U^T E = (U^T U) P_U + (U^T Y) P_Y - (U^T g) G2``.  The N-row
+    work is the two p-row products ``U^T g`` and ``D^T g``, this one
+    assembly (three products summed) and one correcting projection
+    ``out -= U sym(U^T out)`` (two products): 7 in all.  At ``D = 0`` the
+    result agrees with :func:`riemannian_grad` to within
+    ``1e-13 max(1, ||grad||)``.
+
+    One correcting pass is enough here, where :func:`project_tangent`
+    needs two.  The assembled result is tangent in exact arithmetic, so
+    its tangency defect is the assembly's roundoff, which scales with the
+    terms summed (with ``g``, up to ``||g||``), not with the result.  A
+    pass removes the defect of its input up to roundoff in its own output:
+    after this one, the defect is of the order of eps times the result,
+    within the public :class:`TangentVector` tolerance however small the
+    result is next to ``g`` (a test pins it for ``||g||`` from 1e-8 to
+    1e12).  :func:`project_tangent` takes arbitrary ambient input, whose
+    normal part may be far larger than its tangential part: its first
+    pass leaves roundoff of the size of that input, and only its second
+    brings the defect to the scale of the output.  The result skips the
+    tangency check; a NaN or Inf in it still raises ``ValueError``.  Its
+    base is a private copy of ``u``.
 
     A caller that already retracted and evaluated the cost passes
     ``kernel``, the one ``retract_cayley(u, d, return_kernel=True)``
     returned for the same ``u`` and ``d``, and ``g``, the ambient gradient
     ``f.grad`` at that frame; then neither the kernel is rebuilt nor ``f``
-    called.  A rebuilt kernel is bit-identical to the carried one, so every
-    combination returns the same result.
+    called.  A rebuilt kernel is bit-identical to the carried one and
+    ``g`` is taken at its frame, so every combination returns the same
+    result.
 
     Raises
     ------
@@ -435,10 +475,10 @@ def grad_retraction_pullback(
     if kernel is None:
         kernel = _cayley_kernel(u, d.mat)
     if g is None:
-        g = f.grad(2.0 * kernel.zu - u)
+        g = f.grad(kernel.frame)
     p = u.shape[1]
     a1 = u.T @ g
-    a2 = kernel.y.T @ g
+    a2 = kernel.dmat.T @ g - 0.5 * (kernel.utd.T @ a1)  # Y^T g
     q = kernel.k_inv.T @ np.vstack([a1, 0.5 * a2])
     # Z U = U C_U + Y C_Y and Z^T g = g - Y q1 / 2 + U q2
     c_u = np.eye(p) - kernel.x[:p]
@@ -448,9 +488,12 @@ def grad_retraction_pullback(
     # 2 Skew(Z U g^T Z) U = (Z U) G1 - (Z^T g) G2 = U P_U + Y P_Y - g G2
     p_u = c_u @ g1 - q[p:] @ g2
     p_y = c_y @ g1 + 0.5 * (q[:p] @ g2)
-    ut_dmat = kernel.utu @ p_u + kernel.uty @ p_y - a1 @ g2
-    # -(I - U U^T / 2) of that, assembled once in the [U, Y, g] basis
-    out = u @ (0.5 * ut_dmat - p_u) - kernel.y @ p_y + g @ g2
-    # tangent in exact arithmetic; the roundoff defect scales with the
-    # ambient gradient, not with the (possibly tiny) result: re-project
-    return project_tangent(u, out)
+    ut_e = kernel.utu @ p_u + kernel.uty @ p_y - a1 @ g2
+    # -(I - U U^T / 2) of that, assembled once in the [U, D, g] basis
+    out = u @ (0.5 * ut_e - p_u + 0.5 * (kernel.utd @ p_y))
+    out -= kernel.dmat @ p_y
+    out += g @ g2
+    # remove the assembly's roundoff from the tangency identity
+    uto = u.T @ out
+    out -= u @ ((uto + uto.T) / 2.0)
+    return TangentVector._trusted(u.copy(), linalg.as_matrix(out, "tangent matrix"))

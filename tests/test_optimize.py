@@ -234,9 +234,9 @@ def _gdm_cp_b_norms(monkeypatch):
     norms = []
     pullback = optimize.pullback_from_euclidean
 
-    def spy(center, v, g, u):
+    def spy(center, v, g, u, **kwargs):
         norms.append(float(np.linalg.norm(v.b, 2)))
-        return pullback(center, v, g, u)
+        return pullback(center, v, g, u, **kwargs)
 
     monkeypatch.setattr(optimize, "pullback_from_euclidean", spy)
     return norms
@@ -270,6 +270,40 @@ def test_run_gdm_cp_recenters_after_overshoot(monkeypatch):
         first = adaptive.recenter_iters[0]
         assert fixed.fvals[: first + 1] == adaptive.fvals[: first + 1]
         assert fixed.fvals[-1] - inst.optimum_value > 1e2, t
+
+
+def test_run_gdm_cp_carries_the_gram_matrix_into_its_pullback(monkeypatch):
+    # The accepted trial's inverse map formed B^T B, and the pullback takes
+    # it instead of forming it again; not at the start, and not after a
+    # re-centering, whose re-mapped parameter has another B.  Carried or
+    # rebuilt, each pullback and the whole record are bit-identical.
+    n, p = 200, 10
+    f = problems.eigen_cost(problems.make_eigen_instance(n, p, seed=7))
+    u0 = problems.random_stiefel(np.random.default_rng([7, 211, 0]), n, p)
+    kw = dict(bt=BacktrackingConfig(gamma_initial=0.1), stop=StoppingConfig(max_iters=60))
+    pullback, carried = optimize.pullback_from_euclidean, []
+
+    def checked_pullback(center, v, g, u, btb=None):
+        out = pullback(center, v, g, u, btb=btb)
+        carried.append(btb is not None)
+        if btb is not None:
+            rebuilt = pullback(center, v, g, u)
+            assert np.array_equal(out.a, rebuilt.a) and np.array_equal(out.b, rebuilt.b)
+        return out
+
+    monkeypatch.setattr(optimize, "pullback_from_euclidean", checked_pullback)
+    rec = run_gdm_cp(f, u0, **kw)
+    assert rec.recenter_iters
+    assert carried == [False] + [it not in rec.recenter_iters for it in rec.iters[1:]]
+
+    def rebuilding_pullback(center, v, g, u, btb=None):
+        return pullback(center, v, g, u)
+
+    monkeypatch.setattr(optimize, "pullback_from_euclidean", rebuilding_pullback)
+    ref = run_gdm_cp(f, u0, **kw)
+    for name in ("iters", "fvals", "grad_norms", "feasibilities", "recenter_iters", "stop_reason"):
+        assert getattr(rec, name) == getattr(ref, name), name
+    assert np.array_equal(rec.final_u, ref.final_u)
 
 
 # ------------------------------------------------- anchored retraction solver

@@ -342,18 +342,21 @@ def test_grad_retraction_pullback_rejects_huge_step():
         retractions.grad_retraction_pullback(u, d, f)
 
 
+#: p = 1, 4 and 40, with N - p at, below and above p; step norms from 1e-3
+#: up to just under the condition bar (cond grows like ||D||^2 / 4) and past it
+KERNEL_SHAPES = ((2, 1), (30, 1), (6, 4), (50, 4), (60, 40), (200, 40))
+KERNEL_NORMS = (1e-3, 1e-1, 1.0, 10.0, 1e3, 1e5, 1e6, 1e7)
+
+
 def test_cayley_kernel_matches_panel_reference(monkeypatch):
     rng = np.random.default_rng(12)
     eps = np.finfo(float).eps
     accepted = refused = 0
-    # p = 1, 4 and 40, with N - p at, below and above p; step norms from
-    # 1e-3 up to just under the condition bar (cond grows like ||D||^2 / 4)
-    # and past it
-    for n, p in ((2, 1), (30, 1), (6, 4), (50, 4), (60, 40), (200, 40)):
+    for n, p in KERNEL_SHAPES:
         u = problems.random_stiefel(rng, n, p)
         f = problems.distance_cost(problems.random_stiefel(rng, n, p))
         direction = random_tangent(rng, u)
-        for norm in (1e-3, 1e-1, 1.0, 10.0, 1e3, 1e5, 1e6, 1e7):
+        for norm in KERNEL_NORMS:
             d = (norm / direction.norm()) * direction
             frame_ref, inner, cond, g_ref, grad_ref = panel_reference(u, d, f)
             if cond > linalg.COND_LIMIT:
@@ -396,3 +399,72 @@ def test_cayley_kernel_matches_panel_reference(monkeypatch):
         with pytest.raises(StepTooLargeError) as exc:
             call()
         assert exc.value.cond == np.inf
+
+
+def test_cayley_frame_is_the_kernels_frame_and_feasible():
+    # The frame is assembled in the [U, D] basis as U C - D X2; the plain
+    # retraction and the kernel's frame must be that one array's values,
+    # orthonormal to the bar of the dense-oracle property test.
+    rng = np.random.default_rng(13)
+    accepted = 0
+    for n, p in KERNEL_SHAPES:
+        u = problems.random_stiefel(rng, n, p)
+        direction = random_tangent(rng, u)
+        for norm in KERNEL_NORMS:
+            d = (norm / direction.norm()) * direction
+            try:
+                frame, kernel = retractions.retract_cayley(u, d, return_kernel=True)
+            except StepTooLargeError:
+                continue
+            accepted += 1
+            assert frame is kernel.frame and kernel.dmat is d.mat
+            assert np.array_equal(retractions.retract_cayley(u, d), frame)
+            k = np.linalg.inv(kernel.k_inv)
+            cond = np.linalg.norm(k, 1) * np.linalg.norm(kernel.k_inv, 1)
+            assert linalg.feasibility(frame) <= max(1e-12, 1e-15 * cond), (n, p, norm)
+    assert accepted >= 40
+
+
+def scaled(f, s):
+    """The cost ``s f``."""
+    return CostFunction(dim_n=f.dim_n, dim_p=f.dim_p,
+                        eval=lambda u: s * f.eval(u), grad=lambda u: s * f.grad(u))
+
+
+def test_grad_retraction_pullback_is_tangent_at_every_scale():
+    # One correcting pass, not project_tangent's two: the assembly's
+    # roundoff scales with ||g||, and the pass must take the tangency
+    # defect down to the result's own scale for ||g|| from 1e-8 to 1e12.
+    # Without the pass the steps of norm 1e5 fail the public check: there
+    # the pullback is far smaller than g.
+    rng = np.random.default_rng(14)
+    eps = np.finfo(float).eps
+    accepted = 0
+    for n, p in KERNEL_SHAPES:
+        u = problems.random_stiefel(rng, n, p)
+        target = problems.random_stiefel(rng, n, p)
+        direction = random_tangent(rng, u)
+        for norm in KERNEL_NORMS:
+            d = (norm / direction.norm()) * direction
+            try:
+                frame = retractions.retract_cayley(u, d)
+            except StepTooLargeError:
+                continue  # the refusal is test_cayley_kernel_matches_panel_reference's
+            accepted += 1
+            for s in 10.0 ** np.arange(-8, 13, 4):
+                f = scaled(problems.distance_cost(target), s)
+                _, _, cond, g_ref, grad_ref = panel_reference(u, d, f)
+                grad = retractions.grad_retraction_pullback(u, d, f)
+                TangentVector(u, grad.mat)
+                coupling = u.T @ grad.mat
+                assert (np.linalg.norm(coupling + coupling.T)
+                        <= 1e-14 * max(1.0, grad.norm())), (n, p, norm, s)
+                # the bars of test_cayley_kernel_matches_panel_reference
+                if norm <= 10.0:
+                    bar = 1e-13 * np.linalg.norm(grad_ref)
+                else:
+                    bar = eps * cond * np.linalg.norm(g_ref)
+                assert np.linalg.norm(grad.mat - grad_ref) <= bar, (n, p, norm, s)
+                given = retractions.grad_retraction_pullback(u, d, f, g=f.grad(frame))
+                assert np.array_equal(given.mat, grad.mat)
+    assert accepted >= 40
