@@ -372,9 +372,7 @@ def _cayley_frame(v: SkewParam):
     return frame, btb
 
 
-def inverse(
-    center: Center, v: SkewParam, return_b_norm: bool = False, *, _return_gram: bool = False
-):
+def inverse(center: Center, v: SkewParam, *, _return_gram: bool = False):
     """Map a skew parameter back to its feasible frame.
 
     Builds the identity-center frame ``W = [2 M^{-1} - I; -2 B M^{-1}]``
@@ -382,12 +380,10 @@ def inverse(
     applies the center orthogonally: ``U = S W``, which for a structured
     center touches only the top p-by-p block.  Cost: Cholesky QR applied
     twice to ``[I_p; B]``, four N-row products in all plus p-by-p work,
-    ``O(N p^2)``.  With ``return_b_norm`` the
-    result is the pair ``(U, ||B||_2)``; the norm is the square root of
-    the largest eigenvalue of the Gram matrix ``B^T B`` the map already
-    forms, accurate to a few eps relative.  (``run_gdm_cp`` passes the
-    private ``_return_gram`` for the pair ``(U, B^T B)`` instead, and
-    carries the Gram matrix into its pullback.)
+    ``O(N p^2)``.  With the private ``_return_gram`` the result is the
+    pair ``(U, B^T B)``, the Gram matrix the map forms: ``run_gdm_cp``
+    takes ``||B||_2`` from it (:func:`_gram_norm`) and passes it to its
+    pullback.
 
     Defined for every parameter whose ``I + B^T B`` stays positive
     definite once rounded: every parameter with ``||B||_2`` below about
@@ -414,14 +410,13 @@ def inverse(
         u = w
     else:
         u = center.s @ w
-    if _return_gram:
-        return u, btb
-    return (u, _gram_norm(btb)) if return_b_norm else u
+    return (u, btb) if _return_gram else u
 
 
 def _gram_norm(btb: np.ndarray) -> float:
     """``||B||_2`` from the Gram matrix ``B^T B``: the square root of its
-    largest eigenvalue (one p-by-p symmetric eigenvalue problem)."""
+    largest eigenvalue (one p-by-p symmetric eigenvalue problem), accurate
+    to a few eps relative."""
     return math.sqrt(max(float(np.linalg.eigvalsh(btb)[-1]), 0.0))
 
 

@@ -292,16 +292,17 @@ def _cayley_kernel(u: np.ndarray, dmat: np.ndarray) -> _CayleyKernel:
     ``A = [U, Y/2]``, ``B = [Y/2, -U]`` and ``Y = (I - U U^T / 2) D``, so
     ``Z = I - A K^{-1} B^T`` with ``K = I + B^T A``.  ``Y`` is never
     formed: every N-by-p term lies in the span of ``[U, D]`` and is carried
-    by p-by-p coefficients.  With ``T = U^T D`` and ``S = U^T U``, the
-    blocks of ``K`` are ``T``, ``S``, ``U^T Y = T - S T / 2`` and
+    by p-by-p coefficients.  With ``T = U^T D`` and ``S = U^T U``, ``K``
+    is assembled from the p-by-p blocks ``S``, ``U^T Y = T - S T / 2`` and
 
         ``Y^T Y = D^T D - T^T (T - S T / 4)``,
 
     one Gram product of ``D`` in place of one of ``Y``.  The subtraction
     does not cancel: for a tangent ``D``, ``T`` is skew and ``S = I`` up to
     roundoff, so with ``D = U T + E`` (``U^T E = 0``) the result is
-    ``E^T E + T^T T / 4``, at least a quarter of ``D^T D``; its rounding
-    error is a few eps relative to ``||Y^T Y||``.  ``K`` is inverted once;
+    ``E^T E + T^T T / 4``, at least a quarter of ``D^T D = T^T T + E^T E``;
+    its rounding error, a few eps times ``||D^T D||``, stays a few eps
+    relative to ``||Y^T Y||``.  ``K`` is inverted once;
     with ``[X1; X2] = K^{-1} B^T U`` (refined once against ``K``),
     ``Z U = U - U X1 - Y X2 / 2`` and the retraction's frame is
 

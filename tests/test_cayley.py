@@ -233,7 +233,8 @@ def test_inverse_stays_feasible_at_large_b_with_spread_singular_values(n, p):
     for structured in (True, False):
         center = problems.random_center(rng, n, p, structured=structured)
         v = spread_param(rng, n, p, 1e6)
-        u, b_norm = cayley.inverse(center, v, return_b_norm=True)
+        u, btb = cayley.inverse(center, v, _return_gram=True)
+        b_norm = cayley._gram_norm(btb)
         assert linalg.feasibility(u) <= 1e-13
         assert abs(b_norm - 1e6) <= 1e-12 * 1e6
 
