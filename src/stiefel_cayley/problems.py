@@ -77,30 +77,59 @@ def make_eigen_instance(n: int, p: int, seed: int) -> EigenInstance:
     )
 
 
-#: Above this value of ``p N^2``, :func:`_sym_times` forms ``A U`` as
-#: ``(U^T A)^T``.  It is OpenBLAS's small-matrix GEMM limit (100^3): at
-#: one BLAS thread (scipy-openblas 0.3.31, AVX-512 cores) ``A @ U`` jumps
-#: from 82.6 us at N=316, p=10 to 148.6 us at N=317, and the same jump
-#: shows at p=2 (N 707/708), p=5 (447/448) and p=20 (223/224).  Above it
-#: the transposed product took 0.58-0.80 of the time for p from 2 to 30
-#: (295 against 394 us at N=500, p=10) and was neutral (0.96-1.06) for
-#: p=40 and 64 near the limit; at or below it, it is slower.
-TRANSPOSED_PRODUCT_MIN = 100**3
+#: OpenBLAS's small-matrix GEMM limit on ``m n k`` (100^3): a product at
+#: or below it runs on an unpacked kernel, a larger one packs the whole of
+#: ``A`` into GEMM panels on every call.  At one BLAS thread
+#: (scipy-openblas 0.3.31) ``A @ U`` jumps from 82.6 us at N=316, p=10 to
+#: 148.6 us at N=317, and the same jump shows at p=2 (N 707/708), p=5
+#: (447/448) and p=20 (223/224).  :func:`_sym_times` keeps every product
+#: it forms at or below it when ``p <= BLOCKED_PRODUCT_MAX_P``.
+SMALL_PRODUCT_MAX = 100**3
+
+#: The largest ``p`` for which :func:`_sym_times` forms ``A U`` above
+#: :data:`SMALL_PRODUCT_MAX` in row blocks of ``SMALL_PRODUCT_MAX // (N p)``
+#: rows; above it, as ``(U^T A)^T``.  Time of the blocked form over the
+#: transposed one, best of 7 interleaved rounds, one BLAS thread:
+#:
+#: ======  =====  =====  =====  =====  =====  =====  =====  =====  =====
+#:   N     p=2    p=5    p=10   p=15   p=20   p=25   p=30   p=40   p=64
+#: ======  =====  =====  =====  =====  =====  =====  =====  =====  =====
+#:   320                 0.64   0.78   0.80   0.98   1.03   0.70   1.01
+#:   400                 0.73   0.80   0.79   1.01   1.14   1.04   0.80
+#:   500          0.52   0.63   0.74   0.82   0.96   1.01   0.98   1.19
+#:   700          0.51   0.63   0.78   0.75   0.96   1.11   1.09   1.10
+#:  1000   0.50   0.51   0.68   0.70   0.84   1.00   1.14   1.07   0.88
+#:  1400   0.52   0.59   0.81   0.89   0.95   1.06   1.37   1.22   0.96
+#:  2000   0.61   0.60   0.82   0.86   0.99   1.00   1.25   1.00   1.05
+#: ======  =====  =====  =====  =====  =====  =====  =====  =====  =====
+#:
+#: (blank: at or below the limit, where both give way to ``A @ U``).  At
+#: p=1, a matrix-vector product that never packs, the two forms tie
+#: (0.96-1.07 over three sweeps at N 1001-2000).
+BLOCKED_PRODUCT_MAX_P = 20
 
 
 def _sym_times(a: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``A U`` for an exactly symmetric ``A`` (C-ordered result).
 
-    Above :data:`TRANSPOSED_PRODUCT_MIN` it is computed as ``(U^T A)^T``,
-    which equals ``A U`` only because ``A = A^T`` holds exactly: both
-    :func:`make_eigen_instance` and :meth:`StochasticEigenFamily.draw`
-    build ``a`` that way.  The two forms sum in different orders, so they
-    may differ at roundoff.
+    At or below :data:`SMALL_PRODUCT_MAX` it is ``A @ U``.  Above it, for
+    ``p <= BLOCKED_PRODUCT_MAX_P``, each row block of the result is its
+    own product ``a[block] @ u`` of at most ``SMALL_PRODUCT_MAX`` size;
+    for larger ``p`` it is ``(U^T A)^T``, which equals ``A U`` only
+    because ``A = A^T`` holds exactly: both :func:`make_eigen_instance`
+    and :meth:`StochasticEigenFamily.draw` build ``a`` that way.  The
+    three forms sum in different orders, so they may differ at roundoff.
     """
     n, p = u.shape
-    if p * n * n > TRANSPOSED_PRODUCT_MIN:
+    rows = max(1, SMALL_PRODUCT_MAX // (n * p))
+    if rows >= n:
+        return a @ u
+    if p > BLOCKED_PRODUCT_MAX_P:
         return np.ascontiguousarray((u.T @ a).T)
-    return a @ u
+    out = np.empty((n, p))
+    for i in range(0, n, rows):
+        np.matmul(a[i : i + rows], u, out=out[i : i + rows])
+    return out
 
 
 def _trace_cost(a: np.ndarray, n: int, p: int) -> CostFunction:
@@ -124,11 +153,13 @@ def eigen_cost(inst: EigenInstance) -> CostFunction:
     invariant under right-multiplication of ``U`` by any orthogonal p-by-p
     matrix.  The value, the gradient and the fused evaluation all take
     the one product ``A U`` from the same helper, so they agree bitwise.
-    At or below ``p N^2 = 100^3`` that product is ``A @ U``; above it, where
-    OpenBLAS leaves its small-matrix path and ``A @ U`` slows down, it is
-    ``(U^T A)^T``, which relies on ``inst.a`` being exactly symmetric (see
-    :data:`TRANSPOSED_PRODUCT_MIN`).  The summation order, and so the last
-    bits, therefore change across that size.
+    At or below ``p N^2 = 100^3`` that product is ``A @ U``.  Above it,
+    where OpenBLAS leaves its small-matrix path and ``A @ U`` slows down,
+    it is formed in row blocks that each stay on that path for
+    ``p <= 20``, and as ``(U^T A)^T`` for larger ``p``, which relies on
+    ``inst.a`` being exactly symmetric (see :data:`BLOCKED_PRODUCT_MAX_P`).
+    The summation order, and so the last bits, therefore change across
+    that size and across ``p = 20``.
     """
     return _trace_cost(inst.a, inst.n, inst.p)
 

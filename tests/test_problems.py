@@ -121,13 +121,85 @@ def test_eigen_cost_members_agree_bitwise_and_with_the_formulas():
             assert abs(value - ref_value) <= 1e-14 * abs(ref_value), name
             ref_grad = -2.0 * (a @ u)
             assert np.linalg.norm(grad - ref_grad) <= 1e-14 * np.linalg.norm(ref_grad), name
-            if f.dim_p * f.dim_n**2 <= problems.TRANSPOSED_PRODUCT_MIN:
+            if f.dim_p * f.dim_n**2 <= problems.SMALL_PRODUCT_MAX:
                 # below the size rule the product is the plain A @ U
                 assert np.array_equal(grad, -2.0 * (a @ u)), name
 
 
+def _gram(n, seed):
+    """An exactly symmetric PSD matrix built like an eigen instance's."""
+    g = np.random.default_rng(seed).standard_normal((n, n))
+    a = g.T @ g
+    return (a + a.T) / 2.0
+
+
+def _row_blocks(n, p):
+    rows = problems.SMALL_PRODUCT_MAX // (n * p)
+    assert 1 <= rows < n  # above the limit: more than one block
+    return [slice(i, i + rows) for i in range(0, n, rows)]
+
+
+@pytest.mark.parametrize("n,p", [(317, 10), (500, 10), (1000, 2)])
+def test_trace_cost_forms_a_u_in_small_row_blocks(n, p):
+    # above p N^2 = 100^3 with p <= 20, every row block is its own product
+    # on OpenBLAS's small-matrix path, and all three members share it
+    assert p <= problems.BLOCKED_PRODUCT_MAX_P
+    a = _gram(n, seed=n + p)
+    f = problems._trace_cost(a, n, p)
+    u = problems.random_stiefel(np.random.default_rng(14), n, p)
+    value, grad = f.value_and_grad(u)
+    assert grad.flags.c_contiguous
+    assert value == f.eval(u) and np.array_equal(grad, f.grad(u))
+    for block in _row_blocks(n, p):
+        assert (block.stop - block.start) * n * p <= problems.SMALL_PRODUCT_MAX
+        assert np.array_equal(grad[block], -2.0 * (a[block] @ u))
+
+
+def test_blocked_product_needs_no_symmetry():
+    # unlike the transposed form, the row blocks are A U for any A
+    n, p = 500, 10
+    a = np.random.default_rng(15).standard_normal((n, n))
+    assert not np.array_equal(a, a.T)
+    f = problems._trace_cost(a, n, p)
+    u = problems.random_stiefel(np.random.default_rng(16), n, p)
+    value, grad = f.value_and_grad(u)
+    ref_grad = -2.0 * (a @ u)
+    assert np.linalg.norm(grad - ref_grad) <= 1e-14 * np.linalg.norm(ref_grad)
+    ref_value = -float(np.vdot(u, a @ u))
+    assert abs(value - ref_value) <= 1e-14 * np.linalg.norm(a @ u)
+    for block in _row_blocks(n, p):
+        assert np.array_equal(grad[block], -2.0 * (a[block] @ u))
+
+
+# (n, p) on both sides of p N^2 = 100^3 at p = 1, 2, 10, 20 and 21, and on
+# both sides of BLOCKED_PRODUCT_MAX_P = 20 above it
+SIZE_RULE_SIDES = [
+    (1000, 1), (1001, 1), (707, 2), (708, 2), (316, 10), (317, 10),
+    (223, 20), (224, 20), (218, 21), (219, 21), (300, 20), (300, 21),
+]
+
+
+@pytest.mark.parametrize("n,p", SIZE_RULE_SIDES)
+def test_trace_cost_is_a_u_on_both_sides_of_the_size_rule(n, p):
+    a = _gram(n, seed=n * p)
+    f = problems._trace_cost(a, n, p)
+    u = problems.random_stiefel(np.random.default_rng(17), n, p)
+    value, grad = f.value_and_grad(u)
+    assert grad.flags.c_contiguous
+    assert value == f.eval(u) and np.array_equal(grad, f.grad(u))
+    ref_grad = -2.0 * (a @ u)
+    assert np.linalg.norm(grad - ref_grad) <= 1e-14 * np.linalg.norm(ref_grad)
+    ref_value = -float(np.trace(u.T @ a @ u))
+    assert abs(value - ref_value) <= 1e-14 * abs(ref_value)
+    if p * n * n <= problems.SMALL_PRODUCT_MAX:
+        assert np.array_equal(grad, ref_grad)
+    elif p > problems.BLOCKED_PRODUCT_MAX_P:
+        assert np.array_equal(grad, -2.0 * (u.T @ a).T)
+
+
 def test_eigen_matrices_are_exactly_symmetric():
-    # the transposed product (U^T A)^T equals A U only for exactly symmetric A
+    # the transposed product (U^T A)^T, taken for p > 20 above the size
+    # rule, equals A U only for exactly symmetric A
     for n in (15, 500):
         a = problems.make_eigen_instance(n, 3, seed=n).a
         assert np.array_equal(a, a.T)
