@@ -105,7 +105,10 @@ SMALL_PRODUCT_MAX = 100**3
 #:
 #: (blank: at or below the limit, where both give way to ``A @ U``).  At
 #: p=1, a matrix-vector product that never packs, the two forms tie
-#: (0.96-1.07 over three sweeps at N 1001-2000).
+#: (0.96-1.07 over three sweeps at N 1001-2000).  The rule is sized for one
+#: BLAS thread.  At two, the transposed product is split across the threads
+#: and the blocks are not: over 15 rounds the ratio was 0.92-1.13 at N=500
+#: (p 5-10) and up to 1.43 at N=2000, p=20.
 BLOCKED_PRODUCT_MAX_P = 20
 
 
