@@ -12,7 +12,11 @@ built here are stateless and safe to evaluate concurrently.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,14 +86,10 @@ def make_eigen_instance(n: int, p: int, seed: int) -> EigenInstance:
 #: ``A`` into GEMM panels on every call.  At one BLAS thread
 #: (scipy-openblas 0.3.31) ``A @ U`` jumps from 82.6 us at N=316, p=10 to
 #: 148.6 us at N=317, and the same jump shows at p=2 (N 707/708), p=5
-#: (447/448) and p=20 (223/224).  :func:`_sym_times` keeps every product
-#: it forms at or below it when ``p <= BLOCKED_PRODUCT_MAX_P``.
-SMALL_PRODUCT_MAX = 100**3
-
-#: The largest ``p`` for which :func:`_sym_times` forms ``A U`` above
-#: :data:`SMALL_PRODUCT_MAX` in row blocks of ``SMALL_PRODUCT_MAX // (N p)``
-#: rows; above it, as ``(U^T A)^T``.  Time of the blocked form over the
-#: transposed one, best of 7 interleaved rounds, one BLAS thread:
+#: (447/448) and p=20 (223/224).  Above it, :func:`_sym_times` forms
+#: ``A U`` in row blocks of ``SMALL_PRODUCT_MAX // (N p)`` rows, each its
+#: own product at or below it.  Time of the blocked form over
+#: ``(U^T A)^T``, best of 7 interleaved rounds, one BLAS thread:
 #:
 #: ======  =====  =====  =====  =====  =====  =====  =====  =====  =====
 #:   N     p=2    p=5    p=10   p=15   p=20   p=25   p=30   p=40   p=64
@@ -103,31 +103,53 @@ SMALL_PRODUCT_MAX = 100**3
 #:  2000   0.61   0.60   0.82   0.86   0.99   1.00   1.25   1.00   1.05
 #: ======  =====  =====  =====  =====  =====  =====  =====  =====  =====
 #:
-#: (blank: at or below the limit, where both give way to ``A @ U``).  At
-#: p=1, a matrix-vector product that never packs, the two forms tie
-#: (0.96-1.07 over three sweeps at N 1001-2000).  The rule is sized for one
-#: BLAS thread.  At two, the transposed product is split across the threads
-#: and the blocks are not: over 15 rounds the ratio was 0.92-1.13 at N=500
-#: (p 5-10) and up to 1.43 at N=2000, p=20.
-BLOCKED_PRODUCT_MAX_P = 20
+#: (blank: at or below the limit, where both are ``A @ U``).  The blocks
+#: win for p <= 20, tie at p=1 (0.96-1.07 at N 1001-2000) and p=25, and
+#: lose by up to 1.37x at p=30; they are used for every p, since no
+#: benchmark workload has p > 20.  The ratio climbs with N; no N above
+#: 2000 was timed.  At two BLAS threads ``(U^T A)^T`` is split across the
+#: threads and the blocks are not, and the blocks lose (1.13x at N=500,
+#: p=10; 1.43x at N=2000, p=20), so they are used only at one thread.
+SMALL_PRODUCT_MAX = 100**3
+
+
+@functools.cache
+def _openblas_get_num_threads():
+    """OpenBLAS's ``get_num_threads`` in the library bundled with numpy,
+    or None where numpy links another BLAS."""
+    root = os.path.dirname(np.__file__)
+    for path in glob.glob(root + ".libs/*openblas*") + glob.glob(root + "/.dylibs/*openblas*"):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            get = getattr(lib, name, None)
+            if get is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                return get
+    return None
+
+
+def _single_blas_thread() -> bool:
+    """Whether numpy's BLAS is its bundled OpenBLAS, running one thread."""
+    get = _openblas_get_num_threads()
+    return get is not None and get() == 1
 
 
 def _sym_times(a: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``A U`` for an exactly symmetric ``A`` (C-ordered result).
 
-    At or below :data:`SMALL_PRODUCT_MAX` it is ``A @ U``.  Above it, for
-    ``p <= BLOCKED_PRODUCT_MAX_P``, each row block of the result is its
-    own product ``a[block] @ u`` of at most ``SMALL_PRODUCT_MAX`` size;
-    for larger ``p`` it is ``(U^T A)^T``, which equals ``A U`` only
-    because ``A = A^T`` holds exactly: both :func:`make_eigen_instance`
-    and :meth:`StochasticEigenFamily.draw` build ``a`` that way.  The
-    three forms sum in different orders, so they may differ at roundoff.
+    At or below :data:`SMALL_PRODUCT_MAX` it is one product ``a @ u``.
+    Above it, at one OpenBLAS thread, each row block of the result is its
+    own product ``a[block] @ u`` of at most ``SMALL_PRODUCT_MAX`` size.
+    Otherwise (more threads, another BLAS, or a single row already over
+    the limit) it is ``(U^T A)^T``, which equals ``A U`` only because
+    ``A = A^T`` holds exactly: both :func:`make_eigen_instance` and
+    :meth:`StochasticEigenFamily.draw` build ``a`` that way.  The forms sum
+    in different orders, so they may differ at roundoff.
     """
     n, p = u.shape
-    rows = max(1, SMALL_PRODUCT_MAX // (n * p))
-    if rows >= n:
-        return a @ u
-    if p > BLOCKED_PRODUCT_MAX_P:
+    rows = SMALL_PRODUCT_MAX // (n * p)
+    if rows < n and (rows == 0 or not _single_blas_thread()):
         return np.ascontiguousarray((u.T @ a).T)
     out = np.empty((n, p))
     for i in range(0, n, rows):
@@ -158,11 +180,11 @@ def eigen_cost(inst: EigenInstance) -> CostFunction:
     the one product ``A U`` from the same helper, so they agree bitwise.
     At or below ``p N^2 = 100^3`` that product is ``A @ U``.  Above it,
     where OpenBLAS leaves its small-matrix path and ``A @ U`` slows down,
-    it is formed in row blocks that each stay on that path for
-    ``p <= 20``, and as ``(U^T A)^T`` for larger ``p``, which relies on
-    ``inst.a`` being exactly symmetric (see :data:`BLOCKED_PRODUCT_MAX_P`).
-    The summation order, and so the last bits, therefore change across
-    that size and across ``p = 20``.
+    it is formed at one BLAS thread in row blocks that each stay on that
+    path, and otherwise as ``(U^T A)^T``, which relies on ``inst.a`` being
+    exactly symmetric (see :data:`SMALL_PRODUCT_MAX`).  The summation
+    order, and so the last bits, therefore change across that size and
+    with the BLAS thread count above it.
     """
     return _trace_cost(inst.a, inst.n, inst.p)
 

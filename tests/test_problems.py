@@ -2,6 +2,9 @@
 rotation centers and the stochastic family."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -108,24 +111,6 @@ def _matrix_of(f):
     return np.hstack(cols)
 
 
-def test_eigen_cost_members_agree_bitwise_and_with_the_formulas():
-    for name, f in _eigen_costs().items():
-        a = _matrix_of(f)
-        rng = np.random.default_rng(13)
-        for _ in range(3):
-            u = problems.random_stiefel(rng, f.dim_n, f.dim_p)
-            value, grad = f.value_and_grad(u)
-            assert value == f.eval(u), name
-            assert np.array_equal(grad, f.grad(u)) and grad.flags.c_contiguous, name
-            ref_value = -float(np.trace(u.T @ a @ u))
-            assert abs(value - ref_value) <= 1e-14 * abs(ref_value), name
-            ref_grad = -2.0 * (a @ u)
-            assert np.linalg.norm(grad - ref_grad) <= 1e-14 * np.linalg.norm(ref_grad), name
-            if f.dim_p * f.dim_n**2 <= problems.SMALL_PRODUCT_MAX:
-                # below the size rule the product is the plain A @ U
-                assert np.array_equal(grad, -2.0 * (a @ u)), name
-
-
 def _gram(n, seed):
     """An exactly symmetric PSD matrix built like an eigen instance's."""
     g = np.random.default_rng(seed).standard_normal((n, n))
@@ -133,30 +118,58 @@ def _gram(n, seed):
     return (a + a.T) / 2.0
 
 
-def _row_blocks(n, p):
+def _a_u_bits(a, u, single_thread):
+    """``A U`` summed in the order :func:`problems._sym_times` uses."""
+    n, p = u.shape
     rows = problems.SMALL_PRODUCT_MAX // (n * p)
-    assert 1 <= rows < n  # above the limit: more than one block
-    return [slice(i, i + rows) for i in range(0, n, rows)]
+    if rows >= n:
+        return a @ u
+    if rows == 0 or not single_thread:
+        return (u.T @ a).T
+    assert rows * n * p <= problems.SMALL_PRODUCT_MAX
+    return np.vstack([a[i:i + rows] @ u for i in range(0, n, rows)])
 
 
-@pytest.mark.parametrize("n,p", [(317, 10), (500, 10), (1000, 2)])
-def test_trace_cost_forms_a_u_in_small_row_blocks(n, p):
-    # above p N^2 = 100^3 with p <= 20, every row block is its own product
-    # on OpenBLAS's small-matrix path, and all three members share it
-    assert p <= problems.BLOCKED_PRODUCT_MAX_P
-    a = _gram(n, seed=n + p)
-    f = problems._trace_cost(a, n, p)
-    u = problems.random_stiefel(np.random.default_rng(14), n, p)
-    value, grad = f.value_and_grad(u)
-    assert grad.flags.c_contiguous
-    assert value == f.eval(u) and np.array_equal(grad, f.grad(u))
-    for block in _row_blocks(n, p):
-        assert (block.stop - block.start) * n * p <= problems.SMALL_PRODUCT_MAX
-        assert np.array_equal(grad[block], -2.0 * (a[block] @ u))
+# (n, p) on both sides of p N^2 = 100^3 at p = 1, 2, 10, 20 and 30, and two
+# more shapes with several row blocks above it
+SIZE_RULE_SIDES = [
+    (1000, 1), (1001, 1), (707, 2), (708, 2), (316, 10), (317, 10),
+    (223, 20), (224, 20), (182, 30), (183, 30), (500, 10), (1000, 2),
+]
 
 
-def test_blocked_product_needs_no_symmetry():
+def test_eigen_cost_members_agree_bitwise_and_with_the_formulas(monkeypatch):
+    cases = [(name, f, _matrix_of(f)) for name, f in _eigen_costs().items()]
+    for n, p in SIZE_RULE_SIDES:
+        a = _gram(n, seed=n * p)
+        cases.append((f"{n}x{p}", problems._trace_cost(a, n, p), a))
+    for single in (True, False):
+        monkeypatch.setattr(problems, "_single_blas_thread", lambda: single)
+        for name, f, a in cases:
+            rng = np.random.default_rng(13)
+            for _ in range(3):
+                u = problems.random_stiefel(rng, f.dim_n, f.dim_p)
+                value, grad = f.value_and_grad(u)
+                assert value == f.eval(u), name
+                assert np.array_equal(grad, f.grad(u)) and grad.flags.c_contiguous, name
+                ref_value = -float(np.trace(u.T @ a @ u))
+                assert abs(value - ref_value) <= 1e-14 * abs(ref_value), name
+                ref_grad = -2.0 * (a @ u)
+                assert np.linalg.norm(grad - ref_grad) <= 1e-14 * np.linalg.norm(ref_grad), name
+                # plain A @ U at or below the limit, blocks above it at one
+                # BLAS thread, (U^T A)^T above it otherwise
+                assert np.array_equal(grad, -2.0 * _a_u_bits(a, u, single)), (name, single)
+    # a single row over the limit takes (U^T A)^T at one thread too
+    monkeypatch.setattr(problems, "_single_blas_thread", lambda: True)
+    monkeypatch.setattr(problems, "SMALL_PRODUCT_MAX", 99)
+    a = _gram(20, seed=18)
+    u = problems.random_stiefel(np.random.default_rng(19), 20, 5)
+    assert np.array_equal(problems._trace_cost(a, 20, 5).grad(u), -2.0 * (u.T @ a).T)
+
+
+def test_blocked_product_needs_no_symmetry(monkeypatch):
     # unlike the transposed form, the row blocks are A U for any A
+    monkeypatch.setattr(problems, "_single_blas_thread", lambda: True)
     n, p = 500, 10
     a = np.random.default_rng(15).standard_normal((n, n))
     assert not np.array_equal(a, a.T)
@@ -167,39 +180,28 @@ def test_blocked_product_needs_no_symmetry():
     assert np.linalg.norm(grad - ref_grad) <= 1e-14 * np.linalg.norm(ref_grad)
     ref_value = -float(np.vdot(u, a @ u))
     assert abs(value - ref_value) <= 1e-14 * np.linalg.norm(a @ u)
-    for block in _row_blocks(n, p):
-        assert np.array_equal(grad[block], -2.0 * (a[block] @ u))
+    assert np.array_equal(grad, -2.0 * _a_u_bits(a, u, True))
 
 
-# (n, p) on both sides of p N^2 = 100^3 at p = 1, 2, 10, 20 and 21, and on
-# both sides of BLOCKED_PRODUCT_MAX_P = 20 above it
-SIZE_RULE_SIDES = [
-    (1000, 1), (1001, 1), (707, 2), (708, 2), (316, 10), (317, 10),
-    (223, 20), (224, 20), (218, 21), (219, 21), (300, 20), (300, 21),
-]
-
-
-@pytest.mark.parametrize("n,p", SIZE_RULE_SIDES)
-def test_trace_cost_is_a_u_on_both_sides_of_the_size_rule(n, p):
-    a = _gram(n, seed=n * p)
-    f = problems._trace_cost(a, n, p)
-    u = problems.random_stiefel(np.random.default_rng(17), n, p)
-    value, grad = f.value_and_grad(u)
-    assert grad.flags.c_contiguous
-    assert value == f.eval(u) and np.array_equal(grad, f.grad(u))
-    ref_grad = -2.0 * (a @ u)
-    assert np.linalg.norm(grad - ref_grad) <= 1e-14 * np.linalg.norm(ref_grad)
-    ref_value = -float(np.trace(u.T @ a @ u))
-    assert abs(value - ref_value) <= 1e-14 * abs(ref_value)
-    if p * n * n <= problems.SMALL_PRODUCT_MAX:
-        assert np.array_equal(grad, ref_grad)
-    elif p > problems.BLOCKED_PRODUCT_MAX_P:
-        assert np.array_equal(grad, -2.0 * (u.T @ a).T)
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_single_blas_thread_reads_the_openblas_thread_count(threads):
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if blas != "scipy-openblas":
+        pytest.skip(f"numpy links {blas}, not the OpenBLAS it bundles")
+    if int(threads) > (os.cpu_count() or 1):
+        pytest.skip("OpenBLAS caps its threads at the core count")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.path.dirname(os.path.dirname(problems.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "from stiefel_cayley import problems; print(problems._single_blas_thread())"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == str(threads == "1")
 
 
 def test_eigen_matrices_are_exactly_symmetric():
-    # the transposed product (U^T A)^T, taken for p > 20 above the size
-    # rule, equals A U only for exactly symmetric A
+    # the transposed product (U^T A)^T, taken above the size rule at more
+    # than one BLAS thread, equals A U only for exactly symmetric A
     for n in (15, 500):
         a = problems.make_eigen_instance(n, 3, seed=n).a
         assert np.array_equal(a, a.T)
