@@ -5,7 +5,10 @@ orthonormal columns) to a compressed skew parameter ``V = (A, B)`` living in
 a fixed vector space; the inverse map reconstructs ``U`` from ``V``.  Both
 directions are anchored at an orthogonal *center* ``S`` and only ever factor
 p-by-p matrices: the inverse map's N-row work is two Gram products and two
-panel products with the (N-p)-by-p block.
+panel products with the (N-p)-by-p block.  The panels go through
+:func:`linalg._mm`, which keeps them on OpenBLAS's small-matrix path in
+blocks above its size limit at one BLAS thread; the Grams stay
+``x.T @ x`` on numpy's symmetric (syrk) path.
 
 Frames are plain ndarrays; ``SkewParam``, ``Center`` and
 ``retractions.TangentVector`` are small immutable classes because they carry
@@ -359,7 +362,7 @@ def _cayley_frame(v: SkewParam):
     ip = np.eye(p)
     btb = v.b.T @ v.b
     r1_inv = np.linalg.inv(linalg._cholesky_r(ip + btb, "I + B^T B"))
-    q1_lo = v.b @ r1_inv  # B R1^{-1}
+    q1_lo = linalg._mm(v.b, r1_inv)  # B R1^{-1}
     gram2 = r1_inv.T @ r1_inv + q1_lo.T @ q1_lo  # (X R1^{-1})^T (X R1^{-1})
     r2_inv = np.linalg.inv(linalg._cholesky_r(gram2, "the Gram matrix of X R1^{-1}"))
     r_inv = r1_inv @ r2_inv  # R^{-1}, the top block of Q
@@ -368,7 +371,7 @@ def _cayley_frame(v: SkewParam):
     g = np.linalg.solve(ip + a_s, r_inv.T)  # (I + A_s)^{-1} R^{-T}
     frame = np.empty((v.n, p))
     frame[:p] = 2.0 * (r_inv @ g) - ip
-    np.matmul(q1_lo, -2.0 * (r2_inv @ g), out=frame[p:])
+    linalg._mm(q1_lo, -2.0 * (r2_inv @ g), out=frame[p:])
     return frame, btb
 
 

@@ -9,7 +9,11 @@ ambient cost.
 Everything here works on compressed blocks.  The pullback factorizes only
 the p-by-p matrix ``M`` and costs four N-row products beyond the ambient
 gradient; :func:`grad_pullback` adds the inverse map when it has to build
-the frame (four more N-row products, every factorization p-by-p).
+the frame (four more N-row products, every factorization p-by-p).  The
+pullback's three products with two distinct N-row operands go through
+:func:`linalg._mm` (blocks on OpenBLAS's small-matrix path above its size
+limit, at one BLAS thread); the Gram matrix ``B^T B`` stays ``x.T @ x`` on
+numpy's symmetric (syrk) path.
 """
 
 from __future__ import annotations
@@ -99,10 +103,11 @@ def pullback_from_euclidean(
         btb = v.b.T @ v.b
     m = np.eye(p) + v.a + btb
     m_inv = np.linalg.inv(m)
-    gtx = gle.T - gri.T @ v.b  # g^T (S_le - S_ri B)
+    gtx = gle.T - linalg._mm(gri.T, v.b)  # g^T (S_le - S_ri B)
     gp = gtx @ m_inv  # g^T X M^{-1}
     w11 = m_inv @ gp
-    b = -v.b @ (w11 + gp.T @ m_inv.T) - gri @ m_inv.T
+    b = linalg._mm(v.b, -(w11 + gp.T @ m_inv.T))
+    b -= linalg._mm(gri, m_inv.T)
     return SkewParam._trusted(
         linalg.as_matrix(w11 - w11.T, "a block"), linalg.as_matrix(b, "b block")
     )

@@ -19,6 +19,10 @@ Conventions
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +44,112 @@ __all__ = [
 #: refused (the low-rank Cayley-retraction system uses it).  Roughly the
 #: inverse of machine epsilon with a safety margin.
 COND_LIMIT = 1e14
+
+
+#: OpenBLAS's small-matrix GEMM limit on ``m n k`` (100^3): a product at
+#: or below it runs on an unpacked kernel, a larger one packs its operands
+#: into GEMM panels on every call.  At one BLAS thread (scipy-openblas
+#: 0.3.31) ``A @ U`` jumps from 82.6 us at N=316, p=10 to 148.6 us at
+#: N=317, and the same jump shows at p=2 (N 707/708), p=5 (447/448) and
+#: p=20 (223/224).  Above it, :func:`_mm` splits a product into blocks
+#: that each stay at or below it.  Time of the blocked form over the plain
+#: product for a cross Gram ``X^T Y`` (p-by-N times N-by-p, inner blocks)
+#: and a panel ``X C`` (N-by-p times p-by-p, row blocks), each cell
+#: "Gram panel", best of 5 interleaved rounds on 2 vCPUs of a shared host:
+#:
+#: =====  =========  =========  =========  =========  =========  =========
+#:   N    p=16       p=20       p=40       p=64       p=80       p=100
+#: =====  =========  =========  =========  =========  =========  =========
+#: one BLAS thread
+#: ------------------------------------------------------------------------
+#:   320                                   0.66 0.82  0.81 0.79  0.78 0.81
+#:   700                        0.67 0.77  0.77 0.81  0.79 0.83  0.73 0.79
+#:  1000                        0.67 0.74  0.76 0.82  0.81 0.79  0.77 0.81
+#:  1400                        0.65 0.72  0.78 0.78  0.81 0.82  0.77 0.79
+#:  2000                        0.69 0.76  0.81 0.77  0.86 0.83  0.77 0.78
+#:  4000  0.33 0.55  0.49 0.56  0.71 0.70  0.83 0.71  0.87 0.81  0.91 0.86
+#: ------------------------------------------------------------------------
+#: two BLAS threads (the blocks forced)
+#: ------------------------------------------------------------------------
+#:   320                                   1.07 1.46  1.26 1.33  1.13 1.59
+#:   700                        0.64 1.28  1.23 1.14  0.96 0.65  1.02 1.23
+#:  1000                        0.48 1.03  1.31 1.14  1.15 1.25  1.13 1.20
+#:  1400                        0.76 0.99  0.86 1.12  1.15 1.19  1.06 1.23
+#:  2000                        0.63 1.12  0.95 1.09  1.20 1.13  1.07 1.14
+#:  4000  0.32 0.77  0.50 1.06  0.58 1.17  0.99 1.05  1.23 1.00  1.29 1.46
+#: =====  =========  =========  =========  =========  =========  =========
+#:
+#: (blank: at or below the limit).  At one thread the blocks win at every
+#: shape above it.  At two the plain product is split across the threads
+#: and the blocks are not: panels lose by up to 1.59x (1.78x in a repeat
+#: sweep), and Grams lose by up to 1.31x at p >= 64 while they win at
+#: p <= 40, so :func:`_mm` takes blocks only at one thread.  A symmetric
+#: Gram ``X^T X`` in blocks loses to numpy's one syrk call at every shape
+#: above (1.00-1.32x at one thread, up to 2.14x at two), so those stay
+#: ``x.T @ x``.  ``A U`` (N-by-N times N-by-p) takes the row blocks too;
+#: its sweep is at ``problems._sym_times``.
+SMALL_PRODUCT_MAX = 100**3
+
+
+@functools.cache
+def _openblas_get_num_threads():
+    """OpenBLAS's ``get_num_threads`` in the library bundled with numpy,
+    or None where numpy links another BLAS."""
+    root = os.path.dirname(np.__file__)
+    for path in glob.glob(root + ".libs/*openblas*") + glob.glob(root + "/.dylibs/*openblas*"):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            get = getattr(lib, name, None)
+            if get is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                return get
+    return None
+
+
+def _single_blas_thread() -> bool:
+    """Whether numpy's BLAS is its bundled OpenBLAS, running one thread."""
+    get = _openblas_get_num_threads()
+    return get is not None and get() == 1
+
+
+def _block_size(m: int, k: int, n: int) -> int:
+    """Rows (``m >= k``) or inner indices (``m < k``) per block of
+    :func:`_mm`'s product of an m-by-k and a k-by-n matrix, or 0 where it
+    is one plain product: at or below :data:`SMALL_PRODUCT_MAX`, at more
+    than one OpenBLAS thread or with another BLAS, or when a single row
+    (inner index) is already over the limit."""
+    if m * k * n <= SMALL_PRODUCT_MAX or not _single_blas_thread():
+        return 0
+    return SMALL_PRODUCT_MAX // (min(m, k) * n)
+
+
+def _mm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b`` (into ``out`` when given) on OpenBLAS's small-matrix path.
+
+    Where :func:`_block_size` is 0 this is the bare ``np.matmul(a, b)``.
+    Otherwise, when ``a``'s rows are the long dimension, each row block of
+    the result is its own product ``a[block] @ b``; when the inner
+    dimension is, the products ``a[:, block] @ b[block]`` are summed in
+    order.  Every block is at most :data:`SMALL_PRODUCT_MAX` in size.  The
+    small-matrix kernel sums in another order than the packed one, and the
+    inner blocks add their own partial sums, so a blocked result may differ
+    from ``a @ b`` at roundoff.
+    """
+    m, k = a.shape
+    size = _block_size(m, k, b.shape[1])
+    if size == 0:
+        return np.matmul(a, b, out=out)
+    if m >= k:
+        if out is None:
+            out = np.empty((m, b.shape[1]))
+        for i in range(0, m, size):
+            np.matmul(a[i : i + size], b, out=out[i : i + size])
+        return out
+    out = np.matmul(a[:, :size], b[:size], out=out)
+    for j in range(size, k, size):
+        out += a[:, j : j + size] @ b[j : j + size]
+    return out
 
 
 class DimensionError(ValueError):

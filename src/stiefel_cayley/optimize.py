@@ -382,7 +382,10 @@ def run_gdm_cp_retraction(
     tangent coordinate and re-retract.  Step-too-large failures inside the
     retraction count as failed line-search trials and shrink the step.
     Each trial's Cayley kernel travels in its payload, so the accepted
-    step's pulled-back gradient does not rebuild it.
+    step's pulled-back gradient does not rebuild it.  The anchor is held as
+    the start vector's read-only base, which every pulled-back gradient
+    then shares, so the trial ``V - gamma G`` compares no frames and the
+    pullback copies none.
 
     Raises
     ------
@@ -406,7 +409,10 @@ def run_gdm_cp_retraction(
         return v, u, grad_retraction_pullback(u_anchor, v, f, g=g_euclid, kernel=kernel)
 
     def setup(u0: np.ndarray, record: RunRecord):
+        nonlocal u_anchor
         v0 = inverse_retract_cayley(u_anchor, u0)
+        # the same values, read-only: every gradient then shares v0's base
+        u_anchor = v0.base
         g0 = grad_retraction_pullback(u_anchor, v0, f)
         return v0, g0, f.eval(u0), step, reanchor
 

@@ -12,11 +12,7 @@ built here are stateless and safe to evaluate concurrently.
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import glob
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,80 +77,48 @@ def make_eigen_instance(n: int, p: int, seed: int) -> EigenInstance:
     )
 
 
-#: OpenBLAS's small-matrix GEMM limit on ``m n k`` (100^3): a product at
-#: or below it runs on an unpacked kernel, a larger one packs the whole of
-#: ``A`` into GEMM panels on every call.  At one BLAS thread
-#: (scipy-openblas 0.3.31) ``A @ U`` jumps from 82.6 us at N=316, p=10 to
-#: 148.6 us at N=317, and the same jump shows at p=2 (N 707/708), p=5
-#: (447/448) and p=20 (223/224).  Above it, :func:`_sym_times` forms
-#: ``A U`` in row blocks of ``SMALL_PRODUCT_MAX // (N p)`` rows, each its
-#: own product at or below it.  Time of the blocked form over
-#: ``(U^T A)^T``, best of 7 interleaved rounds, one BLAS thread:
-#:
-#: ======  =====  =====  =====  =====  =====  =====  =====  =====  =====
-#:   N     p=2    p=5    p=10   p=15   p=20   p=25   p=30   p=40   p=64
-#: ======  =====  =====  =====  =====  =====  =====  =====  =====  =====
-#:   320                 0.64   0.78   0.80   0.98   1.03   0.70   1.01
-#:   400                 0.73   0.80   0.79   1.01   1.14   1.04   0.80
-#:   500          0.52   0.63   0.74   0.82   0.96   1.01   0.98   1.19
-#:   700          0.51   0.63   0.78   0.75   0.96   1.11   1.09   1.10
-#:  1000   0.50   0.51   0.68   0.70   0.84   1.00   1.14   1.07   0.88
-#:  1400   0.52   0.59   0.81   0.89   0.95   1.06   1.37   1.22   0.96
-#:  2000   0.61   0.60   0.82   0.86   0.99   1.00   1.25   1.00   1.05
-#: ======  =====  =====  =====  =====  =====  =====  =====  =====  =====
-#:
-#: (blank: at or below the limit, where both are ``A @ U``).  The blocks
-#: win for p <= 20, tie at p=1 (0.96-1.07 at N 1001-2000) and p=25, and
-#: lose by up to 1.37x at p=30; they are used for every p, since no
-#: benchmark workload has p > 20.  The ratio climbs with N; no N above
-#: 2000 was timed.  At two BLAS threads ``(U^T A)^T`` is split across the
-#: threads and the blocks are not, and the blocks lose (1.13x at N=500,
-#: p=10; 1.43x at N=2000, p=20), so they are used only at one thread.
-SMALL_PRODUCT_MAX = 100**3
-
-
-@functools.cache
-def _openblas_get_num_threads():
-    """OpenBLAS's ``get_num_threads`` in the library bundled with numpy,
-    or None where numpy links another BLAS."""
-    root = os.path.dirname(np.__file__)
-    for path in glob.glob(root + ".libs/*openblas*") + glob.glob(root + "/.dylibs/*openblas*"):
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            get = getattr(lib, name, None)
-            if get is not None:
-                get.restype, get.argtypes = ctypes.c_int, []
-                return get
-    return None
-
-
-def _single_blas_thread() -> bool:
-    """Whether numpy's BLAS is its bundled OpenBLAS, running one thread."""
-    get = _openblas_get_num_threads()
-    return get is not None and get() == 1
+# Above ``p N^2 = linalg.SMALL_PRODUCT_MAX``, time of ``A U`` in row blocks
+# (``linalg._mm``) over ``(U^T A)^T``, best of 7 interleaved rounds, one
+# BLAS thread (scipy-openblas 0.3.31):
+#
+# ======  =====  =====  =====  =====  =====  =====  =====  =====  =====
+#   N     p=2    p=5    p=10   p=15   p=20   p=25   p=30   p=40   p=64
+# ======  =====  =====  =====  =====  =====  =====  =====  =====  =====
+#   320                 0.64   0.78   0.80   0.98   1.03   0.70   1.01
+#   400                 0.73   0.80   0.79   1.01   1.14   1.04   0.80
+#   500          0.52   0.63   0.74   0.82   0.96   1.01   0.98   1.19
+#   700          0.51   0.63   0.78   0.75   0.96   1.11   1.09   1.10
+#  1000   0.50   0.51   0.68   0.70   0.84   1.00   1.14   1.07   0.88
+#  1400   0.52   0.59   0.81   0.89   0.95   1.06   1.37   1.22   0.96
+#  2000   0.61   0.60   0.82   0.86   0.99   1.00   1.25   1.00   1.05
+# ======  =====  =====  =====  =====  =====  =====  =====  =====  =====
+#
+# (blank: at or below the limit, where both are ``A @ U``).  The blocks
+# win for p <= 20, tie at p=1 (0.96-1.07 at N 1001-2000) and p=25, and
+# lose by up to 1.37x at p=30; they are used for every p, since no
+# benchmark workload has p > 20.  The ratio climbs with N; no N above
+# 2000 was timed.  At two BLAS threads ``(U^T A)^T`` is split across the
+# threads and the blocks are not, and the blocks lose (1.13x at N=500,
+# p=10; 1.43x at N=2000, p=20), so they are used only at one thread.
 
 
 def _sym_times(a: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``A U`` for an exactly symmetric ``A`` (C-ordered result).
 
-    At or below :data:`SMALL_PRODUCT_MAX` it is one product ``a @ u``.
-    Above it, at one OpenBLAS thread, each row block of the result is its
-    own product ``a[block] @ u`` of at most ``SMALL_PRODUCT_MAX`` size.
-    Otherwise (more threads, another BLAS, or a single row already over
-    the limit) it is ``(U^T A)^T``, which equals ``A U`` only because
-    ``A = A^T`` holds exactly: both :func:`make_eigen_instance` and
-    :meth:`StochasticEigenFamily.draw` build ``a`` that way.  The forms sum
-    in different orders, so they may differ at roundoff.
+    At or below :data:`linalg.SMALL_PRODUCT_MAX` it is one product
+    ``a @ u``.  Above it, at one OpenBLAS thread, it is
+    :func:`linalg._mm`'s row blocks, each its own product ``a[block] @ u``
+    of at most that size.  Otherwise (more threads, another BLAS, or a
+    single row already over the limit) it is ``(U^T A)^T``, which equals
+    ``A U`` only because ``A = A^T`` holds exactly: both
+    :func:`make_eigen_instance` and :meth:`StochasticEigenFamily.draw`
+    build ``a`` that way.  The forms sum in different orders, so they may
+    differ at roundoff.
     """
     n, p = u.shape
-    rows = SMALL_PRODUCT_MAX // (n * p)
-    if rows < n and (rows == 0 or not _single_blas_thread()):
+    if n * n * p > linalg.SMALL_PRODUCT_MAX and not linalg._block_size(n, n, p):
         return np.ascontiguousarray((u.T @ a).T)
-    out = np.empty((n, p))
-    for i in range(0, n, rows):
-        np.matmul(a[i : i + rows], u, out=out[i : i + rows])
-    return out
+    return linalg._mm(a, u)
 
 
 def _trace_cost(a: np.ndarray, n: int, p: int) -> CostFunction:
@@ -182,7 +146,7 @@ def eigen_cost(inst: EigenInstance) -> CostFunction:
     where OpenBLAS leaves its small-matrix path and ``A @ U`` slows down,
     it is formed at one BLAS thread in row blocks that each stay on that
     path, and otherwise as ``(U^T A)^T``, which relies on ``inst.a`` being
-    exactly symmetric (see :data:`SMALL_PRODUCT_MAX`).  The summation
+    exactly symmetric (see :func:`_sym_times`).  The summation
     order, and so the last bits, therefore change across that size and
     with the BLAS thread count above it.
     """

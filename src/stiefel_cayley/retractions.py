@@ -34,6 +34,16 @@ Given the kernel and the ambient gradient ``g``, the gradient
 ``D^T g``), one assembly of the N-by-p result (three products), then one
 correcting tangent projection (two products; no tangency check, see
 there): 7 products of order N p^2 in all.
+
+Every N-row product of a solver step with two distinct operands goes
+through :func:`linalg._mm`, which above OpenBLAS's small-matrix limit
+(``N p^2 > 100^3``) and at one BLAS thread splits it into blocks that stay
+on that path: the projection's four, :func:`_gram_qr`'s two panels, the
+polar retraction's last product, the Cayley kernel's ``U^T D`` and frame
+products, and the pullback's seven.  The symmetric Gram products
+(``X^T X``, ``Q1^T Q1``, ``U^T U``, ``D^T D``) stay ``x.T @ x``, which
+numpy runs as one symmetric rank-k update (syrk) and which blocks would
+slow down.
 """
 
 from __future__ import annotations
@@ -172,10 +182,10 @@ def project_tangent(u: np.ndarray, x: np.ndarray) -> TangentVector:
     """
     u = np.asarray(u, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    utx = u.T @ x
-    once = x - u @ ((utx + utx.T) / 2.0)
-    uto = u.T @ once
-    mat = linalg.as_matrix(once - u @ ((uto + uto.T) / 2.0), "tangent matrix")
+    utx = linalg._mm(u.T, x)
+    once = x - linalg._mm(u, (utx + utx.T) / 2.0)
+    uto = linalg._mm(u.T, once)
+    mat = linalg.as_matrix(once - linalg._mm(u, (uto + uto.T) / 2.0), "tangent matrix")
     return TangentVector._trusted(u.copy(), mat)
 
 
@@ -222,9 +232,9 @@ def _gram_qr(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         # a NaN or Inf in a column of x reaches that column's diagonal entry
         linalg.as_matrix(x, "retraction input")
     r1 = linalg._cholesky_r(gram, "the Gram matrix of U + D")
-    q1 = x @ np.linalg.inv(r1)
+    q1 = linalg._mm(x, np.linalg.inv(r1))
     r2 = linalg._cholesky_r(q1.T @ q1, "the Gram matrix of Q1")
-    q, r = q1 @ np.linalg.inv(r2), r2 @ r1
+    q, r = linalg._mm(q1, np.linalg.inv(r2)), r2 @ r1
     r_min = float(np.min(np.diagonal(r)))
     if r_min < 1e-12 * float(np.sqrt(np.trace(gram))):  # trace(X^T X) = ||X||_F^2
         raise linalg.RankError(f"numerically rank-deficient input: min |R_ii| = {r_min:.3e}")
@@ -270,7 +280,7 @@ def retract_polar(u: np.ndarray, d: TangentVector) -> np.ndarray:
         searches should retry with a smaller step.
     """
     q, r = _gram_qr(np.asarray(u, dtype=np.float64) + d.mat)
-    return q @ linalg.polar_factor(r)
+    return linalg._mm(q, linalg.polar_factor(r))
 
 
 class _CayleyKernel(NamedTuple):
@@ -323,7 +333,7 @@ def _cayley_kernel(u: np.ndarray, dmat: np.ndarray) -> _CayleyKernel:
     :class:`StepTooLargeError`.
     """
     p = u.shape[1]
-    utd = u.T @ dmat
+    utd = linalg._mm(u.T, dmat)
     utu = u.T @ u
     s_t = utu @ utd
     uty = utd - 0.5 * s_t
@@ -352,8 +362,8 @@ def _cayley_kernel(u: np.ndarray, dmat: np.ndarray) -> _CayleyKernel:
     rhs = np.vstack([0.5 * uty.T, -utu])
     x = k_inv @ rhs
     x += k_inv @ (rhs - k @ x)
-    frame = u @ (np.eye(p) - 2.0 * x[:p] + 0.5 * (utd @ x[p:]))
-    frame -= dmat @ x[p:]
+    frame = linalg._mm(u, np.eye(p) - 2.0 * x[:p] + 0.5 * (utd @ x[p:]))
+    frame -= linalg._mm(dmat, x[p:])
     return _CayleyKernel(frame, k_inv, x, utu, uty, utd, dmat)
 
 
@@ -456,7 +466,9 @@ def grad_retraction_pullback(
     pass leaves roundoff of the size of that input, and only its second
     brings the defect to the scale of the output.  The result skips the
     tangency check; a NaN or Inf in it still raises ``ValueError``.  Its
-    base is a private copy of ``u``.
+    base is ``d.base`` when ``u`` is that array, so the two share one base
+    and their arithmetic skips the comparison of bases; otherwise it is a
+    private copy of ``u``.
 
     A caller that already retracted and evaluated the cost passes
     ``kernel``, the one ``retract_cayley(u, d, return_kernel=True)``
@@ -478,8 +490,8 @@ def grad_retraction_pullback(
     if g is None:
         g = f.grad(kernel.frame)
     p = u.shape[1]
-    a1 = u.T @ g
-    a2 = kernel.dmat.T @ g - 0.5 * (kernel.utd.T @ a1)  # Y^T g
+    a1 = linalg._mm(u.T, g)
+    a2 = linalg._mm(kernel.dmat.T, g) - 0.5 * (kernel.utd.T @ a1)  # Y^T g
     q = kernel.k_inv.T @ np.vstack([a1, 0.5 * a2])
     # Z U = U C_U + Y C_Y and Z^T g = g - Y q1 / 2 + U q2
     c_u = np.eye(p) - kernel.x[:p]
@@ -491,10 +503,11 @@ def grad_retraction_pullback(
     p_y = c_y @ g1 + 0.5 * (q[:p] @ g2)
     ut_e = kernel.utu @ p_u + kernel.uty @ p_y - a1 @ g2
     # -(I - U U^T / 2) of that, assembled once in the [U, D, g] basis
-    out = u @ (0.5 * ut_e - p_u + 0.5 * (kernel.utd @ p_y))
-    out -= kernel.dmat @ p_y
-    out += g @ g2
+    out = linalg._mm(u, 0.5 * ut_e - p_u + 0.5 * (kernel.utd @ p_y))
+    out -= linalg._mm(kernel.dmat, p_y)
+    out += linalg._mm(g, g2)
     # remove the assembly's roundoff from the tangency identity
-    uto = u.T @ out
-    out -= u @ ((uto + uto.T) / 2.0)
-    return TangentVector._trusted(u.copy(), linalg.as_matrix(out, "tangent matrix"))
+    uto = linalg._mm(u.T, out)
+    out -= linalg._mm(u, (uto + uto.T) / 2.0)
+    base = d.base if u is d.base else u.copy()
+    return TangentVector._trusted(base, linalg.as_matrix(out, "tangent matrix"))

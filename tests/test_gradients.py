@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from stiefel_cayley import cayley, gradients, problems
+from stiefel_cayley import cayley, gradients, linalg, problems
 from stiefel_cayley.cayley import Center, SkewParam
 from stiefel_cayley.gradients import CostFunction
 
@@ -144,6 +144,25 @@ def test_pullback_matches_two_solve_reference():
                 ref = SkewParam(*two_solve_pullback(center, v, g))
                 worst = max(worst, (got - ref).norm() / ref.norm())
     assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("n, p", [(23, 1), (32, 4), (140, 40), (2000, 40)])
+def test_pullback_b_block_is_the_negated_product_bitwise(monkeypatch, n, p):
+    # b is formed as B (-C) - S_ri^T g M^{-T}, subtracting in place; IEEE
+    # negation is exact, so with plain products (more than one BLAS
+    # thread) that is bitwise -B C - S_ri^T g M^{-T}
+    monkeypatch.setattr(linalg, "_openblas_get_num_threads", lambda: lambda: 2)
+    rng = np.random.default_rng(n + p)
+    for structured in (True, False)[: 1 if n > 1000 else 2]:  # a general center is N-by-N
+        center = problems.random_center(rng, n, p, structured=structured)
+        v = problems.random_skew_param(rng, n, p, norm=3.0)
+        g = rng.standard_normal((n, p))
+        got = gradients.pullback_from_euclidean(center, v, g, cayley.inverse(center, v))
+        gri = center.riT_mul(g, p)
+        m_inv = np.linalg.inv(np.eye(p) + v.a + v.b.T @ v.b)
+        gp = (center.leftT_mul(g, p).T - gri.T @ v.b) @ m_inv
+        w11 = m_inv @ gp
+        assert np.array_equal(got.b, -v.b @ (w11 + gp.T @ m_inv.T) - gri @ m_inv.T)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,6 +1,9 @@
 """Dense-kernel tests: factorizations and the norm facts every other module
 leans on."""
 
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -134,3 +137,110 @@ def test_determinant_lower_bound():
         full = v.full()
         det = np.linalg.det(np.eye(n) + full)
         assert det >= np.sqrt(1.0 + np.linalg.norm(full, 2) ** 2) - 1e-9
+
+
+# ------------------------------------------------- the blocked product
+
+
+def blas_threads(monkeypatch, threads):
+    """Make the OpenBLAS thread probe report ``threads``."""
+    monkeypatch.setattr(linalg, "_openblas_get_num_threads", lambda: lambda: threads)
+
+
+def in_order_blocks(a, b):
+    """``a @ b`` in the blocks of :func:`linalg._mm` at one BLAS thread,
+    with the block height checked against the limit on its own."""
+    m, k = a.shape
+    n = b.shape[1]
+    short = min(m, k)
+    size = linalg._block_size(m, k, n)
+    assert size * short * n <= linalg.SMALL_PRODUCT_MAX < (size + 1) * short * n
+    if m >= k:
+        return np.vstack([a[i:i + size] @ b for i in range(0, m, size)])
+    total = a[:, :size] @ b[:size]
+    for j in range(size, k, size):
+        total = total + a[:, j:j + size] @ b[j:j + size]
+    return total
+
+
+#: (N, p) at and just above N p^2 = 100^3 for p = 1, 10, 40, 64 and 100,
+#: and distance-tall's shape
+PANEL_SIDES = [(1_000_000, 1), (1_000_001, 1), (10_000, 10), (10_001, 10), (625, 40),
+               (626, 40), (244, 64), (245, 64), (100, 100), (101, 100), (2000, 40)]
+
+
+def product_cases(rng, n, p):
+    """The step path's kinds of N-row product at (N, p), as ``(a, b)``:
+    panels ``U C`` and ``B C`` (a row slice), cross Grams ``U^T X`` and
+    ``(S_ri^T g)^T B`` (transposed views of slices)."""
+    u = rng.standard_normal((n, p))
+    x = rng.standard_normal((n, p))
+    c = rng.standard_normal((p, p))
+    g = rng.standard_normal((n + p, p))
+    return [(u, c), (g[p:], c), (u.T, x), (g[p:].T, u)]
+
+
+@pytest.mark.parametrize("n, p", PANEL_SIDES)
+def test_blocked_product_agrees_with_the_plain_one(monkeypatch, n, p):
+    rng = np.random.default_rng(n + p)
+    above = n * p * p > linalg.SMALL_PRODUCT_MAX
+    for a, b in product_cases(rng, n, p):
+        plain = a @ b
+        for threads in (1, 2, 4):
+            blas_threads(monkeypatch, threads)
+            out = linalg._mm(a, b)
+            assert out.shape == plain.shape and out.flags.c_contiguous
+            assert np.linalg.norm(out - plain) <= 1e-14 * np.linalg.norm(a) * np.linalg.norm(b)
+            if above and threads == 1:
+                assert np.array_equal(out, in_order_blocks(a, b)), (n, p, a.shape)
+            else:
+                assert np.array_equal(out, plain), (n, p, a.shape, threads)
+            # into a row slice of a larger array, as the inverse map fills
+            # its frame's bottom block
+            frame = np.full((plain.shape[0] + 3, plain.shape[1]), np.nan)
+            assert np.shares_memory(linalg._mm(a, b, out=frame[3:]), frame)
+            assert np.array_equal(frame[3:], out) and np.isnan(frame[:3]).all()
+
+
+def test_blocked_product_block_rule(monkeypatch):
+    blas_threads(monkeypatch, 1)
+    assert linalg._block_size(625, 40, 40) == 0  # at the limit
+    assert linalg._block_size(2000, 40, 40) == 625  # rows of a panel
+    assert linalg._block_size(40, 2000, 40) == 625  # inner indices of a Gram
+    assert linalg._block_size(500, 500, 10) == 200  # rows of A U
+    assert linalg._block_size(2, 600_000, 1) == 500_000
+    blas_threads(monkeypatch, 2)
+    assert linalg._block_size(2000, 40, 40) == 0
+    monkeypatch.setattr(linalg, "_openblas_get_num_threads", lambda: None)  # another BLAS
+    assert linalg._block_size(2000, 40, 40) == 0
+
+
+def test_blocked_product_falls_back_when_one_row_is_over_the_limit(monkeypatch):
+    blas_threads(monkeypatch, 1)
+    monkeypatch.setattr(linalg, "SMALL_PRODUCT_MAX", 99)
+    rng = np.random.default_rng(17)
+    u, c = rng.standard_normal((30, 10)), rng.standard_normal((10, 10))
+    for a, b in ((u, c), (u.T, u)):  # one row, or one inner index, is 100
+        assert linalg._block_size(*a.shape, b.shape[1]) == 0
+        assert np.array_equal(linalg._mm(a, b), a @ b)
+    # and blocks of one row (inner index) when that fits
+    monkeypatch.setattr(linalg, "SMALL_PRODUCT_MAX", 100)
+    for a, b in ((u, c), (u.T, u)):
+        assert linalg._block_size(*a.shape, b.shape[1]) == 1
+        assert np.array_equal(linalg._mm(a, b), in_order_blocks(a, b))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_single_blas_thread_reads_the_openblas_thread_count(threads):
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if blas != "scipy-openblas":
+        pytest.skip(f"numpy links {blas}, not the OpenBLAS it bundles")
+    if int(threads) > (os.cpu_count() or 1):
+        pytest.skip("OpenBLAS caps its threads at the core count")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.path.dirname(os.path.dirname(linalg.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "from stiefel_cayley import linalg; print(linalg._single_blas_thread())"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == str(threads == "1")

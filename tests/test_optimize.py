@@ -564,6 +564,63 @@ def test_gdm_cp_retraction_builds_one_kernel_per_trial(monkeypatch):
     assert np.array_equal(rec.final_u, ref.final_u)
 
 
+#: linalg._mm calls in one step whose first trial is accepted: the trial's
+#: retraction or inverse map, then the accepted frame's gradient
+#: (project_tangent's 4, grad_retraction_pullback's 7 or
+#: pullback_from_euclidean's 3)
+BLOCKED_PRODUCTS_PER_STEP = {"gdm-qr": 2 + 4, "gdm-polar": 3 + 4, "gdm-cayley": 3 + 4,
+                             "gdm-cp-retraction": 3 + 7, "gdm-cp": 2 + 3}
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_every_step_product_takes_the_blocked_helper(monkeypatch, solver):
+    # Counted on the distance cost, which forms no product of its own, at a
+    # shape just above N p^2 = 100^3, so that no later edit puts an N-row
+    # product of the step back on OpenBLAS's packed path unnoticed.
+    n, p = 632, 40
+    rng = np.random.default_rng(21)
+    plain = problems.distance_cost(problems.random_stiefel(rng, n, p))
+    u0 = problems.random_stiefel(rng, n, p)
+    mm, products, trials = linalg._mm, [], []
+
+    def counting_mm(*args, **kwargs):
+        products.append(1)
+        return mm(*args, **kwargs)
+
+    def counting_eval_grad(u):
+        trials.append(1)
+        return plain.eval_grad(u)
+
+    f = CostFunction(dim_n=n, dim_p=p, eval=plain.eval, grad=plain.grad,
+                     eval_grad=counting_eval_grad)
+    monkeypatch.setattr(linalg, "_mm", counting_mm)
+    counts, trial_counts = [], []
+    for steps in (1, 2, 3):
+        products.clear()
+        trials.clear()
+        assert SOLVERS[solver](f, u0, stop=StoppingConfig(max_iters=steps)).iters[-1] == steps
+        counts.append(len(products))
+        trial_counts.append(len(trials))
+    assert np.diff(trial_counts).tolist() == [1, 1]  # each step took its first trial
+    assert np.diff(counts).tolist() == [BLOCKED_PRODUCTS_PER_STEP[solver]] * 2
+
+
+def test_gdm_cp_retraction_compares_no_frames(monkeypatch):
+    # The anchor is held as the start vector's base and every pulled-back
+    # gradient shares it, so V - gamma G never compares two frames.
+    f = problems.distance_cost(problems.random_stiefel(np.random.default_rng(22), 200, 20))
+    u0 = problems.random_stiefel(np.random.default_rng(23), 200, 20)
+    array_equal, compared = np.array_equal, []
+
+    def counting_array_equal(*args, **kwargs):
+        compared.append(1)
+        return array_equal(*args, **kwargs)
+
+    monkeypatch.setattr(np, "array_equal", counting_array_equal)
+    rec = run_gdm_cp_retraction(f, u0, u0.copy(), stop=StoppingConfig(max_iters=20))
+    assert rec.iters[-1] == 20 and compared == []
+
+
 def test_solvers_agree_on_medium_eigen():
     # all strategies drive the same instance to the known optimum
     n, p = 16, 3

@@ -5,7 +5,7 @@ and the retraction-pullback gradient."""
 import numpy as np
 import pytest
 
-from stiefel_cayley import cayley, linalg, problems, retractions
+from stiefel_cayley import cayley, gradients, linalg, problems, retractions
 from stiefel_cayley.cayley import Center, SingularPointError
 from stiefel_cayley.gradients import CostFunction
 from stiefel_cayley.retractions import StepTooLargeError, TangentVector
@@ -422,6 +422,51 @@ def test_cayley_frame_is_the_kernels_frame_and_feasible():
             cond = np.linalg.cond(kernel.k_inv, 1)  # that of K
             assert linalg.feasibility(frame) <= max(1e-12, 1e-15 * cond), (n, p, norm)
     assert accepted >= 40
+
+
+@pytest.mark.parametrize("n, p", [(2000, 40), (632, 40)])
+def test_kernels_above_the_small_product_limit(monkeypatch, n, p):
+    # Above N p^2 = 100^3 every step-path kernel takes linalg._mm's blocks
+    # at one BLAS thread and plain products at more; the two must agree
+    # to the bars of the kernel tests and keep the frames orthonormal.
+    rng = np.random.default_rng(n)
+    u = problems.random_stiefel(rng, n, p)
+    f = problems.distance_cost(problems.random_stiefel(rng, n, p))
+    x = rng.standard_normal((n, p))
+    d = random_tangent(rng, u, norm=1.0)
+    center = cayley.construct_center(u)
+    v = problems.random_skew_param(rng, n, p, norm=1.0)
+
+    def kernels():
+        w = cayley.inverse(center, v)
+        pulled = gradients.pullback_from_euclidean(center, v, f.grad(w), w)
+        return {
+            "project_tangent": retractions.project_tangent(u, x).mat,
+            "retract_qr": retractions.retract_qr(u, d),
+            "retract_polar": retractions.retract_polar(u, d),
+            "retract_cayley": retractions.retract_cayley(u, d),
+            "grad_retraction_pullback": retractions.grad_retraction_pullback(u, d, f).mat,
+            "inverse": w,
+            "pullback a": pulled.a,
+            "pullback b": pulled.b,
+        }
+
+    monkeypatch.setattr(linalg, "_openblas_get_num_threads", lambda: lambda: 1)
+    assert linalg._block_size(n, p, p) > 0 and linalg._block_size(p, n, p) > 0
+    blocked = kernels()
+    monkeypatch.setattr(linalg, "_openblas_get_num_threads", lambda: lambda: 2)
+    plain = kernels()
+    for name, out in blocked.items():
+        assert np.linalg.norm(out - plain[name]) <= 1e-13 * np.linalg.norm(plain[name]), name
+    for name in ("retract_qr", "retract_polar", "retract_cayley", "inverse"):
+        assert linalg.feasibility(blocked[name]) <= 1e-13, name
+    frame_ref, _, _, _, grad_ref = panel_reference(u, d, f)
+    frame = blocked["retract_cayley"]
+    assert np.linalg.norm(frame - frame_ref) <= 1e-13 * np.linalg.norm(frame_ref)
+    grad = blocked["grad_retraction_pullback"]
+    assert np.linalg.norm(grad - grad_ref) <= 1e-13 * np.linalg.norm(grad_ref)
+    qr_ref = linalg.qr_orthonormalize(u + d.mat)
+    assert np.linalg.norm(blocked["retract_qr"] - qr_ref) <= 1e-13 * np.linalg.norm(qr_ref)
 
 
 def scaled(f, s):
