@@ -183,6 +183,17 @@ class SkewParam:
         return f"SkewParam(n={self.n}, p={self.p}, norm={self.norm():.6g})"
 
 
+def random_skew_param(
+    rng: np.random.Generator, n: int, p: int, norm: float | None = None
+) -> SkewParam:
+    """A random parameter, optionally rescaled to a target weighted norm."""
+    v = SkewParam(rng.standard_normal((p, p)), rng.standard_normal((n - p, p)))
+    if norm is None:
+        return v
+    nrm = v.norm()
+    return v if nrm == 0.0 else (norm / nrm) * v
+
+
 class Center:
     """Orthogonal n-by-n center anchoring the transform.
 

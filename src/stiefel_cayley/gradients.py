@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linalg
-from .cayley import Center, SkewParam, inverse
+from .cayley import Center, SkewParam, inverse, random_skew_param
 
 __all__ = [
     "CostFunction",
@@ -163,12 +163,6 @@ class BoundReport:
         return {**asdict(self), "passed": int(self.passed)}
 
 
-def _random_param(rng: np.random.Generator, n: int, p: int, scale: float) -> SkewParam:
-    v = SkewParam(rng.standard_normal((p, p)), rng.standard_normal((n - p, p)))
-    nrm = v.norm()
-    return v if nrm == 0.0 else (scale / nrm) * v
-
-
 #: :func:`check_gradient_bounds` draws each parameter with a norm uniform
 #: in ``[0, BOUND_PARAM_SCALE]``.
 BOUND_PARAM_SCALE = 10.0
@@ -221,8 +215,8 @@ def check_gradient_bounds(
     for _ in range(samples):
         scale1 = BOUND_PARAM_SCALE * float(rng.uniform(0.0, 1.0))
         scale2 = BOUND_PARAM_SCALE * float(rng.uniform(0.0, 1.0))
-        v1 = _random_param(rng, n, p, scale1)
-        v2 = _random_param(rng, n, p, scale2)
+        v1 = random_skew_param(rng, n, p, scale1)
+        v2 = random_skew_param(rng, n, p, scale2)
         g1 = grad_pullback(center, v1, f)
         g2 = grad_pullback(center, v2, f)
         diff = (v1 - v2).norm()
@@ -241,7 +235,7 @@ def check_gradient_bounds(
     drawn = 0
     if family is not None and variance_draws > 0:
         sigma2 = float(family.sigma) ** 2
-        v = _random_param(rng, n, p, 2.0)
+        v = random_skew_param(rng, n, p, 2.0)
         g_mean = grad_pullback(center, v, family.mean_cost)
         u = inverse(center, v)
         sq = np.empty(variance_draws)

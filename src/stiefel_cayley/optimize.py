@@ -26,16 +26,16 @@ evaluation.  :func:`run_gdm_cp_retraction` likewise carries the trial's
 Cayley-retraction kernel into the pulled-back gradient.
 
 Every solver checks its start frame once, on entry: it must have the
-cost's shape and orthonormal columns.  Stopping clauses are checked in a
-fixed order each iteration: iteration budget first, then the
-gradient-norm ratio against the starting gradient, then the relative
-change of the cost value; a line search that finds no sufficient decrease
-ends the run at the last accepted frame.
+cost's shape and orthonormal columns.  A trial that raises
+:class:`linalg.RankError` is a failed trial.  :func:`_check_stop` picks
+every stop reason but one: a line search that finds no sufficient
+decrease ends the run at the last accepted frame.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
@@ -54,7 +54,6 @@ from .cayley import (
 )
 from .gradients import CostFunction, pullback_from_euclidean
 from .retractions import (
-    StepTooLargeError,
     TangentVector,
     inverse_retract_cayley,
     grad_retraction_pullback,
@@ -117,7 +116,7 @@ class BacktrackingConfig:
             raise ValueError(f"rho must be in (0,1), got {self.rho}")
         if not 0.0 < self.gamma_initial < math.inf:
             raise ValueError(f"gamma_initial must be positive and finite, got {self.gamma_initial}")
-        if self.max_halvings < 1:
+        if operator.index(self.max_halvings) < 1:
             raise ValueError(f"max_halvings must be >= 1, got {self.max_halvings}")
 
 
@@ -130,7 +129,7 @@ class StoppingConfig:
     fval_rel_tol: float = 1e-20
 
     def __post_init__(self):
-        if self.max_iters <= 0:
+        if operator.index(self.max_iters) <= 0:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
         if not 0.0 < self.grad_ratio_tol < math.inf:
             raise ValueError(
@@ -177,22 +176,21 @@ def _backtrack_full(
     f0: float,
     g_norm_sq: float,
     cfg: BacktrackingConfig,
-    retry_errors: tuple = (),
 ):
     """Armijo backtracking over ``gamma = gamma_initial rho^k``, largest first.
 
     ``step(x, g, gamma)`` is the solver's trial at step size ``gamma``: it
-    returns ``(fval, candidate, payload)``, and raising one of
-    ``retry_errors`` counts as a failed trial (the step was too large to
-    evaluate at all).  Returns ``(gamma, fval, candidate, payload)`` for the
-    first trial with sufficient decrease, or ``None`` when none of the
-    ``max_halvings + 1`` trials has it.
+    returns ``(fval, candidate, payload)``, and raising
+    :class:`linalg.RankError` counts as a failed trial (the step was too
+    large to evaluate at all).  Returns ``(gamma, fval, candidate,
+    payload)`` for the first trial with sufficient decrease, or ``None``
+    when none of the ``max_halvings + 1`` trials has it.
     """
     gamma = cfg.gamma_initial
     for _ in range(cfg.max_halvings + 1):
         try:
             f_new, cand, payload = step(x, g, gamma)
-        except retry_errors:
+        except linalg.RankError:
             pass
         else:
             if f_new <= f0 - cfg.c * gamma * g_norm_sq:
@@ -206,20 +204,19 @@ def _check_stop(
     d_cur: float,
     d0: float,
     f_cur: float,
-    f_prev: Optional[float],
+    f_prev: float,
     stop: StoppingConfig,
 ) -> Optional[str]:
-    """First stopping clause that fires at iterate ``n``, if any."""
+    """First stopping clause that fires at iterate ``n``, if any;
+    ``f_prev`` is NaN before the first step."""
+    if d0 == 0.0:
+        return STOP_STATIONARY
     if n >= stop.max_iters:
         return STOP_MAX_ITERS
     if d_cur <= stop.grad_ratio_tol * d0:
         return STOP_GRAD_RATIO
-    if f_prev is not None:
-        if f_cur == 0.0:
-            if f_prev == f_cur:
-                return STOP_FVAL_CHANGE
-        elif abs(f_cur - f_prev) / abs(f_cur) <= stop.fval_rel_tol:
-            return STOP_FVAL_CHANGE
+    if abs(f_cur - f_prev) <= stop.fval_rel_tol * abs(f_cur):
+        return STOP_FVAL_CHANGE
     return None
 
 
@@ -246,7 +243,6 @@ def _descend(
     bt: Optional[BacktrackingConfig],
     stop: Optional[StoppingConfig],
     setup: Callable,
-    retry: tuple = (),
 ) -> RunRecord:
     """The descent loop every solver runs.
 
@@ -261,7 +257,7 @@ def _descend(
       variable, makes one fused call to the cost
       (:meth:`CostFunction.value_and_grad`) at the candidate's frame and
       returns ``(fval, candidate, payload)``, with the ambient gradient in
-      the payload; raising one of ``retry`` counts as a failed trial;
+      the payload; a :class:`linalg.RankError` it raises is a failed trial;
     * ``reanchor(n, x, payload)`` runs after each accepted step ``n`` and
       returns ``(x, u, g)``: the variable to continue from (it may
       re-express the same frame in new coordinates), the frame, and the
@@ -277,18 +273,14 @@ def _descend(
     f_cur = float(f_cur)
     d0 = g_norm = g.norm()
     record.append(0, f_cur, d0, linalg.feasibility(u), time.perf_counter() - t0)
-    if d0 == 0.0:
-        record.stop_reason = STOP_STATIONARY
-        record.final_u = u
-        return record
-    f_prev = None
+    f_prev = math.nan
     n = 0
     while True:
         reason = _check_stop(n, g_norm, d0, f_cur, f_prev, stop)
         if reason is not None:
             record.stop_reason = reason
             break
-        accepted = _backtrack_full(step, x, g, f_cur, g_norm**2, bt, retry_errors=retry)
+        accepted = _backtrack_full(step, x, g, f_cur, g_norm**2, bt)
         if accepted is None:
             record.stop_reason = STOP_STALL
             break
@@ -328,8 +320,8 @@ def run_gdm_cp(
     step takes ``||B||_2`` from it (one p-by-p eigenvalue problem) and
     passes it to the pullback, which would otherwise form it again.  A
     trial parameter outside the inverse map's range (see
-    :func:`cayley.inverse`) raises ``linalg.RankError``, which counts as a
-    failed line-search trial and shrinks the step.
+    :func:`cayley.inverse`) raises ``linalg.RankError``: a failed trial,
+    as in every solver.
 
     Raises
     ------
@@ -364,7 +356,7 @@ def run_gdm_cp(
         g0 = pullback_from_euclidean(s, v0, g_euclid, u0)
         return v0, g0, f0, step, reanchor
 
-    return _descend(f, u0, bt, stop, setup, retry=(linalg.RankError,))
+    return _descend(f, u0, bt, stop, setup)
 
 
 def run_gdm_cp_retraction(
@@ -379,13 +371,13 @@ def run_gdm_cp_retraction(
     The start frame is lifted through the inverse Cayley retraction at the
     anchor (zero when they coincide, in which case the first iteration
     matches plain Cayley-retraction steepest descent); updates move the
-    tangent coordinate and re-retract.  Step-too-large failures inside the
-    retraction count as failed line-search trials and shrink the step.
-    Each trial's Cayley kernel travels in its payload, so the accepted
-    step's pulled-back gradient does not rebuild it.  The anchor is held as
-    the start vector's read-only base, which every pulled-back gradient
-    then shares, so the trial ``V - gamma G`` compares no frames and the
-    pullback copies none.
+    tangent coordinate and re-retract.  A step too large for the
+    retraction (:class:`StepTooLargeError`) is a failed trial.  Each
+    trial's Cayley kernel travels in its payload, so the accepted step's
+    pulled-back gradient does not rebuild it.  Every pulled-back gradient
+    is attached to the base of the vector it is taken at, so all of them
+    share the start vector's base and the trial ``V - gamma G`` compares
+    no frames.
 
     Raises
     ------
@@ -409,14 +401,11 @@ def run_gdm_cp_retraction(
         return v, u, grad_retraction_pullback(u_anchor, v, f, g=g_euclid, kernel=kernel)
 
     def setup(u0: np.ndarray, record: RunRecord):
-        nonlocal u_anchor
         v0 = inverse_retract_cayley(u_anchor, u0)
-        # the same values, read-only: every gradient then shares v0's base
-        u_anchor = v0.base
         g0 = grad_retraction_pullback(u_anchor, v0, f)
         return v0, g0, f.eval(u0), step, reanchor
 
-    return _descend(f, u0, bt, stop, setup, retry=(StepTooLargeError,))
+    return _descend(f, u0, bt, stop, setup)
 
 
 #: Retraction dispatch for :func:`run_gdm_retraction`.
@@ -438,8 +427,8 @@ def run_gdm_retraction(
 
     Each iteration projects the ambient gradient onto the tangent space at
     the current frame and retracts along its negative, with the Armijo test
-    ``f(R_U(-gamma D)) <= f(U) - c gamma ||D||_F^2``.  Retraction failures
-    (step too large, rank deficiency) count as failed trials.  The
+    ``f(R_U(-gamma D)) <= f(U) - c gamma ||D||_F^2``.  A retraction
+    failure (step too large, rank deficiency) is a failed trial.  The
     variable of the common loop is the frame itself: each trial is
     ``R_U(-gamma D)``, and the accepted frame is where the next gradient is
     projected.
@@ -466,4 +455,4 @@ def run_gdm_retraction(
         f0 = f.eval(u0)
         return u0, riemannian_grad(u0, f), f0, step, reanchor
 
-    return _descend(f, u0, bt, stop, setup, retry=(StepTooLargeError, linalg.RankError))
+    return _descend(f, u0, bt, stop, setup)

@@ -13,12 +13,13 @@ built here are stateless and safe to evaluate concurrently.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .cayley import Center, SkewParam
+from .cayley import Center, random_skew_param
 from .gradients import CostFunction
 
 __all__ = [
@@ -58,6 +59,7 @@ def make_eigen_instance(n: int, p: int, seed: int) -> EigenInstance:
     The Gram construction keeps the conditioning profile of squared
     Gaussian spectra; the optimum comes from a symmetric eigendecomposition.
     """
+    n, p = operator.index(n), operator.index(p)
     if not 1 <= p < n:
         raise linalg.DimensionError(f"need 1 <= p < n, got n={n}, p={p}")
     rng = np.random.default_rng(seed)
@@ -121,18 +123,19 @@ def _sym_times(a: np.ndarray, u: np.ndarray) -> np.ndarray:
     return linalg._mm(a, u)
 
 
+def _fused_cost(n: int, p: int, evgr) -> CostFunction:
+    """The cost whose fused evaluation ``evgr(u) -> (value, gradient)`` also
+    gives its value and its gradient, so the three members agree bitwise."""
+    return CostFunction(dim_n=n, dim_p=p, eval=lambda u: evgr(u)[0],
+                        grad=lambda u: evgr(u)[1], eval_grad=evgr)
+
+
 def _trace_cost(a: np.ndarray, n: int, p: int) -> CostFunction:
-    def ev(u: np.ndarray) -> float:
-        return -float(np.vdot(u, _sym_times(a, u)))
-
-    def gr(u: np.ndarray) -> np.ndarray:
-        return -2.0 * _sym_times(a, u)
-
     def evgr(u: np.ndarray):
         au = _sym_times(a, u)
         return -float(np.vdot(u, au)), -2.0 * au
 
-    return CostFunction(dim_n=n, dim_p=p, eval=ev, grad=gr, eval_grad=evgr)
+    return _fused_cost(n, p, evgr)
 
 
 def eigen_cost(inst: EigenInstance) -> CostFunction:
@@ -140,8 +143,8 @@ def eigen_cost(inst: EigenInstance) -> CostFunction:
 
     Minimized exactly by any orthonormal basis of the top-p eigenspace;
     invariant under right-multiplication of ``U`` by any orthogonal p-by-p
-    matrix.  The value, the gradient and the fused evaluation all take
-    the one product ``A U`` from the same helper, so they agree bitwise.
+    matrix.  The value and the gradient are both taken from the fused
+    evaluation and its one product ``A U``, so they agree bitwise.
     At or below ``p N^2 = 100^3`` that product is ``A @ U``.  Above it,
     where OpenBLAS leaves its small-matrix path and ``A @ U`` slows down,
     it is formed at one BLAS thread in row blocks that each stay on that
@@ -154,22 +157,18 @@ def eigen_cost(inst: EigenInstance) -> CostFunction:
 
 
 def distance_cost(target: np.ndarray) -> CostFunction:
-    """``f(U) = ||U - target||_F^2 / 2`` with gradient ``U - target``."""
-    target = np.asarray(target, dtype=np.float64).copy()
+    """``f(U) = ||U - target||_F^2 / 2`` with gradient ``U - target``.
+
+    A ``target`` that is not 2-D or not finite raises on entry."""
+    target = linalg.as_matrix(target, "target").copy()
     target.setflags(write=False)
     n, p = target.shape
-
-    def ev(u: np.ndarray) -> float:
-        return 0.5 * float(np.sum((u - target) ** 2))
-
-    def gr(u: np.ndarray) -> np.ndarray:
-        return u - target
 
     def evgr(u: np.ndarray):
         d = u - target
         return 0.5 * float(np.sum(d * d)), d
 
-    return CostFunction(dim_n=n, dim_p=p, eval=ev, grad=gr, eval_grad=evgr)
+    return _fused_cost(n, p, evgr)
 
 
 def rotation_center(theta: float, n: int, p: int):
@@ -245,14 +244,3 @@ def random_center(
     if structured:
         return Center.structured(random_stiefel(rng, p, p), n)
     return Center.general(random_stiefel(rng, n, n))
-
-
-def random_skew_param(
-    rng: np.random.Generator, n: int, p: int, norm: float | None = None
-) -> SkewParam:
-    """A random parameter, optionally rescaled to a target weighted norm."""
-    v = SkewParam(rng.standard_normal((p, p)), rng.standard_normal((n - p, p)))
-    if norm is None:
-        return v
-    nrm = v.norm()
-    return v if nrm == 0.0 else (norm / nrm) * v

@@ -13,8 +13,8 @@ p-by-p (Cholesky, and for the polar factor the SVD of ``R``).  Two passes
 are accurate here because ``X^T X = I + D^T D`` for a tangent step, so the
 smallest singular value of ``X`` is at least 1 and ``cond(X)`` is at most
 ``sqrt(1 + ||D||_2^2)``.  A step too large for the Gram matrix to carry
-raises :class:`linalg.RankError`, which line searches treat like
-:class:`StepTooLargeError`.
+raises :class:`linalg.RankError`, the error every line search counts as a
+failed trial (:class:`StepTooLargeError` is one).
 
 The Cayley retraction and its gradient share one O(Np^2) kernel,
 :func:`_cayley_kernel`: the low-rank (Sherman-Morrison-Woodbury) form of
@@ -72,14 +72,15 @@ __all__ = [
 ]
 
 
-class StepTooLargeError(RuntimeError):
+class StepTooLargeError(linalg.RankError):
     """The 2p-by-2p system behind the Cayley retraction is unreliable here.
 
     Raised when the exact 1-norm condition number ``||K||_1 ||K^{-1}||_1``
     of the kernel's ``K`` (see :func:`_cayley_kernel`) exceeds
     ``linalg.COND_LIMIT``; ``cond`` carries it.  A failed inverse or a
-    non-finite condition number gives ``cond = inf``.  Callers running a
-    line search should treat this as "shrink the step and retry".
+    non-finite condition number gives ``cond = inf``.  It is a
+    :class:`linalg.RankError`, so a line search counts it as a failed
+    trial, shrinks the step and retries.
     """
 
     def __init__(self, msg: str, cond: float):
@@ -164,6 +165,14 @@ def orth_complement(u: np.ndarray) -> np.ndarray:
     return q[:, u.shape[1] :]
 
 
+def _tangent_pass(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One pass of the tangent projection, ``X <- X - U sym(U^T X)``, in
+    place on ``x``, which it returns: two N-row products."""
+    utx = linalg._mm(u.T, x)
+    x -= linalg._mm(u, (utx + utx.T) / 2.0)
+    return x
+
+
 def project_tangent(u: np.ndarray, x: np.ndarray) -> TangentVector:
     """Orthogonal projection of an ambient matrix onto the tangent space.
 
@@ -181,11 +190,8 @@ def project_tangent(u: np.ndarray, x: np.ndarray) -> TangentVector:
     still raises ``ValueError``.  Its base is a private copy of ``u``.
     """
     u = np.asarray(u, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    utx = linalg._mm(u.T, x)
-    once = x - linalg._mm(u, (utx + utx.T) / 2.0)
-    uto = linalg._mm(u.T, once)
-    mat = linalg.as_matrix(once - linalg._mm(u, (uto + uto.T) / 2.0), "tangent matrix")
+    x = np.array(x, dtype=np.float64)  # a private copy, projected in place
+    mat = linalg.as_matrix(_tangent_pass(u, _tangent_pass(u, x)), "tangent matrix")
     return TangentVector._trusted(u.copy(), mat)
 
 
@@ -466,9 +472,8 @@ def grad_retraction_pullback(
     pass leaves roundoff of the size of that input, and only its second
     brings the defect to the scale of the output.  The result skips the
     tangency check; a NaN or Inf in it still raises ``ValueError``.  Its
-    base is ``d.base`` when ``u`` is that array, so the two share one base
-    and their arithmetic skips the comparison of bases; otherwise it is a
-    private copy of ``u``.
+    base is ``d.base``, the frame ``d`` is tangent at, so the two share one
+    base and their arithmetic skips the comparison of bases.
 
     A caller that already retracted and evaluated the cost passes
     ``kernel``, the one ``retract_cayley(u, d, return_kernel=True)``
@@ -507,7 +512,5 @@ def grad_retraction_pullback(
     out -= linalg._mm(kernel.dmat, p_y)
     out += linalg._mm(g, g2)
     # remove the assembly's roundoff from the tangency identity
-    uto = linalg._mm(u.T, out)
-    out -= linalg._mm(u, (uto + uto.T) / 2.0)
-    base = d.base if u is d.base else u.copy()
-    return TangentVector._trusted(base, linalg.as_matrix(out, "tangent matrix"))
+    out = linalg.as_matrix(_tangent_pass(u, out), "tangent matrix")
+    return TangentVector._trusted(d.base, out)

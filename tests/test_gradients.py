@@ -27,12 +27,14 @@ def constant_cost(n, p, value=3.0):
 
 def test_cost_function_fused_path_agrees():
     inst = problems.make_eigen_instance(12, 3, seed=0)
-    f = problems.eigen_cost(inst)
     rng = np.random.default_rng(0)
     u = problems.random_stiefel(rng, 12, 3)
-    fval, g = f.value_and_grad(u)
-    assert fval == f.eval(u)
-    assert np.array_equal(g, f.grad(u))
+    for f in (problems.eigen_cost(inst),
+              problems.distance_cost(problems.random_stiefel(rng, 12, 3)),
+              problems.stochastic_eigen_family(inst, 1.0, seed=4).draw(2)):
+        fval, g = f.value_and_grad(u)
+        assert fval == f.eval(u)
+        assert np.array_equal(g, f.grad(u))
 
 
 def test_grad_at_zero_matches_literal_blocks():

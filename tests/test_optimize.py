@@ -66,6 +66,18 @@ def test_config_validation():
             StoppingConfig(**bad)
 
 
+def test_config_counts_must_be_integers():
+    # A NaN budget would never fire, and a fractional halving count broke
+    # the line search's range() only once a run was under way.
+    for bad in (math.nan, 2.5, 3.0):
+        with pytest.raises(TypeError):
+            StoppingConfig(max_iters=bad)
+        with pytest.raises(TypeError):
+            BacktrackingConfig(max_halvings=bad)
+    assert StoppingConfig(max_iters=np.int64(3)).max_iters == 3
+    assert BacktrackingConfig(max_halvings=np.int64(4)).max_halvings == 4
+
+
 def test_run_record_requires_increasing_iters():
     rec = RunRecord()
     rec.append(0, 1.0, 1.0, 0.0, 0.0)
@@ -462,6 +474,76 @@ def test_line_search_retries_after_step_too_large(monkeypatch, solver):
     assert rec.stop_reason == STOP_MAX_ITERS
     assert_monotone(rec)
     assert max(rec.feasibilities) <= 1e-12
+
+
+#: The kernel each solver's line-search trial calls: a name in ``optimize``,
+#: or a key of ``RETRACTION_KINDS``.
+STEP_KERNELS = {"gdm-cp": "inverse", "gdm-cp-retraction": "retract_cayley",
+                **{f"gdm-{kind}": kind for kind in ("qr", "polar", "cayley")}}
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_every_solver_counts_both_errors_as_failed_trials(monkeypatch, solver):
+    # The step kernel refuses the first trial with a RankError and the
+    # second with a StepTooLargeError; both are failed trials, so every
+    # solver halves twice and accepts a later trial.
+    f = problems.eigen_cost(problems.make_eigen_instance(30, 3, seed=1))
+    u0 = problems.random_stiefel(np.random.default_rng(1), 30, 3)
+    refusals = [linalg.RankError("refused"),
+                retractions.StepTooLargeError("refused", cond=math.inf)]
+    calls = []
+
+    def refusing(kernel):
+        def trial(*args, **kwargs):
+            calls.append(None)
+            if len(calls) <= len(refusals):
+                raise refusals[len(calls) - 1]
+            return kernel(*args, **kwargs)
+        return trial
+
+    name = STEP_KERNELS[solver]
+    if name in optimize.RETRACTION_KINDS:
+        monkeypatch.setitem(optimize.RETRACTION_KINDS, name,
+                            refusing(optimize.RETRACTION_KINDS[name]))
+    else:
+        monkeypatch.setattr(optimize, name, refusing(getattr(optimize, name)))
+    rec = SOLVERS[solver](f, u0, stop=StoppingConfig(max_iters=5))
+    assert len(calls) > len(refusals)
+    assert rec.iters[-1] == 5 and rec.stop_reason == STOP_MAX_ITERS
+    assert_monotone(rec)
+    assert rec.fvals[-1] < rec.fvals[0]
+    assert max(rec.feasibilities) <= 1e-12
+
+
+_ULP_ABOVE_ONE = math.nextafter(1.0, 2.0)
+
+
+@pytest.mark.parametrize("n, d_cur, d0, f_cur, f_prev, stop, expected", [
+    # a stationary start wins over every other clause, the budget included
+    (5, 0.0, 0.0, 1.0, math.nan, StoppingConfig(max_iters=5), STOP_STATIONARY),
+    (0, 0.0, 0.0, 0.0, math.nan, StoppingConfig(), STOP_STATIONARY),
+    # then the budget, then the gradient ratio
+    (5, 1.0, 1.0, 1.0, 1.0, StoppingConfig(max_iters=5), STOP_MAX_ITERS),
+    (1, 1e-11, 1.0, 1.0, 2.0, StoppingConfig(), STOP_GRAD_RATIO),
+    # the first iterate has no previous f, so the f-change clause never fires
+    (0, 1.0, 1.0, 1.0, math.nan, StoppingConfig(), None),
+    (0, 1.0, 1.0, 0.0, math.nan, StoppingConfig(), None),
+    (0, 1.0, 1.0, 1.0, math.nan, StoppingConfig(fval_rel_tol=1e300), None),
+    # at f = 0 it fires only when f is unchanged, whatever the tolerance
+    (1, 1.0, 1.0, 0.0, 0.0, StoppingConfig(fval_rel_tol=1e300), STOP_FVAL_CHANGE),
+    (1, 1.0, 1.0, 0.0, 1e-300, StoppingConfig(fval_rel_tol=1e300), None),
+    # negative f: the change is relative to |f|
+    (1, 1.0, 1.0, -2.0, -2.1, StoppingConfig(fval_rel_tol=0.1), STOP_FVAL_CHANGE),
+    (1, 1.0, 1.0, -2.0, -3.0, StoppingConfig(fval_rel_tol=0.1), None),
+    (1, 1.0, 1.0, -2.0, -2.0, StoppingConfig(), STOP_FVAL_CHANGE),
+    # the default tolerance fires only on a zero change, at any scale of f
+    (1, 1.0, 1.0, 1.0, 1.0, StoppingConfig(), STOP_FVAL_CHANGE),
+    (1, 1.0, 1.0, 1.0, _ULP_ABOVE_ONE, StoppingConfig(), None),
+    (1, 1.0, 1.0, -1e300, math.nextafter(-1e300, 0.0), StoppingConfig(), None),
+    (1, 1.0, 1.0, 5e-324, 1e-323, StoppingConfig(), None),
+])
+def test_check_stop_table(n, d_cur, d0, f_cur, f_prev, stop, expected):
+    assert optimize._check_stop(n, d_cur, d0, f_cur, f_prev, stop) == expected
 
 
 def test_check_stop_at_zero_cost():

@@ -26,6 +26,14 @@ def fd_check(f, u, rng, dirs=20, step=1e-6):
 # ------------------------------------------------------------- instances
 
 
+def test_make_eigen_instance_takes_integer_sizes():
+    for n, p in ((10, 2.5), (10.0, 2), (10, math.nan)):
+        with pytest.raises(TypeError):
+            problems.make_eigen_instance(n, p, 0)
+    inst = problems.make_eigen_instance(np.int64(10), np.int64(2), 0)
+    assert (inst.n, inst.p) == (10, 2) and inst.a.shape == (10, 10)
+
+
 def test_make_eigen_instance_deterministic():
     a = problems.make_eigen_instance(20, 4, seed=42)
     b = problems.make_eigen_instance(20, 4, seed=42)
@@ -198,6 +206,17 @@ def test_distance_cost_at_target():
     assert np.all(f.grad(target) == 0.0)
     u = problems.random_stiefel(rng, 8, 2)
     assert f.eval(u) == pytest.approx(0.5 * np.linalg.norm(u - target) ** 2)
+
+
+def test_distance_cost_checks_its_target():
+    target = problems.random_stiefel(np.random.default_rng(5), 8, 2)
+    for bad in (math.nan, math.inf):
+        corrupt = target.copy()
+        corrupt[3, 1] = bad
+        with pytest.raises(ValueError, match="target contains NaN or Inf"):
+            problems.distance_cost(corrupt)
+    with pytest.raises(linalg.DimensionError):
+        problems.distance_cost(target[:, 0])
 
 
 # ------------------------------------------------------------ rotations
