@@ -15,7 +15,8 @@ Every output file starts with ``# key=value`` provenance lines (never a
 timestamp, so identical configurations produce identical bytes except for
 measured wall-clock columns), then a CSV header row; floats carry 17
 significant digits.  Exit status: 0 success, 2 usage error, 3 numerical
-failure.  The worker pool size is ``min(cpu_count, $BENCH_THREADS)``.
+failure.  Solver runs go one after another on the calling thread, in the
+order of their rows, so each run's time columns time that run alone.
 
 An experiment's command, help line, and the keys it reads with their
 defaults live in its single ``_EXPERIMENTS`` entry; those keys are its
@@ -29,7 +30,6 @@ import functools
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -196,7 +196,6 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     for name, value in vars(args).items():
         if name in merged and value is not None:
             merged[name] = tuple(value) if isinstance(value, list) else value
-    _pool_size()  # reject a malformed BENCH_THREADS before any work starts
     cfg = ExperimentConfig(**merged)
     _check_outputs(cfg)
     return cfg
@@ -246,25 +245,6 @@ def _history_path(out: str) -> str:
     return stem + "_history" + (ext or ".csv")
 
 
-def _pool_size() -> int:
-    size = os.cpu_count() or 1
-    cap = os.environ.get("BENCH_THREADS", "").strip()
-    if cap:
-        try:
-            size = min(size, max(1, int(cap)))
-        except ValueError:
-            raise ValueError(f"BENCH_THREADS must be an integer, got {cap!r}") from None
-    return max(1, size)
-
-
-def _run_tasks(tasks: Sequence[Tuple[tuple, Callable[[], object]]]) -> Dict[tuple, object]:
-    """Run keyed closures on the pool; results come back keyed, so output
-    order never depends on scheduling."""
-    with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
-        futures = [(key, pool.submit(fn)) for key, fn in tasks]
-        return {key: fut.result() for key, fut in futures}
-
-
 def _trial_start_frames(cfg: ExperimentConfig, first: Optional[np.ndarray] = None) -> List[np.ndarray]:
     """One start frame per trial, shared across algorithms and stepsizes.
 
@@ -297,25 +277,19 @@ def _race(cfg: ExperimentConfig, columns: Sequence[str],
           groups: Sequence[Tuple[Sequence[object], Callable[..., RunRecord]]],
           starts: Sequence[np.ndarray], optimum: float,
           extra: Sequence[Tuple[str, object]]) -> int:
-    """Race each group's solver from every trial's start at every stepsize
-    and write the summary and history CSVs.  A group is its values of the
-    leading ``columns`` (``algorithm`` first) and a solver called as
-    ``solve(u0, bt=bt, stop=stop)``; the ``extra`` provenance pairs follow
-    :data:`_RACE_KEYS`.  Two or more trials add mean and std summary rows."""
+    """Race each group's solver from every trial's start at every stepsize,
+    one run after another in row order, and write the summary and history
+    CSVs.  A group is its values of the leading ``columns`` (``algorithm``
+    first) and a solver called as ``solve(u0, bt=bt, stop=stop)``; the
+    ``extra`` provenance pairs follow :data:`_RACE_KEYS`.  Two or more
+    trials add mean and std summary rows."""
     stop = cfg.stopping()
-    tasks = []
-    for g, (_, solve) in enumerate(groups):
-        for gi, gamma in enumerate(cfg.gammas):
-            bt = BacktrackingConfig(gamma_initial=gamma)
-            for t in range(cfg.trials):
-                tasks.append(((g, gi, t), functools.partial(solve, starts[t], bt=bt, stop=stop)))
-    records = _run_tasks(tasks)
-
     summary: List[List[object]] = []
     history: List[List[object]] = []
-    for g, (cells, _) in enumerate(groups):
-        for gi, gamma in enumerate(cfg.gammas):
-            runs = [records[(g, gi, t)] for t in range(cfg.trials)]
+    for cells, solve in groups:
+        for gamma in cfg.gammas:
+            bt = BacktrackingConfig(gamma_initial=gamma)
+            runs = [solve(u0, bt=bt, stop=stop) for u0 in starts]
             # One row per trial; itr is a float here, and .17g prints it as an integer.
             finals = np.array([(r.fvals[-1], r.fvals[-1] - optimum, r.feasibilities[-1],
                                 r.grad_norms[-1], r.iters[-1], r.times[-1]) for r in runs])
@@ -408,11 +382,7 @@ def _mobility_trial(cfg: ExperimentConfig, grid: np.ndarray, trial: int):
 def cmd_mobility(cfg: ExperimentConfig) -> int:
     """Average inverse-transform sensitivity over trials on a shared grid."""
     grid = np.linspace(0.0, MOBILITY_BMAX, cfg.points)
-    tasks = [((t,), functools.partial(_mobility_trial, cfg, grid, t))
-             for t in range(cfg.trials)]
-    results = _run_tasks(tasks)
-    changes = np.mean([results[(t,)][0] for t in range(cfg.trials)], axis=0)
-    rates = np.mean([results[(t,)][1] for t in range(cfg.trials)], axis=0)
+    changes, rates = np.mean([_mobility_trial(cfg, grid, t) for t in range(cfg.trials)], axis=0)
 
     rows = np.column_stack((grid, changes, rates))
     _write_csv(cfg, cfg.out, ("n", "p", "trials", "seed", "points"), (), MOBILITY_HEADER, rows)

@@ -49,8 +49,8 @@ class CostFunction:
     line-search trial, so a cost without ``eval_grad`` pays for ``eval``
     plus ``grad`` on each one.
 
-    Instances must be stateless with respect to evaluation: calling the
-    members concurrently from several threads has to be safe.
+    Instances must be stateless with respect to evaluation: a call's
+    result depends only on its argument.
     """
 
     dim_n: int

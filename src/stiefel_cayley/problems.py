@@ -7,7 +7,7 @@ stochastic eigen family with an exactly known gradient-noise variance, and
 seeded sampling helpers shared by the CLI and the test suite.
 
 All randomness flows through ``numpy.random.default_rng`` (PCG64); costs
-built here are stateless and safe to evaluate concurrently.
+built here are stateless.
 """
 
 from __future__ import annotations
@@ -210,16 +210,20 @@ class StochasticEigenFamily:
     def __init__(self, inst: EigenInstance, sigma: float, seed: int):
         if not 0.0 <= sigma < math.inf:
             raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
         self.inst = inst
         self.sigma = float(sigma)
-        self.seed = int(seed)
+        self.seed = seed
         self.mean_cost = eigen_cost(inst)
         self._amp = self.sigma / math.sqrt(8.0 * inst.p * (inst.n + 1))
 
     def draw(self, k: int) -> CostFunction:
+        k = operator.index(k)
         if self._amp == 0.0:
             return self.mean_cost
-        rng = np.random.default_rng([self.seed, int(k)])
+        rng = np.random.default_rng([self.seed, k])
         g = rng.standard_normal((self.inst.n, self.inst.n))
         a_draw = self.inst.a + self._amp * (g + g.T)
         return _trace_cost(a_draw, self.inst.n, self.inst.p)

@@ -4,6 +4,7 @@ determinism, and exit codes for every subcommand."""
 import argparse
 import math
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -191,16 +192,6 @@ def test_ignored_flags_and_keys_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_bench_threads_validation(tmp_path, monkeypatch):
-    out = str(tmp_path / "x.csv")
-    monkeypatch.setenv("BENCH_THREADS", "plenty")
-    assert cli.main(["mobility", "--n", "6", "--p", "2", "--trials", "1",
-                     "--points", "3", "--out", out]) == 2
-    monkeypatch.setenv("BENCH_THREADS", "1")
-    assert cli.main(["mobility", "--n", "6", "--p", "2", "--trials", "1",
-                     "--points", "3", "--out", out]) == 0
-
-
 def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
     def failing_solver(*args, **kwargs):
         raise linalg.FactorizationError("SVD did not converge")
@@ -275,6 +266,37 @@ def test_deterministic_modulo_time(tmp_path, experiment):
             run.append((provenance, [[c for i, c in enumerate(r) if i not in drop] for r in rows]))
         runs.append(run)
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("experiment", ["eigen", "singular"])
+def test_race_runs_in_row_order_on_the_calling_thread(tmp_path, monkeypatch, experiment):
+    """Each solver run starts on the thread that called ``main``, after the
+    previous one returned, in the order of the summary rows it fills."""
+    monkeypatch.delenv("BENCH_THREADS", raising=False)
+    calls = []
+
+    def recorded(solve):
+        def call(*args, bt, **kwargs):
+            entry = [threading.get_ident(), bt.gamma_initial]
+            calls.append(entry)
+            rec = solve(*args, bt=bt, **kwargs)
+            entry += [rec.iters[-1], rec.fvals[-1], rec.stop_reason]
+            return rec
+        return call
+
+    for attr in ("run_gdm_cp", "run_gdm_cp_retraction", "run_gdm_retraction"):
+        monkeypatch.setattr(cli, attr, recorded(getattr(cli, attr)))
+    out = tmp_path / "race.csv"
+    assert cli.main([experiment, "--n", "6", "--p", "2", "--trials", "2", "--gamma", "0.1",
+                     "--gamma", "0.01", "--max-iters", "5", "--out", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    runs = [r for r in rows if r[header.index("trial")] not in ("mean", "std")]
+    assert len(calls) == len(runs) == (20 if experiment == "eigen" else 16)
+    assert {entry[0] for entry in calls} == {threading.get_ident()}
+    assert [tuple(entry[1:]) for entry in calls] == [
+        (float(g), int(i), float(f), s) for g, i, f, s in zip(
+            *(column(header, runs, name) for name in ("gamma_initial", "itr", "fval",
+                                                      "stop_reason")))]
 
 
 def test_readme_flag_table_matches_parsers():

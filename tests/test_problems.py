@@ -262,6 +262,20 @@ def test_stochastic_family_degenerate_and_seeded():
     assert fam.draw(5).eval(u) != fam.draw(6).eval(u)
 
 
+def test_stochastic_family_takes_integer_seeds_and_draws():
+    inst = problems.make_eigen_instance(10, 2, seed=6)
+    u = problems.random_stiefel(np.random.default_rng(6), 10, 2)
+    fam = problems.stochastic_eigen_family(inst, noise_sigma=1.0, seed=np.int64(7))
+    assert type(fam.seed) is int and fam.seed == 7
+    assert fam.draw(np.int64(1)).eval(u) == fam.draw(1).eval(u)
+    with pytest.raises(TypeError):
+        problems.stochastic_eigen_family(inst, noise_sigma=1.0, seed=2.5)
+    with pytest.raises(TypeError):
+        fam.draw(1.7)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        problems.stochastic_eigen_family(inst, noise_sigma=1.0, seed=-1)
+
+
 def test_stochastic_family_moments():
     n, p = 12, 2
     sigma = 1.7
