@@ -4,11 +4,12 @@ The forward map sends a feasible frame ``U`` (an N-by-p matrix with
 orthonormal columns) to a compressed skew parameter ``V = (A, B)`` living in
 a fixed vector space; the inverse map reconstructs ``U`` from ``V``.  Both
 directions are anchored at an orthogonal *center* ``S`` and only ever factor
-p-by-p matrices: the inverse map's N-row work is two Gram products and two
-panel products with the (N-p)-by-p block.  The panels go through
-:func:`linalg._mm`, which keeps them on OpenBLAS's small-matrix path in
-blocks above its size limit at one BLAS thread; the Grams stay
-``x.T @ x`` on numpy's symmetric (syrk) path.
+p-by-p matrices: the inverse map's N-row work is the Gram product
+``B^T B`` and two panel products with the (N-p)-by-p block, and a second
+Gram product when its Cholesky QR takes a second pass (a large ``B``).  The
+panels go through :func:`linalg._mm`, which keeps them on OpenBLAS's
+small-matrix path in blocks above its size limit at one BLAS thread; the
+Grams stay ``x.T @ x`` on numpy's symmetric (syrk) path.
 
 Frames are plain ndarrays; ``SkewParam``, ``Center`` and
 ``retractions.TangentVector`` are small immutable classes because they carry
@@ -345,10 +346,12 @@ def _cayley_frame(v: SkewParam):
     ``I + B^T B``), but a direct solve with it loses ~ ``eps * ||B||^2``
     of orthonormality in the result.  Instead, ``I + B^T B = X^T X`` for
     ``X = [I_p; B]``, whose singular values are all at least 1, so
-    Cholesky QR applied twice gives ``X = Q R`` with ``Q`` orthonormal to
-    roundoff (the argument of ``retractions._gram_qr``): pass 1 factors
-    ``I + B^T B = R1^T R1``, pass 2 the Gram matrix of
-    ``X R1^{-1} = [R1^{-1}; B R1^{-1}]``, and ``R = R2 R1``.  Then
+    Cholesky QR gives ``X = Q R`` with ``Q`` orthonormal to roundoff (the
+    argument of ``retractions._gram_qr``): pass 1 factors
+    ``I + B^T B = R1^T R1``.  When :func:`linalg._one_pass_enough` bounds
+    ``cond(X)^2`` by ``linalg.ONE_PASS_BOUND`` that is all, ``R = R1`` and
+    ``R2 = I`` below; otherwise pass 2 factors the Gram matrix of
+    ``X R1^{-1} = [R1^{-1}; B R1^{-1}]`` and ``R = R2 R1``.  Then
 
         ``M^{-1} = R^{-1} (I + A_s)^{-1} R^{-T}``,
         ``A_s = R^{-T} A R^{-1}``  (skew),
@@ -357,10 +360,10 @@ def _cayley_frame(v: SkewParam):
     ``[2 R^{-1} G - I; (B R1^{-1}) (-2 R2^{-1} G)]``.  ``I + A_s`` has all
     singular values >= 1, and ``R^{-1}`` and ``B R^{-1}`` are blocks of
     ``Q``, so every factor has spectral norm <= 1 and the defect stays
-    near roundoff (~ ``eps * (1 + ||A||)``).  The N-row work is four
-    products: the Gram matrices ``B^T B`` and ``(B R1^{-1})^T (B R1^{-1})``,
-    the panel ``B R1^{-1}`` and the bottom block; every factorization is
-    p-by-p.
+    near roundoff (~ ``eps * (1 + ||A||)``).  The N-row work is three
+    products, the Gram matrix ``B^T B``, the panel ``B R1^{-1}`` and the
+    bottom block, and a second pass adds a fourth, the Gram matrix
+    ``(B R1^{-1})^T (B R1^{-1})``; every factorization is p-by-p.
 
     Range: the rounded ``I + B^T B`` stays positive definite while
     ``cond(X)^2 = (1 + sigma_max(B)^2) / (1 + sigma_min(B)^2)`` is well
@@ -372,17 +375,20 @@ def _cayley_frame(v: SkewParam):
     p = v.p
     ip = np.eye(p)
     btb = v.b.T @ v.b
-    r1_inv = np.linalg.inv(linalg._cholesky_r(ip + btb, "I + B^T B"))
-    q1_lo = linalg._mm(v.b, r1_inv)  # B R1^{-1}
-    gram2 = r1_inv.T @ r1_inv + q1_lo.T @ q1_lo  # (X R1^{-1})^T (X R1^{-1})
-    r2_inv = np.linalg.inv(linalg._cholesky_r(gram2, "the Gram matrix of X R1^{-1}"))
-    r_inv = r1_inv @ r2_inv  # R^{-1}, the top block of Q
+    gram = ip + btb
+    r_inv = np.linalg.inv(linalg._cholesky_r(gram, "I + B^T B"))  # R1^{-1}
+    q1_lo = linalg._mm(v.b, r_inv)  # B R1^{-1}
+    r2_inv = None
+    if not linalg._one_pass_enough(gram, r_inv):
+        gram2 = r_inv.T @ r_inv + q1_lo.T @ q1_lo  # (X R1^{-1})^T (X R1^{-1})
+        r2_inv = np.linalg.inv(linalg._cholesky_r(gram2, "the Gram matrix of X R1^{-1}"))
+        r_inv = r_inv @ r2_inv  # R^{-1}, the top block of Q
     a_s = r_inv.T @ v.a @ r_inv
     a_s = (a_s - a_s.T) / 2.0
     g = np.linalg.solve(ip + a_s, r_inv.T)  # (I + A_s)^{-1} R^{-T}
     frame = np.empty((v.n, p))
     frame[:p] = 2.0 * (r_inv @ g) - ip
-    linalg._mm(q1_lo, -2.0 * (r2_inv @ g), out=frame[p:])
+    linalg._mm(q1_lo, -2.0 * (g if r2_inv is None else r2_inv @ g), out=frame[p:])
     return frame, btb
 
 
@@ -392,12 +398,13 @@ def inverse(center: Center, v: SkewParam, *, _return_gram: bool = False):
     Builds the identity-center frame ``W = [2 M^{-1} - I; -2 B M^{-1}]``
     (orthonormal columns up to roundoff, see :func:`_cayley_frame`) and
     applies the center orthogonally: ``U = S W``, which for a structured
-    center touches only the top p-by-p block.  Cost: Cholesky QR applied
-    twice to ``[I_p; B]``, four N-row products in all plus p-by-p work,
-    ``O(N p^2)``.  With the private ``_return_gram`` the result is the
-    pair ``(U, B^T B)``, the Gram matrix the map forms: ``run_gdm_cp``
-    takes ``||B||_2`` from it (:func:`_gram_norm`) and passes it to its
-    pullback.
+    center touches only the top p-by-p block.  Cost: Cholesky QR of
+    ``[I_p; B]``, in one pass unless ``B`` is large (see
+    :func:`_cayley_frame`), so three N-row products in all (four with a
+    second pass) plus p-by-p work, ``O(N p^2)``.  With the private
+    ``_return_gram`` the result is the pair ``(U, B^T B)``, the Gram matrix
+    the map forms: ``run_gdm_cp`` takes ``||B||_2`` from it
+    (:func:`_gram_norm`) and passes it to its pullback.
 
     Defined for every parameter whose ``I + B^T B`` stays positive
     definite once rounded: every parameter with ``||B||_2`` below about

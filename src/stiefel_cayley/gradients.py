@@ -9,7 +9,8 @@ ambient cost.
 Everything here works on compressed blocks.  The pullback factorizes only
 the p-by-p matrix ``M`` and costs four N-row products beyond the ambient
 gradient; :func:`grad_pullback` adds the inverse map when it has to build
-the frame (four more N-row products, every factorization p-by-p).  The
+the frame (three more N-row products, four when its Cholesky QR takes a
+second pass; every factorization p-by-p).  The
 pullback's three products with two distinct N-row operands go through
 :func:`linalg._mm` (blocks on OpenBLAS's small-matrix path above its size
 limit, at one BLAS thread); the Gram matrix ``B^T B`` stays ``x.T @ x`` on

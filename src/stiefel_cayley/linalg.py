@@ -1,10 +1,11 @@
 """Dense real linear-algebra substrate shared by every other module.
 
 Checked SVD, QR and polar-factor wrappers, the Cholesky factor of a Gram
-matrix (:func:`_cholesky_r`, shared by the inverse map and the QR and
-polar retractions), the orthonormality defect :func:`feasibility`, the
-input coercion :func:`as_matrix`, and the error taxonomy the other modules
-raise.
+matrix (:func:`_cholesky_r`) and the rule for whether Cholesky QR needs a
+second pass (:func:`_one_pass_enough`), both shared by the inverse map and
+the QR and polar retractions, the orthonormality defect
+:func:`feasibility`, the input coercion :func:`as_matrix`, and the error
+taxonomy the other modules raise.
 
 Conventions
 -----------
@@ -14,11 +15,13 @@ Conventions
   add the error taxonomy and determinism fixes (sign conventions, rank
   thresholds) that callers rely on.
 * Everything in this module is a pure function of its inputs and is safe
-  to call from multiple threads.
+  to call from multiple threads, except :func:`_one_blas_thread`, which
+  sets the process's OpenBLAS thread count while its body runs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import glob
@@ -44,6 +47,29 @@ __all__ = [
 #: refused (the low-rank Cayley-retraction system uses it).  Roughly the
 #: inverse of machine epsilon with a safety margin.
 COND_LIMIT = 1e14
+
+#: Cholesky QR (``retractions._gram_qr`` and ``cayley._cayley_frame``)
+#: takes its second pass only when :func:`_one_pass_enough`'s bound
+#: ``beta >= cond(X)^2`` exceeds this.  Defect ``||Q^T Q - I||_F`` after
+#: one pass and after two, worst of 20 draws (10 in the last row) of
+#: ``X = U + D`` with a rank-one tangent ``D`` in a random direction, so
+#: ``cond(X)^2 = 1 + ||D||^2``, one BLAS thread:
+#:
+#: =========  ================  ================  ================
+#: cond(X)^2  N=500, p=10       N=2000, p=40      N=120, p=80
+#: =========  ================  ================  ================
+#:      10    3.9e-15  1.2e-15  3.8e-15  1.9e-15  5.8e-15  3.4e-15
+#:     100    3.5e-14  1.9e-15  2.7e-14  2.1e-15  3.8e-14  4.4e-15
+#:     1e6    3.1e-10  1.9e-15  2.7e-10  2.6e-15  3.6e-10  4.7e-15
+#: =========  ================  ================  ================
+#:
+#: So at or below the bound one pass stays within about 3x of two, and
+#: beyond it the defect grows like ``eps cond(X)^2``.  ``beta`` overstates
+#: ``cond(X)^2`` by up to ``p^{3/2}`` (by 8x, 20x and 30x in the first
+#: row), so such draws take the second pass well below ``cond(X)^2 = 10``;
+#: steps along coordinate directions have ``beta = cond(X)^2``.  Every
+#: line-search trial of the benchmark workloads takes one pass.
+ONE_PASS_BOUND = 10.0
 
 
 #: OpenBLAS's small-matrix GEMM limit on ``m n k`` (100^3): a product at
@@ -92,19 +118,46 @@ SMALL_PRODUCT_MAX = 100**3
 
 
 @functools.cache
-def _openblas_get_num_threads():
-    """OpenBLAS's ``get_num_threads`` in the library bundled with numpy,
-    or None where numpy links another BLAS."""
+def _openblas_function(stem: str, restype, *argtypes):
+    """OpenBLAS's ``openblas_<stem>`` in the library bundled with numpy,
+    under whichever of its symbol names that build exports, or None where
+    numpy links another BLAS."""
     root = os.path.dirname(np.__file__)
     for path in glob.glob(root + ".libs/*openblas*") + glob.glob(root + "/.dylibs/*openblas*"):
         lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            get = getattr(lib, name, None)
-            if get is not None:
-                get.restype, get.argtypes = ctypes.c_int, []
-                return get
+        for name in (f"scipy_openblas_{stem}64_", f"scipy_openblas_{stem}",
+                     f"openblas_{stem}64_", f"openblas_{stem}"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.restype, fn.argtypes = restype, list(argtypes)
+                return fn
     return None
+
+
+@functools.cache
+def _openblas_get_num_threads():
+    """OpenBLAS's ``get_num_threads`` in the library bundled with numpy,
+    or None where numpy links another BLAS."""
+    return _openblas_function("get_num_threads", ctypes.c_int)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body at one OpenBLAS thread and restore the count after, so
+    that a large product sums in the same order at every thread count.  The
+    count is the process's: BLAS calls made meanwhile from other threads
+    run at one thread too.  A no-op where numpy links another BLAS."""
+    get = _openblas_function("get_num_threads", ctypes.c_int)  # tests replace the probe
+    set_ = _openblas_function("set_num_threads", None, ctypes.c_int)
+    threads = 1 if get is None or set_ is None else get()
+    if threads == 1:
+        yield
+        return
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(threads)
 
 
 def _single_blas_thread() -> bool:
@@ -226,7 +279,8 @@ def qr_orthonormalize(x) -> np.ndarray:
     caller in the package is ``problems.random_stiefel``, whose input is an
     arbitrary Gaussian matrix.  The QR and polar retractions, whose input
     ``U + D`` has no singular value below 1, use the cheaper Cholesky QR of
-    ``retractions._gram_qr`` instead.
+    ``retractions._gram_qr`` instead: one pass for a small step, two when
+    :func:`_one_pass_enough` says one may not be accurate.
 
     Raises
     ------
@@ -254,10 +308,12 @@ def _cholesky_r(gram: np.ndarray, what: str) -> np.ndarray:
 
     Shared by the inverse map (``cayley._cayley_frame``, on ``I + B^T B``)
     and the Cholesky QR of the QR and polar retractions
-    (``retractions._gram_qr``).  Forming a Gram matrix rounds its entries
-    by about ``eps ||gram||``, so one whose eigenvalues spread beyond about
-    ``1 / eps`` need not be positive definite once rounded; Cholesky then
-    fails.  ``what`` names the matrix in the error message.
+    (``retractions._gram_qr``): one call per Cholesky QR pass, so one for a
+    step that :func:`_one_pass_enough` admits and two otherwise.  Forming a
+    Gram matrix rounds its entries by about ``eps ||gram||``, so one whose
+    eigenvalues spread beyond about ``1 / eps`` need not be positive
+    definite once rounded; Cholesky then fails.  ``what`` names the matrix
+    in the error message.
 
     Raises
     ------
@@ -271,6 +327,24 @@ def _cholesky_r(gram: np.ndarray, what: str) -> np.ndarray:
         return np.linalg.cholesky(gram).T
     except np.linalg.LinAlgError as exc:
         raise RankError(f"Cholesky factorization of {what} failed: {exc}") from exc
+
+
+def _one_pass_enough(gram: np.ndarray, r_inv: np.ndarray) -> bool:
+    """Whether one Cholesky QR pass is accurate: ``X R^{-1}`` for
+    ``gram = X^T X = R^T R`` and its inverse ``r_inv``.
+
+    One pass leaves ``||Q^T Q - I||`` of order ``eps cond(X)^2``
+    (Yamamoto, Nakatsukasa, Yanagisawa and Fukaya 2015).  The bound
+    ``beta = ||gram||_1 ||R^{-1}||_1 ||R^{-1}||_inf`` is at least
+    ``cond(X)^2 = lambda_max(gram) / lambda_min(gram)``, since
+    ``lambda_max <= ||gram||_1`` and
+    ``1 / lambda_min = ||R^{-1}||_2^2 <= ||R^{-1}||_1 ||R^{-1}||_inf``; it
+    costs three p-by-p reductions.  True when ``beta`` is at most
+    :data:`ONE_PASS_BOUND`; a NaN ``beta`` gives False.
+    """
+    r_abs = np.abs(r_inv)
+    beta = np.abs(gram).sum(axis=0).max() * r_abs.sum(axis=0).max() * r_abs.sum(axis=1).max()
+    return bool(beta <= ONE_PASS_BOUND)
 
 
 def polar_factor(x) -> np.ndarray:

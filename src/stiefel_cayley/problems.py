@@ -58,15 +58,19 @@ def make_eigen_instance(n: int, p: int, seed: int) -> EigenInstance:
 
     The Gram construction keeps the conditioning profile of squared
     Gaussian spectra; the optimum comes from a symmetric eigendecomposition.
+    Both run at one OpenBLAS thread (``linalg._one_blas_thread``), so the
+    instance is the same at every thread count: split across threads, the
+    n^3 Gram product sums in another order.
     """
     n, p = operator.index(n), operator.index(p)
     if not 1 <= p < n:
         raise linalg.DimensionError(f"need 1 <= p < n, got n={n}, p={p}")
     rng = np.random.default_rng(seed)
     atilde = rng.standard_normal((n, n))
-    a = atilde.T @ atilde
-    a = (a + a.T) / 2.0
-    evals, evecs = np.linalg.eigh(a)
+    with linalg._one_blas_thread():
+        a = atilde.T @ atilde
+        a = (a + a.T) / 2.0
+        evals, evecs = np.linalg.eigh(a)
     basis = np.ascontiguousarray(evecs[:, : n - p - 1 : -1])
     a.setflags(write=False)
     basis.setflags(write=False)

@@ -7,10 +7,14 @@ parameter space, and the gradient of a cost composed with the Cayley
 retraction.
 
 The QR and polar retractions share one O(Np^2) kernel, :func:`_gram_qr`:
-Cholesky QR applied twice to ``X = U + D``.  Its N-row work is two Gram
-products and two products with a p-by-p inverse; every factorization is
-p-by-p (Cholesky, and for the polar factor the SVD of ``R``).  Two passes
-are accurate here because ``X^T X = I + D^T D`` for a tangent step, so the
+Cholesky QR of ``X = U + D``, in one pass when
+:func:`linalg._one_pass_enough` bounds ``cond(X)^2`` by
+``linalg.ONE_PASS_BOUND`` and in two otherwise.  One pass is one Gram
+product and one product with a p-by-p inverse, and every line-search trial
+of the benchmark workloads takes only that; a second pass adds one of
+each.  Every factorization is p-by-p (Cholesky, and for the polar factor
+the SVD of ``R``).  Two passes are accurate at any step the Gram matrix
+can carry, because ``X^T X = I + D^T D`` for a tangent step, so the
 smallest singular value of ``X`` is at least 1 and ``cond(X)`` is at most
 ``sqrt(1 + ||D||_2^2)``.  A step too large for the Gram matrix to carry
 raises :class:`linalg.RankError`, the error every line search counts as a
@@ -38,8 +42,8 @@ there): 7 products of order N p^2 in all.
 Every N-row product of a solver step with two distinct operands goes
 through :func:`linalg._mm`, which above OpenBLAS's small-matrix limit
 (``N p^2 > 100^3``) and at one BLAS thread splits it into blocks that stay
-on that path: the projection's four, :func:`_gram_qr`'s two panels, the
-polar retraction's last product, the Cayley kernel's ``U^T D`` and frame
+on that path: the projection's four, :func:`_gram_qr`'s panel (two with a
+second pass), the polar retraction's last product, the Cayley kernel's ``U^T D`` and frame
 products, and the pullback's seven.  The symmetric Gram products
 (``X^T X``, ``Q1^T Q1``, ``U^T U``, ``D^T D``) stay ``x.T @ x``, which
 numpy runs as one symmetric rank-k update (syrk) and which blocks would
@@ -201,20 +205,25 @@ def riemannian_grad(u: np.ndarray, f: CostFunction) -> TangentVector:
 
 
 def _gram_qr(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``X = Q R`` by Cholesky QR applied twice (CholeskyQR2).
+    """``X = Q R`` by Cholesky QR, with a second pass only where needed.
 
     Pass 1 factors the Gram matrix ``X^T X = R1^T R1`` and forms
-    ``Q1 = X R1^{-1}``; pass 2 does the same on ``Q1``, so
+    ``Q1 = X R1^{-1}``.  When :func:`linalg._one_pass_enough` bounds
+    ``cond(X)^2`` by ``linalg.ONE_PASS_BOUND``, ``Q = Q1`` and ``R = R1``;
+    otherwise pass 2 does the same on ``Q1`` (CholeskyQR2), so
     ``Q = Q1 R2^{-1}`` and ``R = R2 R1``.  ``R`` has a positive diagonal,
-    the sign convention of :func:`linalg.qr_orthonormalize`.  Cost: two Gram
-    products and two N-row products with a p-by-p inverse, plus p-by-p
-    Cholesky factors and inverses.
+    the sign convention of :func:`linalg.qr_orthonormalize`.  Cost per
+    pass: one Gram product and one N-row product with a p-by-p inverse,
+    plus a p-by-p Cholesky factor and inverse; the bound costs three p-by-p
+    reductions.
 
-    One pass leaves ``||Q1^T Q1 - I||`` of order ``eps cond(X)^2``; while
-    that is below 1, ``Q1`` is well conditioned and the second pass makes
-    ``Q`` orthonormal to roundoff (Yamamoto, Nakatsukasa, Yanagisawa and
-    Fukaya 2015).  For ``X = U + D`` with a tangent ``D``, ``cond(X)`` is at
-    most ``sqrt(1 + ||D||_2^2)``.  For steps beyond about ``1e8`` the
+    One pass leaves ``||Q1^T Q1 - I||`` of order ``eps cond(X)^2``, at
+    most a few eps under the bound (the table at
+    ``linalg.ONE_PASS_BOUND``).  Beyond it, while that defect is below 1,
+    ``Q1`` is well conditioned and the second pass makes ``Q`` orthonormal
+    to roundoff (Yamamoto, Nakatsukasa, Yanagisawa and Fukaya 2015).  For
+    ``X = U + D`` with a tangent ``D``, ``cond(X)`` is at most
+    ``sqrt(1 + ||D||_2^2)``.  For steps beyond about ``1e8`` the
     rounded Gram matrix need not be positive definite; Cholesky
     (:func:`linalg._cholesky_r`, shared with the inverse map) then fails.
 
@@ -237,10 +246,12 @@ def _gram_qr(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(gram).all():
         # a NaN or Inf in a column of x reaches that column's diagonal entry
         linalg.as_matrix(x, "retraction input")
-    r1 = linalg._cholesky_r(gram, "the Gram matrix of U + D")
-    q1 = linalg._mm(x, np.linalg.inv(r1))
-    r2 = linalg._cholesky_r(q1.T @ q1, "the Gram matrix of Q1")
-    q, r = linalg._mm(q1, np.linalg.inv(r2)), r2 @ r1
+    r = linalg._cholesky_r(gram, "the Gram matrix of U + D")
+    r_inv = np.linalg.inv(r)
+    q = linalg._mm(x, r_inv)
+    if not linalg._one_pass_enough(gram, r_inv):
+        r2 = linalg._cholesky_r(q.T @ q, "the Gram matrix of Q1")
+        q, r = linalg._mm(q, np.linalg.inv(r2)), r2 @ r
     r_min = float(np.min(np.diagonal(r)))
     if r_min < 1e-12 * float(np.sqrt(np.trace(gram))):  # trace(X^T X) = ||X||_F^2
         raise linalg.RankError(f"numerically rank-deficient input: min |R_ii| = {r_min:.3e}")
@@ -250,9 +261,10 @@ def _gram_qr(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def retract_qr(u: np.ndarray, d: TangentVector) -> np.ndarray:
     """QR retraction: the Q factor of ``U + D``, with positive ``diag(R)``.
 
-    Computed by :func:`_gram_qr` in O(Np^2): two Gram products, two N-row
-    products and p-by-p factorizations.  Since ``sigma_min(U + D) >= 1``,
-    the frame is orthonormal to roundoff and matches Householder QR
+    Computed by :func:`_gram_qr` in O(Np^2): one Gram product and one
+    N-row product for a small step, two of each for a large one, and p-by-p
+    factorizations.  Since ``sigma_min(U + D) >= 1``, the frame is
+    orthonormal to roundoff and matches Householder QR
     (:func:`linalg.qr_orthonormalize`) to within roundoff times
     ``cond(U + D)``.
 
@@ -273,8 +285,9 @@ def retract_polar(u: np.ndarray, d: TangentVector) -> np.ndarray:
     With ``U + D = Q R`` from :func:`_gram_qr`, the polar factor is
     ``Q polar(R)``, exactly, so the only SVD is of the p-by-p ``R``
     (:func:`linalg.polar_factor`): O(Np^2) in all, one N-row product more
-    than :func:`retract_qr`.  ``R`` has the singular values of ``U + D``,
-    all at least 1.
+    than :func:`retract_qr` (besides the Gram products, two products with
+    a p-by-p matrix for a small step and three for a large one).  ``R`` has
+    the singular values of ``U + D``, all at least 1.
 
     Raises
     ------

@@ -239,6 +239,30 @@ def test_inverse_stays_feasible_at_large_b_with_spread_singular_values(n, p):
         assert abs(b_norm - 1e6) <= 1e-12 * 1e6
 
 
+@pytest.mark.parametrize("n, p", [(50, 1), (500, 10), (120, 80)])
+def test_inverse_takes_its_second_cholesky_pass_only_above_the_bound(monkeypatch, n, p):
+    # [I; B] takes one Cholesky QR pass while cond([I; B])^2 is small and
+    # two at a rank-one B with ||B||_2 = 1e3 (cond^2 = 1 + 1e6), where one
+    # alone leaves about 1e-10; at p = 1 cond([I; B]) is 1 and every
+    # parameter takes one.  At p = 80 the p-by-p solve and the center add
+    # roundoff of their own (2.1e-14 with two passes on every parameter).
+    bar = 5e-14 if p == 80 else 1e-14
+    rng = np.random.default_rng(n + p)
+    chol, calls = linalg._cholesky_r, []
+    monkeypatch.setattr(linalg, "_cholesky_r", lambda *args: calls.append(1) or chol(*args))
+    w, z = rng.standard_normal((n - p, 1)), rng.standard_normal((1, p))
+    rank_one = SkewParam(rng.standard_normal((p, p)),
+                         1e3 * (w / np.linalg.norm(w)) @ (z / np.linalg.norm(z)))
+    for structured in (True, False):
+        center = problems.random_center(rng, n, p, structured=structured)
+        for v, passes in ((random_param(rng, n, p, norm=0.1), 1),
+                          (rank_one, 1 if p == 1 else 2)):
+            calls.clear()
+            u = cayley.inverse(center, v)
+            assert len(calls) == passes
+            assert linalg.feasibility(u) <= bar
+
+
 def test_inverse_raises_rank_error_beyond_its_range():
     # With fewer rows than columns, B^T B is singular, and at ||B||_2 >= 1e9
     # its rounding error (eps ||B||^2 >= 200) swamps the identity in

@@ -77,6 +77,24 @@ def test_qr_orthonormalize_judges_rank_without_overflow():
             linalg.qr_orthonormalize(np.zeros((4, 2)))
 
 
+def test_one_pass_bound_brackets_cond_squared(monkeypatch):
+    # beta = ||X^T X||_1 ||R^{-1}||_1 ||R^{-1}||_inf >= cond(X)^2, so with the
+    # bound set just below cond(X)^2 no draw may take one pass; each norm is
+    # within sqrt(p) of its 2-norm, so beta <= p^(3/2) cond(X)^2.
+    rng = np.random.default_rng(31)
+    for n, p in ((50, 1), (30, 5), (200, 10), (120, 80)):
+        for decades in (0.0, 0.5, 1.0, 3.0):
+            rot = np.linalg.qr(rng.standard_normal((p, p)))[0]
+            x = rng.standard_normal((n, p)) * np.logspace(0.0, decades, p) @ rot
+            gram = x.T @ x
+            r_inv = np.linalg.inv(linalg._cholesky_r(gram, "X^T X"))
+            cond2 = np.linalg.cond(x) ** 2
+            monkeypatch.setattr(linalg, "ONE_PASS_BOUND", cond2 * (1.0 - 1e-9))
+            assert not linalg._one_pass_enough(gram, r_inv), (n, p, decades)
+            monkeypatch.setattr(linalg, "ONE_PASS_BOUND", p**1.5 * cond2 * (1.0 + 1e-9))
+            assert linalg._one_pass_enough(gram, r_inv), (n, p, decades)
+
+
 def test_polar_factor_fixed_point_and_scaling():
     rng = np.random.default_rng(4)
     u = linalg.qr_orthonormalize(rng.standard_normal((8, 3)))

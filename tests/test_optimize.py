@@ -647,10 +647,11 @@ def test_gdm_cp_retraction_builds_one_kernel_per_trial(monkeypatch):
 
 
 #: linalg._mm calls in one step whose first trial is accepted: the trial's
-#: retraction or inverse map, then the accepted frame's gradient
-#: (project_tangent's 4, grad_retraction_pullback's 7 or
+#: retraction or inverse map (Cholesky QR in one pass: a small step keeps
+#: cond(U + D)^2 under linalg.ONE_PASS_BOUND), then the accepted frame's
+#: gradient (project_tangent's 4, grad_retraction_pullback's 7 or
 #: pullback_from_euclidean's 3)
-BLOCKED_PRODUCTS_PER_STEP = {"gdm-qr": 2 + 4, "gdm-polar": 3 + 4, "gdm-cayley": 3 + 4,
+BLOCKED_PRODUCTS_PER_STEP = {"gdm-qr": 1 + 4, "gdm-polar": 2 + 4, "gdm-cayley": 3 + 4,
                              "gdm-cp-retraction": 3 + 7, "gdm-cp": 2 + 3}
 
 
@@ -685,6 +686,26 @@ def test_every_step_product_takes_the_blocked_helper(monkeypatch, solver):
         trial_counts.append(len(trials))
     assert np.diff(trial_counts).tolist() == [1, 1]  # each step took its first trial
     assert np.diff(counts).tolist() == [BLOCKED_PRODUCTS_PER_STEP[solver]] * 2
+
+
+@pytest.mark.parametrize("solver", ["gdm-cp", "gdm-qr", "gdm-polar"])
+def test_cholesky_qr_trials_take_one_pass(monkeypatch, solver):
+    # A line-search trial's step keeps cond(X)^2 of its Cholesky QR under
+    # linalg.ONE_PASS_BOUND (X = [I; B] for gdm-cp's inverse map, U + D
+    # for the retractions), so each trial factors one Gram matrix before it
+    # evaluates the cost: the count of factors seen at each evaluation
+    # climbs by one (gdm-cp also evaluates its start, before any factor).
+    n, p = 100, 5
+    plain = problems.eigen_cost(problems.make_eigen_instance(n, p, 7))
+    chol, factors, seen = linalg._cholesky_r, [], []
+    monkeypatch.setattr(linalg, "_cholesky_r", lambda *args: factors.append(1) or chol(*args))
+    f = CostFunction(dim_n=n, dim_p=p, eval=plain.eval, grad=plain.grad,
+                     eval_grad=lambda u: seen.append(len(factors)) or plain.eval_grad(u))
+    rec = SOLVERS[solver](f, problems.random_stiefel(np.random.default_rng(5), n, p),
+                          bt=BacktrackingConfig(gamma_initial=0.01), stop=StoppingConfig(max_iters=30))
+    trials = [k for k in seen if k > 0]
+    assert rec.iters[-1] == 30 and len(trials) > 60  # rejected trials among them
+    assert trials == list(range(1, len(factors) + 1))
 
 
 def test_gdm_cp_retraction_compares_no_frames(monkeypatch):

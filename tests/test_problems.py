@@ -2,6 +2,9 @@
 rotation centers and the stochastic family."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -42,6 +45,31 @@ def test_make_eigen_instance_deterministic():
     assert np.array_equal(a.optimum_basis, b.optimum_basis)
     c = problems.make_eigen_instance(20, 4, seed=43)
     assert not np.array_equal(a.a, c.a)
+
+
+def test_eigen_instance_is_the_same_at_every_blas_thread_count():
+    # Split across threads, the n^3 Gram product sums in another order; the
+    # instance is built at one OpenBLAS thread, and the count is restored.
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if blas != "scipy-openblas":
+        pytest.skip(f"numpy links {blas}, not the OpenBLAS it bundles")
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("OpenBLAS caps its threads at the core count")
+    script = ("import hashlib; from stiefel_cayley import linalg, problems; "
+              "inst = problems.make_eigen_instance(500, 10, 7); "
+              "print(hashlib.sha256(inst.a.tobytes()).hexdigest(), "
+              "hashlib.sha256(inst.optimum_basis.tobytes()).hexdigest(), "
+              "linalg._openblas_get_num_threads()())")
+    out = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(problems.__file__)))
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=60, check=True)
+        *digests, after = run.stdout.split()
+        assert after == threads
+        out[threads] = digests
+    assert out["1"] == out["2"]
 
 
 def test_instance_shape_and_spectrum():

@@ -229,6 +229,39 @@ def test_qr_and_polar_retractions_raise_on_bad_steps(retract):
             retract(base, TangentVector(base, np.zeros_like(base)))
 
 
+def rank_one_step(rng, u, norm):
+    """The tangent step ``norm w v^T`` with unit ``v`` and a unit ``w``
+    orthogonal to ``range(U)``: ``cond(U + D)^2 = 1 + norm^2`` for p > 1."""
+    w = rng.standard_normal((u.shape[0], 1))
+    w -= u @ (u.T @ w)
+    w -= u @ (u.T @ w)
+    v = rng.standard_normal((1, u.shape[1]))
+    return TangentVector(u, norm * (w / np.linalg.norm(w)) @ (v / np.linalg.norm(v)))
+
+
+@pytest.mark.parametrize("retract", [retractions.retract_qr, retractions.retract_polar])
+@pytest.mark.parametrize("n, p", [(50, 1), (500, 10), (120, 80)])
+def test_cholesky_qr_takes_its_second_pass_only_above_the_bound(monkeypatch, retract, n, p):
+    # One Cholesky QR pass leaves a defect of order eps cond(U + D)^2: a
+    # small step takes one pass, a rank-one step of norm 1e3 (cond^2 = 1e6)
+    # takes two, where one alone leaves about 1e-10.  At p = 1 cond(U + D)
+    # is 1 and every step takes one.  The polar factor's p-by-p SVD adds
+    # roundoff of its own (2.3e-14 at p = 80 with either pass count).
+    rng = np.random.default_rng(n + p)
+    u = problems.random_stiefel(rng, n, p)
+    chol, calls = linalg._cholesky_r, []
+    monkeypatch.setattr(linalg, "_cholesky_r", lambda *args: calls.append(1) or chol(*args))
+    bar = 1e-14 if retract is retractions.retract_qr else 5e-14
+    for d, passes in ((random_tangent(rng, u, norm=0.1), 1),
+                      (rank_one_step(rng, u, 1e3), 1 if p == 1 else 2)):
+        calls.clear()
+        frame = retract(u, d)
+        assert len(calls) == passes
+        assert linalg.feasibility(frame) <= bar
+        if retract is retractions.retract_qr:
+            assert np.linalg.norm(frame - linalg.qr_orthonormalize(u + d.mat)) <= 1e-12
+
+
 def test_cayley_retraction_equals_transform_of_bridge():
     # the sampled equivalence between the retraction and the inverse
     # transform applied to the bridged parameter, across many shapes
