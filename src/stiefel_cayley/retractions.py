@@ -35,16 +35,22 @@ shrink it instead of aborting.
 Given the kernel and the ambient gradient ``g``, the gradient
 (:func:`grad_retraction_pullback`) works in p-by-p coefficients in the
 ``[U, D, g]`` basis: two p-row products against ``g`` (``U^T g``,
-``D^T g``), one assembly of the N-by-p result (three products), then one
-correcting tangent projection (two products; no tangency check, see
-there): 7 products of order N p^2 in all.
+``D^T g``) and one assembly of the N-by-p result (three products), 5
+products of order N p^2.  A correcting tangent pass (two products more)
+follows only when the terms summed are far larger than the result.
+
+The tangent projection (:func:`project_tangent`) takes one pass of two
+N-row products, and a second only when the input's normal part dominates
+it; both rules share one bound, ``_TANGENT_PASS_BOUND``, and on the
+distance cost neither optional pass runs.
 
 Every N-row product of a solver step with two distinct operands goes
 through :func:`linalg._mm`, which above OpenBLAS's small-matrix limit
 (``N p^2 > 100^3``) and at one BLAS thread splits it into blocks that stay
-on that path: the projection's four, :func:`_gram_qr`'s panel (two with a
-second pass), the polar retraction's last product, the Cayley kernel's ``U^T D`` and frame
-products, and the pullback's seven.  The symmetric Gram products
+on that path: the projection's two (four with a second pass),
+:func:`_gram_qr`'s panel (two with a second pass), the polar retraction's
+last product, the Cayley kernel's ``U^T D`` and frame products, and the
+pullback's five (seven with its pass).  The symmetric Gram products
 (``X^T X``, ``Q1^T Q1``, ``U^T U``, ``D^T D``) stay ``x.T @ x``, which
 numpy runs as one symmetric rank-k update (syrk) and which blocks would
 slow down.
@@ -54,6 +60,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
+
+import math
 
 import numpy as np
 
@@ -169,12 +177,60 @@ def orth_complement(u: np.ndarray) -> np.ndarray:
     return q[:, u.shape[1] :]
 
 
+#: A tangent pass leaves a tangency defect ``||U^T Y + Y^T U||_F`` of a few
+#: eps times the scale of its input, so a correcting pass follows only
+#: when that scale exceeds this multiple of ``||Y||_F`` (:func:`_pass_needed`).
+#: Defect relative to ``||Y||_F`` after one pass of :func:`project_tangent`
+#: and after two, worst of 20 draws (10 at N=2000) of ``X = U S + T`` with
+#: ``S`` symmetric and ``T`` tangent, at ``||X||_F / ||P_1(X)||_F`` = ratio,
+#: one BLAS thread:
+#:
+#: =====  ================  ================  ================
+#: ratio  N=500, p=10       N=2000, p=40      N=120, p=80
+#: =====  ================  ================  ================
+#:     1  7.7e-17  4.2e-17  1.8e-16  1.7e-16  3.9e-16  3.4e-16
+#:     2  3.1e-15  1.5e-16  1.4e-15  2.0e-16  1.8e-15  4.9e-16
+#:    10  1.3e-14  2.0e-16  7.4e-15  2.0e-16  1.0e-14  5.6e-16
+#:    20  2.8e-14  2.1e-16  1.5e-14  2.1e-16  2.0e-14  5.6e-16
+#:   100  1.3e-13  2.3e-16  7.5e-14  2.1e-16  1.0e-13  5.7e-16
+#:   1e4  1.6e-11  2.2e-16  7.5e-12  2.1e-16  1.0e-11  5.6e-16
+#: =====  ================  ================  ================
+#:
+#: So one pass leaves about ``1.5e-15`` times the ratio, and a second pass
+#: takes any defect to a few eps.  Under the bound a result keeps its
+#: defect within about ``6 eps`` times the bound of its own norm, far
+#: inside the public :class:`TangentVector` tolerance of ``1e-10``.  For
+#: :func:`grad_retraction_pullback` without its pass, over the test grid of
+#: shapes (p from 1 to 80), step norms from 1e-3 to 1e7 and costs scaled
+#: from 1e-8 to 1e12, every result whose ratio was at most 20 had a defect
+#: of at most ``6.6e-15`` of its norm.  The distance cost's gradients stay
+#: under the bound (``||X|| / ||P_1(X)|| <= 1.43`` and pullback ratios
+#: ``<= 16.7`` on distance-tall's inputs); the eigen cost's near its optimum
+#: go far over it (up to 3.4e5).
+_TANGENT_PASS_BOUND = 20.0
+
+
 def _tangent_pass(u: np.ndarray, x: np.ndarray) -> np.ndarray:
     """One pass of the tangent projection, ``X <- X - U sym(U^T X)``, in
     place on ``x``, which it returns: two N-row products."""
     utx = linalg._mm(u.T, x)
     x -= linalg._mm(u, (utx + utx.T) / 2.0)
     return x
+
+
+def _fro(a: np.ndarray) -> float:
+    """``||a||_F`` as one dot product: at N=500, p=10 ``np.linalg.norm``
+    spends about 2 us more per call, which the pass rule pays up to six
+    times a step."""
+    return math.sqrt(np.vdot(a, a))
+
+
+def _pass_needed(scale: float, y: np.ndarray) -> bool:
+    """Whether ``y``, whose tangency defect is roundoff of order eps times
+    ``scale``, needs a correcting :func:`_tangent_pass`: when ``scale``
+    exceeds :data:`_TANGENT_PASS_BOUND` times ``||y||_F``.  A NaN on
+    either side gives True."""
+    return not scale <= _TANGENT_PASS_BOUND * _fro(y)
 
 
 def project_tangent(u: np.ndarray, x: np.ndarray) -> TangentVector:
@@ -184,19 +240,37 @@ def project_tangent(u: np.ndarray, x: np.ndarray) -> TangentVector:
     ``(1/2) U (U^T X - X^T U) + (I - U U^T) X``.  Idempotent; the residual
     ``X - P(X)`` is orthogonal to every tangent vector.
 
-    The formula is applied twice: one pass leaves a skew-coupling defect
-    proportional to roundoff in ``X``, which breaks the public
-    :class:`TangentVector` tolerance exactly when the tangential part is
-    far smaller than ``X`` (a converged gradient of a large-norm cost); the
-    second pass shrinks the defect to the scale of the output itself, so
-    the result meets that tolerance (a test pins it for ``||X||`` from 1e-8
-    to 1e12).  So the result skips the tangency check; a NaN or Inf in it
-    still raises ``ValueError``.  Its base is a private copy of ``u``.
+    One pass of the formula (two N-row products) leaves a skew-coupling
+    defect proportional to roundoff in ``X``.  That is roundoff in the
+    output too, unless the tangential part is far smaller than ``X`` (a
+    converged gradient of a large-norm cost), so a second pass runs only
+    when ``||X||_F`` exceeds ``_TANGENT_PASS_BOUND`` (20) times the first
+    pass's ``||P_1(X)||_F``; it shrinks the defect to the scale of the
+    output itself (Daniel, Gragg, Kaufman and Stewart 1976).  Either way
+    the defect stays within a few eps times the bound of ``||P(X)||_F``
+    (the table at ``_TANGENT_PASS_BOUND``), so the result meets the public
+    :class:`TangentVector` tolerance (a test pins it for ``||X||`` from
+    1e-8 to 1e12) and skips the tangency check; a NaN or Inf in it still
+    raises ``ValueError``.  Its base is a private copy of ``u``.
+
+    Raises
+    ------
+    linalg.DimensionError
+        If ``u`` is not 2-D or ``x`` has another shape than ``u``.
+    ValueError
+        If the result contains NaN or Inf.
     """
     u = np.asarray(u, dtype=np.float64)
     x = np.array(x, dtype=np.float64)  # a private copy, projected in place
-    mat = linalg.as_matrix(_tangent_pass(u, _tangent_pass(u, x)), "tangent matrix")
-    return TangentVector._trusted(u.copy(), mat)
+    if u.ndim != 2 or x.shape != u.shape:
+        raise linalg.DimensionError(
+            f"tangent matrix shape {x.shape} != base shape {u.shape}"
+        )
+    scale = _fro(x)
+    mat = _tangent_pass(u, x)
+    if _pass_needed(scale, mat):
+        mat = _tangent_pass(u, mat)
+    return TangentVector._trusted(u.copy(), linalg.as_matrix(mat, "tangent matrix"))
 
 
 def riemannian_grad(u: np.ndarray, f: CostFunction) -> TangentVector:
@@ -466,27 +540,31 @@ def grad_retraction_pullback(
         ``U (U^T E / 2 - P_U + T P_Y / 2) - D P_Y + g G2``
 
     with ``U^T E = (U^T U) P_U + (U^T Y) P_Y - (U^T g) G2``.  The N-row
-    work is the two p-row products ``U^T g`` and ``D^T g``, this one
-    assembly (three products summed) and one correcting projection
-    ``out -= U sym(U^T out)`` (two products): 7 in all.  At ``D = 0`` the
-    result agrees with :func:`riemannian_grad` to within
-    ``1e-13 max(1, ||grad||)``.
+    work is the two p-row products ``U^T g`` and ``D^T g`` and this one
+    assembly (three products summed): 5 in all, and 7 when the correcting
+    pass below runs.  At ``D = 0`` the result agrees with
+    :func:`riemannian_grad` to within ``1e-13 max(1, ||grad||)``.
 
-    One correcting pass is enough here, where :func:`project_tangent`
-    needs two.  The assembled result is tangent in exact arithmetic, so
-    its tangency defect is the assembly's roundoff, which scales with the
-    terms summed (with ``g``, up to ``||g||``), not with the result.  A
-    pass removes the defect of its input up to roundoff in its own output:
-    after this one, the defect is of the order of eps times the result,
-    within the public :class:`TangentVector` tolerance however small the
-    result is next to ``g`` (a test pins it for ``||g||`` from 1e-8 to
-    1e12).  :func:`project_tangent` takes arbitrary ambient input, whose
-    normal part may be far larger than its tangential part: its first
-    pass leaves roundoff of the size of that input, and only its second
-    brings the defect to the scale of the output.  The result skips the
-    tangency check; a NaN or Inf in it still raises ``ValueError``.  Its
-    base is ``d.base``, the frame ``d`` is tangent at, so the two share one
-    base and their arithmetic skips the comparison of bases.
+    The assembled result is tangent in exact arithmetic, so its tangency
+    defect is the assembly's roundoff, which scales with the terms summed,
+    not with the result.  Their scale is taken as
+    ``s = ||C|| + ||D|| ||P_Y|| + ||g|| ||G2||`` (Frobenius norms;
+    ``C = U^T E / 2 - P_U + T P_Y / 2``, the coefficient of ``U``), and one
+    correcting pass ``out -= U sym(U^T out)`` (two products) runs only when
+    ``s`` exceeds ``_TANGENT_PASS_BOUND`` (20) times ``||out||_F``.  A pass removes the
+    defect of its input up to roundoff in its own output, so either way the
+    defect stays within a few eps times the bound of the result, inside the
+    public :class:`TangentVector` tolerance however small the result is
+    next to ``g`` (a test pins it to ``1e-14 max(1, ||grad||)`` for ``||g||``
+    from 1e-8 to 1e12).  ``s`` is a scale, not a rigorous bound: at steps
+    of norm 1e3 and beyond, where ``K`` is ill-conditioned, the defect
+    without the pass reached ``1.5e-12 s``, but there ``s`` is thousands of
+    times the result and the pass runs.  On the distance cost ``s`` stays
+    under 17 times the result and the pass does not run; on the eigen cost
+    near its optimum it runs.  The result skips the tangency check; a NaN
+    or Inf in it still raises ``ValueError``.  Its base is ``d.base``, the
+    frame ``d`` is tangent at, so the two share one base and their
+    arithmetic skips the comparison of bases.
 
     A caller that already retracted and evaluated the cost passes
     ``kernel``, the one ``retract_cayley(u, d, return_kernel=True)``
@@ -521,9 +599,12 @@ def grad_retraction_pullback(
     p_y = c_y @ g1 + 0.5 * (q[:p] @ g2)
     ut_e = kernel.utu @ p_u + kernel.uty @ p_y - a1 @ g2
     # -(I - U U^T / 2) of that, assembled once in the [U, D, g] basis
-    out = linalg._mm(u, 0.5 * ut_e - p_u + 0.5 * (kernel.utd @ p_y))
+    c = 0.5 * ut_e - p_u + 0.5 * (kernel.utd @ p_y)
+    out = linalg._mm(u, c)
     out -= linalg._mm(kernel.dmat, p_y)
     out += linalg._mm(g, g2)
-    # remove the assembly's roundoff from the tangency identity
-    out = linalg.as_matrix(_tangent_pass(u, out), "tangent matrix")
-    return TangentVector._trusted(d.base, out)
+    # the scale of the terms summed sets the assembly's tangency roundoff
+    scale = _fro(c) + _fro(kernel.dmat) * _fro(p_y) + _fro(g) * _fro(g2)
+    if _pass_needed(scale, out):
+        out = _tangent_pass(u, out)
+    return TangentVector._trusted(d.base, linalg.as_matrix(out, "tangent matrix"))

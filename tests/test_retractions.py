@@ -141,6 +141,56 @@ def test_project_tangent_residual_orthogonality():
     np.testing.assert_array_equal(proj.base, base)
 
 
+def test_project_tangent_rejects_mismatched_shapes():
+    u = problems.random_stiefel(np.random.default_rng(4), 8, 3)
+    for x in (np.ones((8, 2)), np.ones((7, 3)), np.ones(8)):
+        with pytest.raises(linalg.DimensionError, match="shape"):
+            retractions.project_tangent(u, x)
+
+
+def counting_passes(monkeypatch):
+    """A list that gains one entry per ``retractions._tangent_pass`` call."""
+    tangent_pass, calls = retractions._tangent_pass, []
+    monkeypatch.setattr(retractions, "_tangent_pass",
+                        lambda u, x: calls.append(1) or tangent_pass(u, x))
+    return calls
+
+
+def normal_plus_tangent(rng, u, ratio):
+    """``X = U S + T``, ``S`` symmetric and ``T`` tangent of norm 1, with
+    ``||X||_F / ||P(X)||_F = ratio``."""
+    t = random_tangent(rng, u, norm=1.0)
+    s = rng.standard_normal((u.shape[1], u.shape[1]))
+    s += s.T
+    s *= np.sqrt(ratio**2 - 1.0) / np.linalg.norm(s)  # ||U S||_F = ||S||_F
+    return u @ s + t.mat
+
+
+@pytest.mark.parametrize("n, p", [(500, 10), (2000, 40), (120, 80)])
+def test_project_tangent_takes_its_second_pass_only_above_the_bound(monkeypatch, n, p):
+    # One pass leaves a defect of about 1.5e-15 ||X|| (the table at
+    # retractions._TANGENT_PASS_BOUND): a random ambient X, and an X whose
+    # normal part brings ||X|| / ||P(X)|| just under the bound, take one
+    # pass and keep the defect within a few eps times the bound of the
+    # result; just over the bound, and far over it, the second pass runs.
+    rng = np.random.default_rng(n + p)
+    u = problems.random_stiefel(rng, n, p)
+    bound = retractions._TANGENT_PASS_BOUND
+    cases = [(rng.standard_normal((n, p)), 1)]
+    for scale in (1e-8, 1.0, 1e12):
+        cases += [(scale * normal_plus_tangent(rng, u, 0.9 * bound), 1),
+                  (scale * normal_plus_tangent(rng, u, 1.1 * bound), 2),
+                  (scale * normal_plus_tangent(rng, u, 1e6), 2)]
+    calls = counting_passes(monkeypatch)
+    for x, passes in cases:
+        calls.clear()
+        mat = retractions.project_tangent(u, x).mat
+        assert len(calls) == passes
+        TangentVector(u, mat)
+        coupling = u.T @ mat
+        assert np.linalg.norm(coupling + coupling.T) <= 1e-13 * np.linalg.norm(mat)
+
+
 def test_riemannian_grad():
     inst = problems.make_eigen_instance(14, 3, seed=3)
     f = problems.eigen_cost(inst)
@@ -545,3 +595,65 @@ def test_grad_retraction_pullback_is_tangent_at_every_scale():
                 given = retractions.grad_retraction_pullback(u, d, f, g=f.grad(frame))
                 assert np.array_equal(given.mat, grad.mat)
     assert accepted >= 40
+
+
+def recording_ratios(monkeypatch):
+    """A list that gains ``scale / ||y||_F`` per ``retractions._pass_needed``
+    call."""
+    pass_needed, ratios = retractions._pass_needed, []
+
+    def recording(scale, y):
+        ratios.append(scale / np.linalg.norm(y))
+        return pass_needed(scale, y)
+
+    monkeypatch.setattr(retractions, "_pass_needed", recording)
+    return ratios
+
+
+@pytest.mark.parametrize("n, p, norm, passes", [
+    (500, 10, 1.0, 0), (200, 40, 1.0, 0), (6, 4, 1e3, 1), (60, 40, 1e5, 1)])
+def test_grad_retraction_pullback_takes_its_pass_only_above_the_bound(monkeypatch, n, p,
+                                                                      norm, passes):
+    # On the distance cost at a moderate step the terms the pullback sums
+    # stay within the bound of the result (3.5-16.7 on distance-tall's
+    # inputs), so its correcting pass does not run; at a large step the
+    # result is far smaller than those terms and the pass runs.  Either way
+    # the result meets the tangency bar of the scale test above.
+    rng = np.random.default_rng(n + p)
+    u = problems.random_stiefel(rng, n, p)
+    d = random_tangent(rng, u, norm=norm)
+    calls = counting_passes(monkeypatch)
+    ratios = recording_ratios(monkeypatch)
+    for s in (1e-8, 1.0, 1e12):
+        calls.clear()
+        f = scaled(problems.distance_cost(problems.random_stiefel(rng, n, p)), s)
+        grad = retractions.grad_retraction_pullback(u, d, f)
+        assert len(calls) == passes, (s, ratios[-1])
+        coupling = u.T @ grad.mat
+        assert np.linalg.norm(coupling + coupling.T) <= 1e-14 * max(1.0, grad.norm())
+
+
+def test_grad_retraction_pullback_meets_its_bars_just_under_the_bound(monkeypatch):
+    # Steps whose ratio of summed terms to result lies just under the bound
+    # take no correcting pass and still meet the bars that the result with
+    # the pass meets in the scale test above: tangency to 1e-14 of its norm
+    # and agreement with the panel reference to 1e-13.
+    rng = np.random.default_rng(15)
+    bound = retractions._TANGENT_PASS_BOUND
+    calls = counting_passes(monkeypatch)
+    ratios = recording_ratios(monkeypatch)
+    near = 0
+    for n, p, norm in ((60, 40, 3.0), (200, 40, 10.0), (120, 80, 1.0)):
+        u = problems.random_stiefel(rng, n, p)
+        d = random_tangent(rng, u, norm=norm)
+        for s in (1e-8, 1.0, 1e12):
+            f = scaled(problems.distance_cost(problems.random_stiefel(rng, n, p)), s)
+            _, _, _, _, grad_ref = panel_reference(u, d, f)
+            calls.clear()
+            grad = retractions.grad_retraction_pullback(u, d, f)
+            assert len(calls) == 0 and 0.5 * bound < ratios[-1] <= bound, (n, p, s, ratios[-1])
+            near += ratios[-1] > 0.8 * bound
+            coupling = u.T @ grad.mat
+            assert np.linalg.norm(coupling + coupling.T) <= 1e-14 * max(1.0, grad.norm())
+            assert np.linalg.norm(grad.mat - grad_ref) <= 1e-13 * np.linalg.norm(grad_ref)
+    assert near >= 3
