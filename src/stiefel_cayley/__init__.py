@@ -5,7 +5,7 @@ unconstrained descent: a left-localized Cayley transform maps a dense
 subset of the feasible set onto a vector space of structured
 skew-symmetric parameters, where plain gradient methods apply and every
 iterate maps back to a frame that is orthonormal to roundoff.
-Retraction-based baselines (QR, polar, low-rank Cayley) and a benchmark
+Retraction-based baselines (QR, polar, Cayley) and a benchmark
 CLI round out the toolkit.
 
 Layout
@@ -62,7 +62,6 @@ from .problems import (
     stochastic_eigen_family,
 )
 from .retractions import (
-    StepTooLargeError,
     TangentVector,
     grad_retraction_pullback,
     inverse_retract_cayley,
@@ -88,7 +87,6 @@ __all__ = [
     "SingularMatrixError",
     "SingularPointError",
     "SkewParam",
-    "StepTooLargeError",
     "StochasticEigenFamily",
     "StoppingConfig",
     "TangentVector",

@@ -9,7 +9,10 @@ p-by-p matrices: the inverse map's N-row work is the Gram product
 Gram product when its Cholesky QR takes a second pass (a large ``B``).  The
 panels go through :func:`linalg._mm`, which keeps them on OpenBLAS's
 small-matrix path in blocks above its size limit at one BLAS thread; the
-Grams stay ``x.T @ x`` on numpy's symmetric (syrk) path.
+Grams stay ``x.T @ x`` on numpy's symmetric (syrk) path.  The p-by-p core
+of the inverse map, :func:`_m_factors`, is also the Cayley retraction's
+(``retractions._cayley_kernel``): that retraction is the inverse map at the
+frame center ``[U, Uperp]``.
 
 Frames are plain ndarrays; ``SkewParam``, ``Center`` and
 ``retractions.TangentVector`` are small immutable classes because they carry
@@ -110,7 +113,8 @@ class SkewParam:
     Instances are immutable and their arrays read-only.  A caller's
     construction checks the blocks, copies them and makes ``a`` exactly
     skew; ``+``, ``-`` and scalar ``*`` trust their operands, since IEEE
-    arithmetic keeps an exactly skew ``a`` exactly skew.
+    arithmetic keeps an exactly skew ``a`` exactly skew.  A NaN or infinite
+    scalar raises ``ValueError``.
     """
 
     __slots__ = ("a", "b")
@@ -176,6 +180,8 @@ class SkewParam:
 
     def __mul__(self, scalar) -> "SkewParam":
         s = float(scalar)
+        if not math.isfinite(s):
+            raise ValueError(f"scalar must be finite, got {s}")
         return SkewParam._trusted(s * self.a, s * self.b)
 
     __rmul__ = __mul__
@@ -338,32 +344,30 @@ def forward(center: Center, u) -> SkewParam:
     return SkewParam(a, b)
 
 
-def _cayley_frame(v: SkewParam):
-    """Identity-center frame ``[2 M^{-1} - I; -2 B M^{-1}]`` of a parameter,
-    returned with the Gram matrix ``B^T B`` it forms.
+def _m_factors(a: np.ndarray, btb: np.ndarray, panel):
+    """The factors of ``M^{-1} = R^{-1} G`` for ``M = I_p + a + B^T B``,
+    with ``a`` skew, by Cholesky QR of ``X = [I_p; B]``.
 
-    ``M = I_p + A + B^T B`` is always nonsingular (its symmetric part is
-    ``I + B^T B``), but a direct solve with it loses ~ ``eps * ||B||^2``
-    of orthonormality in the result.  Instead, ``I + B^T B = X^T X`` for
-    ``X = [I_p; B]``, whose singular values are all at least 1, so
-    Cholesky QR gives ``X = Q R`` with ``Q`` orthonormal to roundoff (the
-    argument of ``retractions._gram_qr``): pass 1 factors
-    ``I + B^T B = R1^T R1``.  When :func:`linalg._one_pass_enough` bounds
-    ``cond(X)^2`` by ``linalg.ONE_PASS_BOUND`` that is all, ``R = R1`` and
-    ``R2 = I`` below; otherwise pass 2 factors the Gram matrix of
-    ``X R1^{-1} = [R1^{-1}; B R1^{-1}]`` and ``R = R2 R1``.  Then
+    ``M`` is always nonsingular (its symmetric part is ``I + B^T B``), but a
+    direct solve with it loses ~ ``eps * ||B||^2`` of orthonormality in the
+    frame built from it.  Instead, ``I + B^T B = X^T X``, whose singular
+    values are all at least 1, so Cholesky QR gives ``X = Q R`` with ``Q``
+    orthonormal to roundoff (the argument of ``retractions._gram_qr``):
+    pass 1 factors ``I + B^T B = R1^T R1``.  When
+    :func:`linalg._one_pass_enough` bounds ``cond(X)^2`` by
+    ``linalg.ONE_PASS_BOUND`` that is all and ``R = R1``; otherwise pass 2
+    factors the Gram matrix of ``X R1^{-1} = [R1^{-1}; B R1^{-1}]`` and
+    ``R = R2 R1``.  Then
 
         ``M^{-1} = R^{-1} (I + A_s)^{-1} R^{-T}``,
-        ``A_s = R^{-T} A R^{-1}``  (skew),
+        ``A_s = R^{-T} a R^{-1}``  (skew),
 
-    and with ``G = (I + A_s)^{-1} R^{-T}`` the frame is
-    ``[2 R^{-1} G - I; (B R1^{-1}) (-2 R2^{-1} G)]``.  ``I + A_s`` has all
-    singular values >= 1, and ``R^{-1}`` and ``B R^{-1}`` are blocks of
-    ``Q``, so every factor has spectral norm <= 1 and the defect stays
-    near roundoff (~ ``eps * (1 + ||A||)``).  The N-row work is three
-    products, the Gram matrix ``B^T B``, the panel ``B R1^{-1}`` and the
-    bottom block, and a second pass adds a fourth, the Gram matrix
-    ``(B R1^{-1})^T (B R1^{-1})``; every factorization is p-by-p.
+    and ``G = (I + A_s)^{-1} R^{-T}``.  ``I + A_s`` has all singular values
+    >= 1 and ``R^{-1}`` is a block of ``Q``, so every factor has spectral
+    norm <= 1.  ``panel(R1^{-1})`` returns ``B R1^{-1}``, or any matrix with
+    its Gram matrix, and is called only for a second pass.  Returns
+    ``(R^{-1}, G, second)``: ``second`` is None after one pass and the pair
+    ``(B R1^{-1}, R2^{-1})`` after two.
 
     Range: the rounded ``I + B^T B`` stays positive definite while
     ``cond(X)^2 = (1 + sigma_max(B)^2) / (1 + sigma_min(B)^2)`` is well
@@ -372,38 +376,37 @@ def _cayley_frame(v: SkewParam):
     columns) falls outside it, and the failed Cholesky raises
     ``linalg.RankError``.
     """
-    p = v.p
-    ip = np.eye(p)
-    btb = v.b.T @ v.b
+    ip = np.eye(a.shape[0])
     gram = ip + btb
     r_inv = np.linalg.inv(linalg._cholesky_r(gram, "I + B^T B"))  # R1^{-1}
-    q1_lo = linalg._mm(v.b, r_inv)  # B R1^{-1}
-    r2_inv = None
+    second = None
     if not linalg._one_pass_enough(gram, r_inv):
-        gram2 = r_inv.T @ r_inv + q1_lo.T @ q1_lo  # (X R1^{-1})^T (X R1^{-1})
+        lo = panel(r_inv)
+        gram2 = r_inv.T @ r_inv + lo.T @ lo  # (X R1^{-1})^T (X R1^{-1})
         r2_inv = np.linalg.inv(linalg._cholesky_r(gram2, "the Gram matrix of X R1^{-1}"))
         r_inv = r_inv @ r2_inv  # R^{-1}, the top block of Q
-    a_s = r_inv.T @ v.a @ r_inv
+        second = (lo, r2_inv)
+    a_s = r_inv.T @ a @ r_inv
     a_s = (a_s - a_s.T) / 2.0
-    g = np.linalg.solve(ip + a_s, r_inv.T)  # (I + A_s)^{-1} R^{-T}
-    frame = np.empty((v.n, p))
-    frame[:p] = 2.0 * (r_inv @ g) - ip
-    linalg._mm(q1_lo, -2.0 * (g if r2_inv is None else r2_inv @ g), out=frame[p:])
-    return frame, btb
+    return r_inv, np.linalg.solve(ip + a_s, r_inv.T), second
 
 
 def inverse(center: Center, v: SkewParam, *, _return_gram: bool = False):
     """Map a skew parameter back to its feasible frame.
 
     Builds the identity-center frame ``W = [2 M^{-1} - I; -2 B M^{-1}]``
-    (orthonormal columns up to roundoff, see :func:`_cayley_frame`) and
-    applies the center orthogonally: ``U = S W``, which for a structured
-    center touches only the top p-by-p block.  Cost: Cholesky QR of
-    ``[I_p; B]``, in one pass unless ``B`` is large (see
-    :func:`_cayley_frame`), so three N-row products in all (four with a
-    second pass) plus p-by-p work, ``O(N p^2)``.  With the private
-    ``_return_gram`` the result is the pair ``(U, B^T B)``, the Gram matrix
-    the map forms: ``run_gdm_cp`` takes ``||B||_2`` from it
+    from the factors ``M^{-1} = R^{-1} G`` of :func:`_m_factors`, as
+    ``[2 R^{-1} G - I; (B R1^{-1}) (-2 R2^{-1} G)]`` (``R2 = I`` after one
+    pass), and applies the center orthogonally: ``U = S W``, which for a
+    structured center touches only the top p-by-p block.  ``R^{-1}`` and
+    ``B R^{-1}`` are blocks of the orthonormal ``Q`` and ``G`` has
+    spectral norm <= 1, so the defect stays near roundoff
+    (~ ``eps * (1 + ||A||)``).  Cost: three N-row products, the Gram
+    matrix ``B^T B``, the panel ``B R1^{-1}`` and the bottom block, and a
+    fourth, the panel's Gram matrix, when ``B`` is large enough for a
+    second pass; every factorization is p-by-p, ``O(N p^2)`` in all.  With
+    the private ``_return_gram`` the result is the pair ``(U, B^T B)``, the
+    Gram matrix the map forms: ``run_gdm_cp`` takes ``||B||_2`` from it
     (:func:`_gram_norm`) and passes it to its pullback.
 
     Defined for every parameter whose ``I + B^T B`` stays positive
@@ -419,18 +422,26 @@ def inverse(center: Center, v: SkewParam, *, _return_gram: bool = False):
     DimensionError
         If the parameter and the center differ in size.
     linalg.RankError
-        If ``v`` is outside that range (see :func:`_cayley_frame`); line
+        If ``v`` is outside that range (see :func:`_m_factors`); line
         searches should retry with a smaller step.
     """
     p, n = v.p, v.n
     if n != center.n:
         raise DimensionError(f"parameter has n={n} but center is {center.n}-by-{center.n}")
-    w, btb = _cayley_frame(v)
-    if center.is_structured:
-        w[:p] = center.t @ w[:p]
-        u = w
+    btb = v.b.T @ v.b
+    r_inv, g, second = _m_factors(v.a, btb, lambda r1_inv: linalg._mm(v.b, r1_inv))
+    if second is None:
+        q1_lo, h = linalg._mm(v.b, r_inv), g  # B R1^{-1}, and R2 = I
     else:
-        u = center.s @ w
+        q1_lo, r2_inv = second
+        h = r2_inv @ g
+    u = np.empty((n, p))
+    u[:p] = 2.0 * (r_inv @ g) - np.eye(p)
+    linalg._mm(q1_lo, -2.0 * h, out=u[p:])
+    if center.is_structured:
+        u[:p] = center.t @ u[:p]
+    else:
+        u = center.s @ u
     return (u, btb) if _return_gram else u
 
 

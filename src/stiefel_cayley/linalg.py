@@ -2,10 +2,10 @@
 
 Checked SVD, QR and polar-factor wrappers, the Cholesky factor of a Gram
 matrix (:func:`_cholesky_r`) and the rule for whether Cholesky QR needs a
-second pass (:func:`_one_pass_enough`), both shared by the inverse map and
-the QR and polar retractions, the orthonormality defect
-:func:`feasibility`, the input coercion :func:`as_matrix`, and the error
-taxonomy the other modules raise.
+second pass (:func:`_one_pass_enough`), both shared by the inverse map
+(and through it the Cayley retraction) and the QR and polar retractions,
+the orthonormality defect :func:`feasibility`, the input coercion
+:func:`as_matrix`, and the error taxonomy the other modules raise.
 
 Conventions
 -----------
@@ -43,12 +43,7 @@ __all__ = [
     "polar_factor",
 ]
 
-#: Condition-number threshold (1-norm) above which a linear system is
-#: refused (the low-rank Cayley-retraction system uses it).  Roughly the
-#: inverse of machine epsilon with a safety margin.
-COND_LIMIT = 1e14
-
-#: Cholesky QR (``retractions._gram_qr`` and ``cayley._cayley_frame``)
+#: Cholesky QR (``retractions._gram_qr`` and ``cayley._m_factors``)
 #: takes its second pass only when :func:`_one_pass_enough`'s bound
 #: ``beta >= cond(X)^2`` exceeds this.  Defect ``||Q^T Q - I||_F`` after
 #: one pass and after two, worst of 20 draws (10 in the last row) of
@@ -247,8 +242,14 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
 
 
 def feasibility(u) -> float:
-    """Orthonormality defect ``||u^T u - I||_F`` of a column frame."""
+    """Orthonormality defect ``||u^T u - I||_F`` of a column frame.
+
+    Raises :class:`DimensionError` if ``u`` is not 2-D; it does not scan
+    for NaN, which makes the defect NaN.
+    """
     u = np.asarray(u, dtype=np.float64)
+    if u.ndim != 2:
+        raise DimensionError(f"frame must be 2-D, got ndim={u.ndim}")
     g = u.T @ u
     g.flat[:: g.shape[0] + 1] -= 1.0  # the diagonal
     return float(np.linalg.norm(g))
@@ -306,10 +307,11 @@ def qr_orthonormalize(x) -> np.ndarray:
 def _cholesky_r(gram: np.ndarray, what: str) -> np.ndarray:
     """The upper Cholesky factor ``R`` of a Gram matrix ``gram = R^T R``.
 
-    Shared by the inverse map (``cayley._cayley_frame``, on ``I + B^T B``)
-    and the Cholesky QR of the QR and polar retractions
-    (``retractions._gram_qr``): one call per Cholesky QR pass, so one for a
-    step that :func:`_one_pass_enough` admits and two otherwise.  Forming a
+    Shared by the inverse map and the Cayley retraction
+    (``cayley._m_factors``, on ``I + B^T B``) and the Cholesky QR of the
+    QR and polar retractions (``retractions._gram_qr``): one call per
+    Cholesky QR pass, so one for a step that :func:`_one_pass_enough`
+    admits and two otherwise.  Forming a
     Gram matrix rounds its entries by about ``eps ||gram||``, so one whose
     eigenvalues spread beyond about ``1 / eps`` need not be positive
     definite once rounded; Cholesky then fails.  ``what`` names the matrix

@@ -371,8 +371,8 @@ def run_gdm_cp_retraction(
     The start frame is lifted through the inverse Cayley retraction at the
     anchor (zero when they coincide, in which case the first iteration
     matches plain Cayley-retraction steepest descent); updates move the
-    tangent coordinate and re-retract.  A step too large for the
-    retraction (:class:`StepTooLargeError`) is a failed trial.  Each
+    tangent coordinate and re-retract.  A step outside the retraction's
+    range (a :class:`linalg.RankError`) is a failed trial.  Each
     trial's Cayley kernel travels in its payload, so the accepted step's
     pulled-back gradient does not rebuild it.  Every pulled-back gradient
     is attached to the base of the vector it is taken at, so all of them

@@ -18,22 +18,20 @@ can carry, because ``X^T X = I + D^T D`` for a tangent step, so the
 smallest singular value of ``X`` is at least 1 and ``cond(X)`` is at most
 ``sqrt(1 + ||D||_2^2)``.  A step too large for the Gram matrix to carry
 raises :class:`linalg.RankError`, the error every line search counts as a
-failed trial (:class:`StepTooLargeError` is one).
+failed trial.
 
-The Cayley retraction and its gradient share one O(Np^2) kernel,
-:func:`_cayley_kernel`: the low-rank (Sherman-Morrison-Woodbury) form of
-``(I + W)^{-1}`` (Wen and Yin 2013), whose 2p-by-2p matrix is built from
-p-by-p Gram blocks and inverted once.  Every N-by-p term of the low-rank
-form lies in the span of ``[U, D]``, so the kernel carries p-by-p
-coefficients and never forms an N-by-p panel besides the frame: five
-N-row products in all (``U^T D``, ``U^T U``, ``D^T D`` and the frame's
-two).  The 2p-by-2p matrix becomes ill-conditioned for large steps; its
-exact 1-norm condition number, taken from the inverse, is checked and an
-unreliable step raises :class:`StepTooLargeError`, so line searches can
-shrink it instead of aborting.
+The Cayley retraction is the inverse Cayley transform at the frame center
+``[U, Uperp]`` applied to :func:`psi_map` of the step, and
+:func:`_cayley_kernel` computes it so, with the transform's own p-by-p
+core (:func:`cayley._m_factors`, the Cholesky QR of ``[I; B]``) and
+without forming ``Uperp``: ``U^T D``, ``D^T D`` and the frame's two
+products, four N-row products in all, and three more in the rare second
+pass.  Its range is the inverse map's: a step whose ``I + B^T B`` is not
+positive definite once rounded raises :class:`linalg.RankError`.
 
 Given the kernel and the ambient gradient ``g``, the gradient
-(:func:`grad_retraction_pullback`) works in p-by-p coefficients in the
+(:func:`grad_retraction_pullback`), the transform's pullback carried back
+through :func:`psi_map`, works in p-by-p coefficients in the
 ``[U, D, g]`` basis: two p-row products against ``g`` (``U^T g``,
 ``D^T g``) and one assembly of the N-by-p result (three products), 5
 products of order N p^2.  A correcting tangent pass (two products more)
@@ -49,11 +47,11 @@ through :func:`linalg._mm`, which above OpenBLAS's small-matrix limit
 (``N p^2 > 100^3``) and at one BLAS thread splits it into blocks that stay
 on that path: the projection's two (four with a second pass),
 :func:`_gram_qr`'s panel (two with a second pass), the polar retraction's
-last product, the Cayley kernel's ``U^T D`` and frame products, and the
-pullback's five (seven with its pass).  The symmetric Gram products
-(``X^T X``, ``Q1^T Q1``, ``U^T U``, ``D^T D``) stay ``x.T @ x``, which
-numpy runs as one symmetric rank-k update (syrk) and which blocks would
-slow down.
+last product, the Cayley kernel's ``U^T D`` and frame products (and its
+second pass's panel), and the pullback's five (seven with its pass).  The
+symmetric Gram products (``X^T X``, ``Q1^T Q1``, ``D^T D``) stay
+``x.T @ x``, which numpy runs as one symmetric rank-k update (syrk) and
+which blocks would slow down.
 """
 
 from __future__ import annotations
@@ -66,11 +64,10 @@ import math
 import numpy as np
 
 from . import linalg
-from .cayley import Center, SingularPointError, SkewParam, _frozen, _pivot_check
+from .cayley import Center, SingularPointError, SkewParam, _frozen, _m_factors, _pivot_check
 from .gradients import CostFunction
 
 __all__ = [
-    "StepTooLargeError",
     "TangentVector",
     "orth_complement",
     "project_tangent",
@@ -84,22 +81,6 @@ __all__ = [
 ]
 
 
-class StepTooLargeError(linalg.RankError):
-    """The 2p-by-2p system behind the Cayley retraction is unreliable here.
-
-    Raised when the exact 1-norm condition number ``||K||_1 ||K^{-1}||_1``
-    of the kernel's ``K`` (see :func:`_cayley_kernel`) exceeds
-    ``linalg.COND_LIMIT``; ``cond`` carries it.  A failed inverse or a
-    non-finite condition number gives ``cond = inf``.  It is a
-    :class:`linalg.RankError`, so a line search counts it as a failed
-    trial, shrinks the step and retries.
-    """
-
-    def __init__(self, msg: str, cond: float):
-        super().__init__(msg)
-        self.cond = cond
-
-
 @dataclass(frozen=True, eq=False)
 class TangentVector:
     """A tangent vector ``mat`` at the feasible frame ``base``.
@@ -109,7 +90,8 @@ class TangentVector:
     the norm) and stores read-only copies.  Vectors the package builds go
     through :meth:`_trusted` instead: :func:`project_tangent` and ``+``,
     ``-`` and scalar ``*`` (same base only), which trust their operands
-    since tangency is linear.  ``norm`` and ``inner`` use the Frobenius
+    since tangency is linear; a NaN or infinite scalar raises
+    ``ValueError``.  ``norm`` and ``inner`` use the Frobenius
     geometry of the ambient matrix.  Equality and hashing are by identity,
     as for :class:`SkewParam`.
     """
@@ -160,7 +142,10 @@ class TangentVector:
         return TangentVector._trusted(self.base, self.mat - other.mat)
 
     def __mul__(self, scalar) -> "TangentVector":
-        return TangentVector._trusted(self.base, float(scalar) * self.mat)
+        s = float(scalar)
+        if not math.isfinite(s):
+            raise ValueError(f"scalar must be finite, got {s}")
+        return TangentVector._trusted(self.base, s * self.mat)
 
     __rmul__ = __mul__
 
@@ -380,101 +365,86 @@ class _CayleyKernel(NamedTuple):
     """What :func:`_cayley_kernel` computes at ``(U, D)``; see there."""
 
     frame: np.ndarray
-    k_inv: np.ndarray
-    x: np.ndarray
-    utu: np.ndarray
-    uty: np.ndarray
+    m_inv: np.ndarray
     utd: np.ndarray
     dmat: np.ndarray
 
 
 def _cayley_kernel(u: np.ndarray, dmat: np.ndarray) -> _CayleyKernel:
-    """The Cayley-retraction kernel at step ``D``.
+    """The Cayley-retraction kernel at step ``D``: the inverse map at the
+    center ``[U, Uperp]`` applied to ``psi_map(D)``, in the ``[U, D]`` basis.
 
-    ``Z = (I + W)^{-1}`` for the rank-2p skew ``W = A B^T`` with
-    ``A = [U, Y/2]``, ``B = [Y/2, -U]`` and ``Y = (I - U U^T / 2) D``, so
-    ``Z = I - A K^{-1} B^T`` with ``K = I + B^T A``.  ``Y`` is never
-    formed: every N-by-p term lies in the span of ``[U, D]`` and is carried
-    by p-by-p coefficients.  With ``T = U^T D`` and ``S = U^T U``, ``K``
-    is assembled from the p-by-p blocks ``S``, ``U^T Y = T - S T / 2`` and
+    With ``T = U^T D`` and ``E = D - U T`` (so ``Uperp Uperp^T D = E``),
+    ``psi_map(D)`` has ``a = -T/2`` and ``B^T B = E^T E / 4 =
+    (D^T D - T^T T) / 4``, and with ``M = I + a + B^T B`` the inverse map's
+    frame ``U (2 M^{-1} - I) - 2 Uperp B M^{-1}`` is
 
-        ``Y^T Y = D^T D - T^T (T - S T / 4)``,
+        ``U (2 M^{-1} - I - T M^{-1}) + D M^{-1}``.
 
-    one Gram product of ``D`` in place of one of ``Y``.  The subtraction
-    does not cancel: for a tangent ``D``, ``T`` is skew and ``S = I`` up to
-    roundoff, so with ``D = U T + E`` (``U^T E = 0``) the result is
-    ``E^T E + T^T T / 4``, at least a quarter of ``D^T D = T^T T + E^T E``;
-    its rounding error, a few eps times ``||D^T D||``, stays a few eps
-    relative to ``||Y^T Y||``.  ``K`` is inverted once;
-    with ``[X1; X2] = K^{-1} B^T U`` (refined once against ``K``),
-    ``Z U = U - U X1 - Y X2 / 2`` and the retraction's frame is
+    ``Uperp`` is never formed.  ``M^{-1}`` comes from the transform's own
+    Cholesky QR of ``[I; B]`` (:func:`cayley._m_factors`); its second pass,
+    taken only beyond :func:`linalg._one_pass_enough`'s bound, factors the
+    Gram matrix of the explicit normal panel
+    ``E R1^{-1} / 2 = (D R1^{-1} - U (T R1^{-1})) / 2``, which has that of
+    ``B R1^{-1}``.  The frame is assembled as ``U`` plus corrections that
+    vanish with ``D``, ``U (-2 C - T M^{-1}) + D M^{-1}`` with
+    ``C = M^{-1} (a + B^T B) = I - M^{-1}``.  ``C`` has two forms: the
+    product carries roundoff of order ``eps ||a + B^T B||`` and the
+    difference of order ``eps``, so the kernel takes the product while
+    ``||a + B^T B||_F <= 1`` and the difference beyond.  The difference
+    alone gives small steps 2-3 times the orthonormality defect, and
+    300-step random walks 10-45 times the drift; the product alone loses
+    orthonormality in proportion to ``||D||`` at large steps (5e-6 at
+    60-by-40 and ``||D|| = 1e8``).  The N-row work is four products,
+    ``U^T D``, ``D^T D`` and the frame's two, and a second pass adds three
+    (the panel's two and its Gram matrix).
 
-        ``2 Z U - U = U (I - 2 X1 + T X2 / 2) - D X2``,
+    Frames stay within 1e-12 of orthonormal up to ``||D|| = 1e8`` when
+    ``N - p >= p``, and when ``p < N`` and ``E``'s null space has even
+    dimension ``2p - N``.  Two cases lose more at large steps.  When
+    ``2p - N`` is odd, ``M^{-1}`` keeps a direction of norm O(1), where the
+    terms ``U T M^{-1}`` and ``D M^{-1}`` cancel to about ``eps ||D||``
+    (4e-11 at 9-by-5 and ``||D|| = 1e6``).  At ``p = N``, ``E = 0`` and
+    ``B^T B`` is roundoff of order ``eps ||D||^2`` (5e-11 at St(3, 3) and
+    ``||D|| = 1e3``).
 
-    two N-row products and one update in place: five N-row products in
-    all, with ``T``, ``S`` and ``D^T D``.
-
-    Returns the fields ``frame`` (``2 Z U - U``, N-by-p), ``k_inv``
-    (``K^{-1}``, 2p-by-2p), ``x`` (the refined ``[X1; X2]``, 2p-by-p),
-    ``utu`` (``S``), ``uty`` (``U^T Y``), ``utd`` (``T``) and ``dmat``
-    (``D`` itself), in that order.
-
-    ``I + W`` is never singular (``det >= 1`` for skew ``W``), but ``K``
-    can be arbitrarily ill-conditioned for large ``D``.  A condition
-    number ``||K||_1 ||K^{-1}||_1`` (what ``np.linalg.cond(K, 1)``
-    computes) above ``linalg.COND_LIMIT``, or a failed inverse, raises
-    :class:`StepTooLargeError`.
+    Returns the fields ``frame`` (N-by-p), ``m_inv`` (``M^{-1}``), ``utd``
+    (``T``) and ``dmat`` (``D`` itself), in that order.  A step outside the
+    inverse map's range raises :class:`linalg.RankError`.
     """
-    p = u.shape[1]
     utd = linalg._mm(u.T, dmat)
-    utu = u.T @ u
-    s_t = utu @ utd
-    uty = utd - 0.5 * s_t
-    yty = dmat.T @ dmat - utd.T @ (utd - 0.25 * s_t)
-    # K = I + [[(U^T Y)^T / 2, Y^T Y / 4], [-U^T U, -U^T Y / 2]], each block
-    # added into the identity in place
-    k = np.eye(2 * p)
-    k[:p, :p] += 0.5 * uty.T
-    k[:p, p:] += 0.25 * yty
-    k[p:, :p] -= utu
-    k[p:, p:] -= 0.5 * uty
-    try:
-        k_inv = np.linalg.inv(k)
-        cond = float(np.linalg.norm(k, 1) * np.linalg.norm(k_inv, 1))
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    if not cond <= linalg.COND_LIMIT:  # NaN fails this test too
-        raise StepTooLargeError(
-            f"low-rank Cayley system has condition number {cond:.3e} "
-            f"(limit {linalg.COND_LIMIT:.0e}); shrink the step",
-            cond=cond if cond > linalg.COND_LIMIT else np.inf,
-        )
-    # B^T U = [Y^T U / 2; -U^T U].  Multiplying by an inverse is not
-    # backward stable the way an LU solve is; one step of refinement
-    # against K restores the frame's orthonormality at large steps.
-    rhs = np.vstack([0.5 * uty.T, -utu])
-    x = k_inv @ rhs
-    x += k_inv @ (rhs - k @ x)
-    frame = linalg._mm(u, np.eye(p) - 2.0 * x[:p] + 0.5 * (utd @ x[p:]))
-    frame -= linalg._mm(dmat, x[p:])
-    return _CayleyKernel(frame, k_inv, x, utu, uty, utd, dmat)
+    a = (utd.T - utd) / 4.0  # -T/2, exactly skew
+    btb = (dmat.T @ dmat - utd.T @ utd) / 4.0  # E^T E / 4
+
+    def half_normal_panel(r1_inv):
+        return 0.5 * (linalg._mm(dmat, r1_inv) - linalg._mm(u, utd @ r1_inv))
+
+    r_inv, g, _ = _m_factors(a, btb, half_normal_panel)
+    m_inv = r_inv @ g
+    k = a + btb
+    c = m_inv @ k if _fro(k) <= 1.0 else np.eye(u.shape[1]) - m_inv
+    frame = linalg._mm(u, -2.0 * c - utd @ m_inv)
+    frame += linalg._mm(dmat, m_inv)
+    frame += u
+    return _CayleyKernel(frame, m_inv, utd, dmat)
 
 
 def retract_cayley(u: np.ndarray, d: TangentVector, *, return_kernel: bool = False):
     """Cayley retraction ``(I + W)^{-1} (I - W) U`` in O(Np^2).
 
-    ``W`` is the rank-2p skew matrix of :func:`_cayley_kernel`; the result
-    is ``2 Z U - U``.  Unlike the QR and polar retractions this one is
-    algebraically exact on the manifold but numerically drifts with the
-    kernel's condition number, which grows like ``||D||^2``.  With
-    ``return_kernel=True`` it returns ``(frame, kernel)``, and the kernel
-    may be passed to :func:`grad_retraction_pullback` at the same ``u``
-    and ``d``.
+    ``W = (U Y^T - Y U^T) / 2`` with ``Y = (I - U U^T / 2) D`` is skew, and
+    the result equals the inverse Cayley transform at the center
+    ``[U, Uperp]`` applied to :func:`psi_map` of ``D``, which is how
+    :func:`_cayley_kernel` computes it.  With ``return_kernel=True`` it
+    returns ``(frame, kernel)``, and the kernel may be passed to
+    :func:`grad_retraction_pullback` at the same ``u`` and ``d``.
 
     Raises
     ------
-    StepTooLargeError
-        If the kernel's 2p-by-2p matrix is too ill-conditioned to trust.
+    linalg.RankError
+        If the step is outside the inverse map's range (see
+        :func:`cayley._m_factors`); line searches should retry with a
+        smaller step.
     """
     kernel = _cayley_kernel(np.asarray(u, dtype=np.float64), d.mat)
     return (kernel.frame, kernel) if return_kernel else kernel.frame
@@ -524,47 +494,42 @@ def grad_retraction_pullback(
 ) -> TangentVector:
     """Gradient of the cost composed with the Cayley retraction.
 
-    At step ``D`` the gradient is ``-2 P_U Skew(Z U g^T Z) U`` with
-    ``g = grad f(R(D))``, ``Z`` the kernel of :func:`_cayley_kernel` and
-    ``P_U = I - U U^T / 2``.  Every N-by-p term lies in the span of
-    ``[U, D, g]``; ``Y = D - U T / 2`` (``T = U^T D``) is used only through
-    its coefficients.  With ``C_U = I - X1`` and ``C_Y = -X2 / 2`` the
-    kernel's ``Z U = U C_U + Y C_Y``, and with
-    ``q = K^{-T} [U^T g; Y^T g / 2]`` and
-    ``Y^T g = D^T g - T^T (U^T g) / 2``, ``Z^T g = g - Y q1 / 2 + U q2``.
-    So ``G1 = g^T Z U``, ``G2 = (Z U)^T U`` and the coefficients
-    ``P_U = C_U G1 - q2 G2``, ``P_Y = C_Y G1 + q1 G2 / 2`` are p-by-p,
-    ``2 Skew(Z U g^T Z) U = U P_U + Y P_Y - g G2 =: E``, and the result
-    ``-(I - U U^T / 2) E`` is
+    The retraction is the inverse map at the center ``[U, Uperp]`` composed
+    with the linear :func:`psi_map`, so its gradient is the tangent
+    projection of ``psi_map``'s adjoint, ``-U G_a / 2 - Uperp G_b``, applied
+    to the transform's pullback ``G = gradients.grad_pullback`` at
+    ``psi_map(D)``.  In the ``[U, D, g]`` basis, with ``g = grad f(R(D))``
+    and ``M^{-1}``, ``T`` from the kernel of :func:`_cayley_kernel`,
 
-        ``U (U^T E / 2 - P_U + T P_Y / 2) - D P_Y + g G2``
+        ``P = M^{-1} [(U^T g)^T (2 I - T) + (D^T g)^T] M^{-1}``,
+        ``S = (P + P^T) / 4``,
 
-    with ``U^T E = (U^T U) P_U + (U^T Y) P_Y - (U^T g) G2``.  The N-row
-    work is the two p-row products ``U^T g`` and ``D^T g`` and this one
-    assembly (three products summed): 5 in all, and 7 when the correcting
-    pass below runs.  At ``D = 0`` the result agrees with
+    and the result is
+
+        ``U [(P^T - P) / 4 + T S - (U^T g) M^{-T}] - D S + g M^{-T}``.
+
+    The N-row work is the two p-row products ``U^T g`` and ``D^T g`` and
+    this one assembly (three products summed): 5 in all, and 7 when the
+    correcting pass below runs.  At ``D = 0`` the result agrees with
     :func:`riemannian_grad` to within ``1e-13 max(1, ||grad||)``.
 
     The assembled result is tangent in exact arithmetic, so its tangency
     defect is the assembly's roundoff, which scales with the terms summed,
     not with the result.  Their scale is taken as
-    ``s = ||C|| + ||D|| ||P_Y|| + ||g|| ||G2||`` (Frobenius norms;
-    ``C = U^T E / 2 - P_U + T P_Y / 2``, the coefficient of ``U``), and one
-    correcting pass ``out -= U sym(U^T out)`` (two products) runs only when
-    ``s`` exceeds ``_TANGENT_PASS_BOUND`` (20) times ``||out||_F``.  A pass removes the
+    ``s = ||C|| + ||D|| ||S|| + ||g|| ||M^{-1}||`` (Frobenius norms; ``C``
+    the coefficient of ``U``), and one correcting pass
+    ``out -= U sym(U^T out)`` (two products) runs only when ``s`` exceeds
+    ``_TANGENT_PASS_BOUND`` (20) times ``||out||_F``.  A pass removes the
     defect of its input up to roundoff in its own output, so either way the
     defect stays within a few eps times the bound of the result, inside the
     public :class:`TangentVector` tolerance however small the result is
     next to ``g`` (a test pins it to ``1e-14 max(1, ||grad||)`` for ``||g||``
-    from 1e-8 to 1e12).  ``s`` is a scale, not a rigorous bound: at steps
-    of norm 1e3 and beyond, where ``K`` is ill-conditioned, the defect
-    without the pass reached ``1.5e-12 s``, but there ``s`` is thousands of
-    times the result and the pass runs.  On the distance cost ``s`` stays
-    under 17 times the result and the pass does not run; on the eigen cost
-    near its optimum it runs.  The result skips the tangency check; a NaN
-    or Inf in it still raises ``ValueError``.  Its base is ``d.base``, the
-    frame ``d`` is tangent at, so the two share one base and their
-    arithmetic skips the comparison of bases.
+    from 1e-8 to 1e12).  On the distance cost ``s`` stays under 17 times
+    the result and the pass does not run; on the eigen cost near its
+    optimum it runs.  The result skips the tangency check; a NaN or Inf in
+    it still raises ``ValueError``.  Its base is ``d.base``, the frame
+    ``d`` is tangent at, so the two share one base and their arithmetic
+    skips the comparison of bases.
 
     A caller that already retracted and evaluated the cost passes
     ``kernel``, the one ``retract_cayley(u, d, return_kernel=True)``
@@ -576,7 +541,7 @@ def grad_retraction_pullback(
 
     Raises
     ------
-    StepTooLargeError
+    linalg.RankError
         Propagated from the kernel when it is built here; line searches
         should retry with a smaller step.
     """
@@ -585,26 +550,16 @@ def grad_retraction_pullback(
         kernel = _cayley_kernel(u, d.mat)
     if g is None:
         g = f.grad(kernel.frame)
-    p = u.shape[1]
-    a1 = linalg._mm(u.T, g)
-    a2 = linalg._mm(kernel.dmat.T, g) - 0.5 * (kernel.utd.T @ a1)  # Y^T g
-    q = kernel.k_inv.T @ np.vstack([a1, 0.5 * a2])
-    # Z U = U C_U + Y C_Y and Z^T g = g - Y q1 / 2 + U q2
-    c_u = np.eye(p) - kernel.x[:p]
-    c_y = -0.5 * kernel.x[p:]
-    g1 = a1.T @ c_u + a2.T @ c_y  # g^T Z U
-    g2 = c_u.T @ kernel.utu + c_y.T @ kernel.uty.T  # (Z U)^T U
-    # 2 Skew(Z U g^T Z) U = (Z U) G1 - (Z^T g) G2 = U P_U + Y P_Y - g G2
-    p_u = c_u @ g1 - q[p:] @ g2
-    p_y = c_y @ g1 + 0.5 * (q[:p] @ g2)
-    ut_e = kernel.utu @ p_u + kernel.uty @ p_y - a1 @ g2
-    # -(I - U U^T / 2) of that, assembled once in the [U, D, g] basis
-    c = 0.5 * ut_e - p_u + 0.5 * (kernel.utd @ p_y)
+    m_inv, utd, dmat = kernel.m_inv, kernel.utd, kernel.dmat
+    utg = linalg._mm(u.T, g)
+    pm = m_inv @ (utg.T @ (2.0 * np.eye(u.shape[1]) - utd) + linalg._mm(dmat.T, g).T) @ m_inv
+    s = (pm + pm.T) / 4.0
+    c = (pm.T - pm) / 4.0 + utd @ s - utg @ m_inv.T
     out = linalg._mm(u, c)
-    out -= linalg._mm(kernel.dmat, p_y)
-    out += linalg._mm(g, g2)
+    out -= linalg._mm(dmat, s)
+    out += linalg._mm(g, m_inv.T)
     # the scale of the terms summed sets the assembly's tangency roundoff
-    scale = _fro(c) + _fro(kernel.dmat) * _fro(p_y) + _fro(g) * _fro(g2)
+    scale = _fro(c) + _fro(dmat) * _fro(s) + _fro(g) * _fro(m_inv)
     if _pass_needed(scale, out):
         out = _tangent_pass(u, out)
     return TangentVector._trusted(d.base, linalg.as_matrix(out, "tangent matrix"))

@@ -53,6 +53,16 @@ def test_param_enforces_skew_and_immutability():
         SkewParam(np.ones((2, 3)), np.zeros((1, 3)))  # non-square a block
 
 
+def test_param_scalar_product_rejects_non_finite_scalars():
+    v = SkewParam(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.ones((3, 2)))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            bad * v
+        with pytest.raises(ValueError):
+            v * bad
+    assert np.array_equal((2.0 * v).b, 2.0 * v.b)
+
+
 def test_center_validation():
     with pytest.raises(ValueError):
         Center.general(np.ones((3, 3)))

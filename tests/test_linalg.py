@@ -103,6 +103,13 @@ def test_polar_factor_fixed_point_and_scaling():
     np.testing.assert_allclose(linalg.polar_factor(2.0 * tall_eye), tall_eye, atol=1e-14)
 
 
+def test_feasibility_rejects_input_that_is_not_2d():
+    for bad in (np.ones(3), 1.0, np.ones((2, 2, 2))):
+        with pytest.raises(linalg.DimensionError):
+            linalg.feasibility(bad)
+    assert linalg.feasibility(np.eye(3)[:, :2]) == 0.0
+
+
 def test_polar_factor_feasibility_and_optimality():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((20, 4))

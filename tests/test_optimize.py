@@ -453,24 +453,24 @@ def test_every_solver_stops_on_stall_at_last_accepted_frame(solver):
 
 @pytest.mark.parametrize("solver", ["gdm-cayley", "gdm-cp-retraction"])
 def test_line_search_retries_after_step_too_large(monkeypatch, solver):
-    # A first trial step of 1e8 is far past what the Cayley kernel accepts,
-    # so the line search must treat its StepTooLargeError as a failed trial
-    # and keep halving instead of ending the run.
+    # A first trial step of 1e8 overshoots: the line search must count each
+    # such trial as failed (an f increase, or a RankError past the inverse
+    # map's range) and keep halving instead of ending the run.  Every frame
+    # the kernel returns, the huge trials' included, is orthonormal.
     f = problems.eigen_cost(problems.make_eigen_instance(30, 3, seed=1))
     u0 = problems.random_stiefel(np.random.default_rng(1), 30, 3)
-    kernel, refused = retractions._cayley_kernel, []
+    kernel, steps = retractions._cayley_kernel, []
 
-    def counting_kernel(u, dmat):
-        try:
-            return kernel(u, dmat)
-        except retractions.StepTooLargeError:
-            refused.append(1)
-            raise
+    def recording_kernel(u, dmat):
+        out = kernel(u, dmat)
+        steps.append(np.linalg.norm(dmat))
+        assert linalg.feasibility(out.frame) <= 1e-12
+        return out
 
-    monkeypatch.setattr(retractions, "_cayley_kernel", counting_kernel)
+    monkeypatch.setattr(retractions, "_cayley_kernel", recording_kernel)
     rec = SOLVERS[solver](f, u0, bt=BacktrackingConfig(gamma_initial=1e8),
                           stop=StoppingConfig(max_iters=20))
-    assert refused
+    assert max(steps) >= 1e6
     assert rec.stop_reason == STOP_MAX_ITERS
     assert_monotone(rec)
     assert max(rec.feasibilities) <= 1e-12
@@ -485,12 +485,14 @@ STEP_KERNELS = {"gdm-cp": "inverse", "gdm-cp-retraction": "retract_cayley",
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
 def test_every_solver_counts_both_errors_as_failed_trials(monkeypatch, solver):
     # The step kernel refuses the first trial with a RankError and the
-    # second with a StepTooLargeError; both are failed trials, so every
-    # solver halves twice and accepts a later trial.
+    # second with the one a failed Cholesky factor raises past the inverse
+    # map's range; both are failed trials, so every solver halves twice and
+    # accepts a later trial.
     f = problems.eigen_cost(problems.make_eigen_instance(30, 3, seed=1))
     u0 = problems.random_stiefel(np.random.default_rng(1), 30, 3)
-    refusals = [linalg.RankError("refused"),
-                retractions.StepTooLargeError("refused", cond=math.inf)]
+    with pytest.raises(linalg.RankError) as out_of_range:
+        linalg._cholesky_r(-np.eye(3), "I + B^T B")
+    refusals = [linalg.RankError("refused"), out_of_range.value]
     calls = []
 
     def refusing(kernel):

@@ -8,21 +8,22 @@ both kinds of center and parameters from 1e-3 to 1e3 in norm; the
 forward map accepts every frame at the center built from it, for p up to
 100.  The Cayley
 retraction stays feasible and agrees with its dense oracle, within bounds
-scaled by the condition number of its 2p-by-2p system, or refuses the
-step; its pulled-back gradient agrees with the panel oracle, from a
-carried kernel and from a rebuilt one.  The QR and polar retractions
-(Cholesky QR) stay feasible and agree with Householder QR and the SVD
-polar factor for steps from 1e-8 to 1e6 in norm."""
+scaled by the condition number of the 2p-by-2p low-rank system; its
+pulled-back gradient agrees with the panel oracle, from a carried kernel
+and from a rebuilt one; and both are the inverse transform and its
+pullback at the frame center ``[U, Uperp]``, for steps up to 1e6.  The
+QR and polar retractions (Cholesky QR) stay feasible and agree with
+Householder QR and the SVD polar factor for steps from 1e-8 to 1e6 in
+norm."""
 
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stiefel_cayley import cayley, linalg, problems, retractions
-from stiefel_cayley.cayley import SkewParam
+from stiefel_cayley import cayley, gradients, linalg, problems, retractions
+from stiefel_cayley.cayley import Center, SkewParam
 
 from oracles import embed, panel_reference
 
@@ -92,7 +93,7 @@ def test_param_combinations_stay_exactly_skew(case):
 def map_cases(draw):
     """A parameter at a center.  The shapes p=1, p=N-1, N-p=p, N-p>p and
     p=N give B every relation of rows to columns, an empty B included
-    (``_cayley_frame`` has one path for all of them); the center is
+    (``cayley.inverse`` has one path for all of them); the center is
     structured or general, the weighted norm 1e-3 to 1e3, and B is scaled
     against A by 1e-2 to 1e2 before that norm is set."""
     kind = draw(st.sampled_from(["p=1", "p=N-1", "N-p=p", "N-p>p", "p=N"]))
@@ -246,14 +247,12 @@ def retraction_cases(draw):
 def test_retract_cayley_is_feasible_and_matches_dense_oracle(case):
     u, d = case
     n, p = u.shape
-    try:
-        frame = retractions.retract_cayley(u, d)
-    except retractions.StepTooLargeError as exc:
-        assert exc.cond > linalg.COND_LIMIT  # a refusal is allowed, not expected
-        return
-    # Roundoff in the low-rank kernel is amplified by the condition number
-    # of K = I + B^T A, which grows like ||D||^2 / 4; up to cond 1e3
-    # (||D|| near 60) the frame keeps the 1e-12 of the other maps.
+    frame = retractions.retract_cayley(u, d)
+    # The bars scale with the condition number of K = I + B^T A, the
+    # 2p-by-2p low-rank form of I + W, which grows like ||D||^2 / 4; the
+    # kernel's B^T B = (D^T D - T^T T) / 4 carries roundoff of that order,
+    # which shows at p = N.  Up to cond 1e3 (||D|| near 60) the frame keeps
+    # the 1e-12 of the other maps.
     y = d.mat - 0.5 * u @ (u.T @ d.mat)
     a_lr = np.hstack([u, 0.5 * y])
     b_lr = np.hstack([0.5 * y, -u])
@@ -265,10 +264,10 @@ def test_retract_cayley_is_feasible_and_matches_dense_oracle(case):
 
 
 @st.composite
-def pullback_cases(draw):
+def pullback_cases(draw, max_log_norm=3.0):
     """A frame, a tangent step and a distance cost.  The shapes p=1, p=N,
     N-p<p, N-p=p and N-p>p with N <= 40 cover every relation between
-    the kernel's blocks; the step norm is 1e-3 to 1e3."""
+    the kernel's blocks; the step norm is 1e-3 to ``10**max_log_norm``."""
     kind = draw(st.sampled_from(["p=1", "p=N", "N-p<p", "N-p=p", "N-p>p"]))
     if kind == "p=1":
         n, p = draw(st.integers(2, 40)), 1
@@ -287,7 +286,7 @@ def pullback_cases(draw):
     u = problems.random_stiefel(rng, n, p)
     f = problems.distance_cost(problems.random_stiefel(rng, n, p))
     d = retractions.project_tangent(u, rng.standard_normal((n, p)))
-    norm = 10.0 ** draw(st.floats(-3.0, 3.0))
+    norm = 10.0 ** draw(st.floats(-3.0, max_log_norm))
     return u, (norm / d.norm()) * d, f
 
 
@@ -296,10 +295,6 @@ def pullback_cases(draw):
 def test_grad_retraction_pullback_matches_panel_reference(case):
     u, d, f = case
     _, _, cond, g_ref, grad_ref = panel_reference(u, d, f)
-    if cond > linalg.COND_LIMIT:
-        with pytest.raises(retractions.StepTooLargeError):
-            retractions.grad_retraction_pullback(u, d, f)
-        return
     # The bars of the kernel test in test_retractions: up to ||D|| = 10
     # relative to the pullback; beyond, eps * cond against the ambient
     # gradient, since the pullback shrinks far below it there.  Neither
@@ -317,3 +312,30 @@ def test_grad_retraction_pullback_matches_panel_reference(case):
     for grad in (carried, rebuilt):
         assert np.linalg.norm(grad.mat - grad_ref) <= bar
         retractions.TangentVector(u, grad.mat)  # tangent to the public tolerance
+
+
+@SETTINGS
+@given(pullback_cases(max_log_norm=6.0))
+def test_cayley_retraction_and_its_gradient_are_the_transform_at_a_frame_center(case):
+    # The retraction is the inverse map at the center [U, Uperp] applied
+    # to psi_map(D), and its gradient is the tangent projection of
+    # psi_map's adjoint, -U G_a / 2 - Uperp G_b, applied to the transform's
+    # pullback G there.  The center is dense, hence N <= 40.  The kernel
+    # works in the [U, D] basis, where B^T B = (D^T D - T^T T) / 4 carries
+    # roundoff eps ||D||^2 and M^{-1} scales it, so both bars grow with
+    # (||D||_2 ||M^{-1}||_2)^2.  That stays O(1) unless M^{-1} keeps a
+    # direction of norm O(1) at large steps (p = N, or N - p < p with
+    # 2p - N odd).
+    u, d, f = case
+    n, p = u.shape
+    uperp = retractions.orth_complement(u)
+    center = Center.general(np.hstack([u, uperp]), check=False)
+    v = retractions.psi_map(u, uperp, d)
+    m_inv = np.linalg.inv(np.eye(p) + v.a + v.b.T @ v.b)
+    amp = math.sqrt(n * p) * (1.0 + (np.linalg.norm(d.mat, 2) * np.linalg.norm(m_inv, 2)) ** 2)
+    frame = retractions.retract_cayley(u, d)
+    assert np.linalg.norm(frame - cayley.inverse(center, v)) <= 1e-14 * amp
+    pulled = gradients.grad_pullback(center, v, f)
+    expected = retractions.project_tangent(u, -0.5 * u @ pulled.a - uperp @ pulled.b).mat
+    grad = retractions.grad_retraction_pullback(u, d, f)
+    assert np.linalg.norm(grad.mat - expected) <= 1e-13 * np.linalg.norm(f.grad(frame)) * amp

@@ -8,7 +8,7 @@ import pytest
 from stiefel_cayley import cayley, gradients, linalg, problems, retractions
 from stiefel_cayley.cayley import Center, SingularPointError
 from stiefel_cayley.gradients import CostFunction
-from stiefel_cayley.retractions import StepTooLargeError, TangentVector
+from stiefel_cayley.retractions import TangentVector
 
 from oracles import panel_reference
 
@@ -72,6 +72,18 @@ def test_tangent_vector_arithmetic_and_immutability():
         d1 + other
     with pytest.raises(ValueError):
         d1.mat[0, 0] = 5.0
+
+
+def test_tangent_vector_scalar_product_rejects_non_finite_scalars():
+    rng = np.random.default_rng(2)
+    u = problems.random_stiefel(rng, 6, 2)
+    d = random_tangent(rng, u)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            bad * d
+        with pytest.raises(ValueError):
+            d * bad
+    assert np.array_equal((2.0 * d).mat, 2.0 * d.mat)
 
 
 def test_tangent_vector_equality_and_hash_are_by_identity():
@@ -248,12 +260,16 @@ def test_retract_cayley_matches_dense_kernel():
         assert np.linalg.norm(fast - dense) <= 1e-10
 
 
-def test_retract_cayley_rejects_huge_step():
+def test_retract_cayley_takes_huge_step():
+    # A step of norm 1e8 is inside the inverse map's range, so the frame
+    # comes back orthonormal and matches the dense kernel
     u = np.array([[1.0], [0.0]])
     d = TangentVector(u, np.array([[0.0], [1e8]]))
-    with pytest.raises(StepTooLargeError) as exc:
-        retractions.retract_cayley(u, d)
-    assert exc.value.cond > 1e14
+    frame = retractions.retract_cayley(u, d)
+    assert linalg.feasibility(frame) <= 1e-12
+    y = d.mat - 0.5 * u @ (u.T @ d.mat)
+    dense = 2.0 * np.linalg.solve(np.eye(2) + 0.5 * (u @ y.T - y @ u.T), u) - u
+    assert np.linalg.norm(frame - dense) <= 1e-10
 
 
 @pytest.mark.parametrize("retract", [retractions.retract_qr, retractions.retract_polar])
@@ -417,94 +433,106 @@ def test_grad_retraction_pullback_finite_difference():
         assert worst <= 1e-5
 
 
-def test_grad_retraction_pullback_rejects_huge_step():
+def test_grad_retraction_pullback_takes_huge_step():
+    # The step of norm 1e8 is taken, and its pullback meets the panel
+    # oracle's bar for large steps, eps * cond against the ambient gradient
     u = np.array([[1.0], [0.0]])
     d = TangentVector(u, np.array([[0.0], [1e8]]))
     f = problems.distance_cost(np.array([[0.0], [1.0]]))
-    with pytest.raises(StepTooLargeError):
-        retractions.grad_retraction_pullback(u, d, f)
+    grad = retractions.grad_retraction_pullback(u, d, f)
+    _, _, cond, g_ref, grad_ref = panel_reference(u, d, f)
+    assert (np.linalg.norm(grad.mat - grad_ref)
+            <= np.finfo(float).eps * cond * np.linalg.norm(g_ref))
+    TangentVector(u, grad.mat)
 
 
 #: p = 1, 4 and 40, with N - p at, below and above p; step norms from 1e-3
-#: up to just under the condition bar (cond grows like ||D||^2 / 4) and past it
+#: to 1e8
 KERNEL_SHAPES = ((2, 1), (30, 1), (6, 4), (50, 4), (60, 40), (200, 40))
-KERNEL_NORMS = (1e-3, 1e-1, 1.0, 10.0, 1e3, 1e5, 1e6, 1e7)
+KERNEL_NORMS = (1e-3, 1e-1, 1.0, 10.0, 1e3, 1e5, 1e6, 1e7, 1e8)
 
 
-def test_cayley_kernel_matches_panel_reference(monkeypatch):
+def test_cayley_kernel_matches_panel_reference():
     rng = np.random.default_rng(12)
     eps = np.finfo(float).eps
-    accepted = refused = 0
     for n, p in KERNEL_SHAPES:
         u = problems.random_stiefel(rng, n, p)
         f = problems.distance_cost(problems.random_stiefel(rng, n, p))
         direction = random_tangent(rng, u)
         for norm in KERNEL_NORMS:
             d = (norm / direction.norm()) * direction
-            frame_ref, inner, cond, g_ref, grad_ref = panel_reference(u, d, f)
-            if cond > linalg.COND_LIMIT:
-                refused += 1
-                for call in (lambda: retractions.retract_cayley(u, d),
-                             lambda: retractions.grad_retraction_pullback(u, d, f)):
-                    with pytest.raises(StepTooLargeError) as exc:
-                        call()
-                    assert abs(exc.value.cond - cond) <= 1e-8 * cond
-                continue
-            accepted += 1
-            # Up to ||D|| = 10 the condition number stays below 100.  Past
-            # that both forms carry roundoff of order eps * cond, and the
-            # pullback shrinks far below the ambient gradient it is built
-            # from, so its error is measured against that gradient.
+            frame_ref, _, cond, g_ref, grad_ref = panel_reference(u, d, f)
+            # Up to ||D|| = 10 the panel system's condition number stays
+            # below 100.  Past that the panel form carries roundoff of order
+            # eps * cond, and the pullback shrinks far below the ambient
+            # gradient it is built from, so its error is measured against
+            # that gradient.
             if norm <= 10.0:
                 tol, grad_scale = 1e-13, np.linalg.norm(grad_ref)
             else:
                 tol, grad_scale = eps * cond, np.linalg.norm(g_ref)
             frame, kernel = retractions.retract_cayley(u, d, return_kernel=True)
             assert np.array_equal(retractions.retract_cayley(u, d), frame)
+            assert linalg.feasibility(frame) <= 1e-12, (n, p, norm)
             assert np.linalg.norm(frame - frame_ref) <= tol * np.linalg.norm(frame_ref)
             grad = retractions.grad_retraction_pullback(u, d, f)
             assert np.linalg.norm(grad.mat - grad_ref) <= tol * grad_scale
             carried = retractions.grad_retraction_pullback(u, d, f, kernel=kernel)
             assert np.array_equal(carried.mat, grad.mat)
-            # the condition number is ||K||_1 ||K^{-1}||_1 with the kernel's inverse
-            k_inv = kernel[1]
-            kernel_cond = np.linalg.norm(inner, 1) * np.linalg.norm(k_inv, 1)
-            assert abs(kernel_cond - cond) <= 1e-8 * cond
-    assert accepted >= 40 and refused >= 4
-
-    def singular(a):
-        raise np.linalg.LinAlgError("Singular matrix")
-
-    monkeypatch.setattr(np.linalg, "inv", singular)
-    d = random_tangent(rng, u, norm=1.0)
+            # the kernel's M^{-1} inverts M = I + a + B^T B of psi_map(D)
+            v = retractions.psi_map(u, retractions.orth_complement(u), d)
+            m = np.eye(p) + v.a + v.b.T @ v.b
+            assert (np.linalg.norm(m @ kernel.m_inv - np.eye(p))
+                    <= 100.0 * eps * np.linalg.cond(m)), (n, p, norm)
+    # a step whose Gram matrix overflows is outside the inverse map's range
+    d = random_tangent(rng, u, norm=1e160)
     for call in (lambda: retractions.retract_cayley(u, d),
                  lambda: retractions.grad_retraction_pullback(u, d, f)):
-        with pytest.raises(StepTooLargeError) as exc:
+        with pytest.raises(linalg.RankError), np.errstate(over="ignore", invalid="ignore"):
             call()
-        assert exc.value.cond == np.inf
 
 
 def test_cayley_frame_is_the_kernels_frame_and_feasible():
-    # The frame is assembled in the [U, D] basis as U C - D X2; the plain
-    # retraction and the kernel's frame must be that one array's values,
-    # orthonormal to the bar of the dense-oracle property test.
+    # The frame is assembled in the [U, D] basis as U + U C + D M^{-1}; the
+    # plain retraction and the kernel's frame must be that one array's
+    # values, orthonormal to 1e-12 on the whole grid.
     rng = np.random.default_rng(13)
-    accepted = 0
     for n, p in KERNEL_SHAPES:
         u = problems.random_stiefel(rng, n, p)
         direction = random_tangent(rng, u)
         for norm in KERNEL_NORMS:
             d = (norm / direction.norm()) * direction
-            try:
-                frame, kernel = retractions.retract_cayley(u, d, return_kernel=True)
-            except StepTooLargeError:
-                continue
-            accepted += 1
+            frame, kernel = retractions.retract_cayley(u, d, return_kernel=True)
             assert frame is kernel.frame and kernel.dmat is d.mat
             assert np.array_equal(retractions.retract_cayley(u, d), frame)
-            cond = np.linalg.cond(kernel.k_inv, 1)  # that of K
-            assert linalg.feasibility(frame) <= max(1e-12, 1e-15 * cond), (n, p, norm)
-    assert accepted >= 40
+            assert linalg.feasibility(frame) <= 1e-12, (n, p, norm)
+
+
+@pytest.mark.parametrize("n, p", [(6, 4), (60, 40), (120, 80)])
+def test_cayley_frames_stay_orthonormal_when_n_minus_p_is_below_p(n, p):
+    # With N - p < p, B has fewer rows than columns and B^T B is singular;
+    # every frame must still be within 1e-12 of orthonormal, at every step
+    # norm up to 1e8 (with 2p - N odd the kernel loses about eps ||D||,
+    # see _cayley_kernel)
+    rng = np.random.default_rng(n)
+    u = problems.random_stiefel(rng, n, p)
+    for _ in range(3):
+        direction = random_tangent(rng, u)
+        for norm in 10.0 ** np.arange(-3, 9):
+            frame = retractions.retract_cayley(u, (norm / direction.norm()) * direction)
+            assert linalg.feasibility(frame) <= 1e-12, norm
+
+
+@pytest.mark.parametrize("n, p", [(500, 10), (2000, 40)])
+def test_cayley_random_walk_keeps_its_frame_orthonormal(n, p):
+    # 300 small steps, each from the last frame: the frame is built as U
+    # plus corrections that vanish with D, so roundoff does not pile up
+    # (M^{-1} - I from the difference alone reached 1.2e-13 at 2000 x 40)
+    rng = np.random.default_rng(0)
+    u = problems.random_stiefel(rng, n, p)
+    for _ in range(300):
+        u = retractions.retract_cayley(u, random_tangent(rng, u, norm=0.05))
+        assert linalg.feasibility(u) <= 1e-14
 
 
 @pytest.mark.parametrize("n, p", [(2000, 40), (632, 40)])
@@ -566,18 +594,14 @@ def test_grad_retraction_pullback_is_tangent_at_every_scale():
     # the pullback is far smaller than g.
     rng = np.random.default_rng(14)
     eps = np.finfo(float).eps
-    accepted = 0
     for n, p in KERNEL_SHAPES:
         u = problems.random_stiefel(rng, n, p)
         target = problems.random_stiefel(rng, n, p)
         direction = random_tangent(rng, u)
         for norm in KERNEL_NORMS:
             d = (norm / direction.norm()) * direction
-            try:
-                frame = retractions.retract_cayley(u, d)
-            except StepTooLargeError:
-                continue  # the refusal is test_cayley_kernel_matches_panel_reference's
-            accepted += 1
+            frame = retractions.retract_cayley(u, d)
+            assert linalg.feasibility(frame) <= 1e-12, (n, p, norm)
             for s in 10.0 ** np.arange(-8, 13, 4):
                 f = scaled(problems.distance_cost(target), s)
                 _, _, cond, g_ref, grad_ref = panel_reference(u, d, f)
@@ -594,7 +618,6 @@ def test_grad_retraction_pullback_is_tangent_at_every_scale():
                 assert np.linalg.norm(grad.mat - grad_ref) <= bar, (n, p, norm, s)
                 given = retractions.grad_retraction_pullback(u, d, f, g=f.grad(frame))
                 assert np.array_equal(given.mat, grad.mat)
-    assert accepted >= 40
 
 
 def recording_ratios(monkeypatch):
