@@ -5,8 +5,9 @@ orthonormal columns) to a compressed skew parameter ``V = (A, B)`` living in
 a fixed vector space; the inverse map reconstructs ``U`` from ``V``.  Both
 directions are anchored at an orthogonal *center* ``S`` and only ever factor
 p-by-p matrices: the inverse map's N-row work is the Gram product
-``B^T B`` and two panel products with the (N-p)-by-p block, and a second
-Gram product when its Cholesky QR takes a second pass (a large ``B``).  The
+``B^T B`` and one panel product with the (N-p)-by-p block, the frame's
+bottom block, and two more, a panel and its Gram product, when its
+Cholesky QR takes a second pass (a large ``B``).  The
 panels go through :func:`linalg._mm`, which keeps them on OpenBLAS's
 small-matrix path in blocks above its size limit at one BLAS thread; the
 Grams stay ``x.T @ x`` on numpy's symmetric (syrk) path.  The p-by-p core
@@ -160,7 +161,8 @@ class SkewParam:
         )
 
     def norm(self) -> float:
-        return math.sqrt(float(np.sum(self.a * self.a) + 2.0 * np.sum(self.b * self.b)))
+        # dot products, without the squared blocks' temporaries
+        return math.sqrt(float(np.vdot(self.a, self.a) + 2.0 * np.vdot(self.b, self.b)))
 
     def spectral_norm(self) -> float:
         """Spectral norm of the embedded matrix (costs a full n-by-n SVD)."""
@@ -185,6 +187,16 @@ class SkewParam:
         return SkewParam._trusted(s * self.a, s * self.b)
 
     __rmul__ = __mul__
+
+    def _minus_scaled(self, s: float, other: "SkewParam") -> "SkewParam":
+        """``self - s * other`` with one new array per block, for a finite
+        ``s``: ``(other * -s) + self``, bitwise the same, since IEEE
+        negation is exact and addition commutes."""
+        a = other.a * -s
+        a += self.a
+        b = other.b * -s
+        b += self.b
+        return SkewParam._trusted(a, b)
 
     def __repr__(self) -> str:
         return f"SkewParam(n={self.n}, p={self.p}, norm={self.norm():.6g})"
@@ -391,23 +403,48 @@ def _m_factors(a: np.ndarray, btb: np.ndarray, panel):
     return r_inv, np.linalg.solve(ip + a_s, r_inv.T), second
 
 
-def inverse(center: Center, v: SkewParam, *, _return_gram: bool = False):
+class _InverseKernel(NamedTuple):
+    """What ``inverse(center, v, _return_kernel=True)`` computes; see there."""
+
+    frame: np.ndarray
+    btb: np.ndarray
+    m_inv: np.ndarray
+
+
+def _inverse_core(v: SkewParam):
+    """The inverse map's core at ``v``: ``(B^T B, M^{-1}, G, second)`` with
+    ``M^{-1} = R^{-1} G`` and ``G``, ``second`` as :func:`_m_factors`
+    returns them.  Shared by :func:`inverse` and the pullback that has no
+    kernel to take ``M^{-1}`` from (``gradients.pullback_from_euclidean``),
+    so that their ``M^{-1}`` agree bitwise."""
+    btb = v.b.T @ v.b
+    r_inv, g, second = _m_factors(v.a, btb, lambda r1_inv: linalg._mm(v.b, r1_inv))
+    return btb, r_inv @ g, g, second
+
+
+def inverse(center: Center, v: SkewParam, *, _return_kernel: bool = False):
     """Map a skew parameter back to its feasible frame.
 
     Builds the identity-center frame ``W = [2 M^{-1} - I; -2 B M^{-1}]``
-    from the factors ``M^{-1} = R^{-1} G`` of :func:`_m_factors`, as
-    ``[2 R^{-1} G - I; (B R1^{-1}) (-2 R2^{-1} G)]`` (``R2 = I`` after one
-    pass), and applies the center orthogonally: ``U = S W``, which for a
-    structured center touches only the top p-by-p block.  ``R^{-1}`` and
-    ``B R^{-1}`` are blocks of the orthonormal ``Q`` and ``G`` has
-    spectral norm <= 1, so the defect stays near roundoff
-    (~ ``eps * (1 + ||A||)``).  Cost: three N-row products, the Gram
-    matrix ``B^T B``, the panel ``B R1^{-1}`` and the bottom block, and a
-    fourth, the panel's Gram matrix, when ``B`` is large enough for a
-    second pass; every factorization is p-by-p, ``O(N p^2)`` in all.  With
-    the private ``_return_gram`` the result is the pair ``(U, B^T B)``, the
-    Gram matrix the map forms: ``run_gdm_cp`` takes ``||B||_2`` from it
-    (:func:`_gram_norm`) and passes it to its pullback.
+    from the factors ``M^{-1} = R^{-1} G`` of :func:`_m_factors` and
+    applies the center orthogonally: ``U = S W``, which for a structured
+    center touches only the top p-by-p block.  After one Cholesky QR pass
+    the bottom block is the single panel product ``B (-2 M^{-1})``;
+    after two it is ``(B R1^{-1}) (-2 R2^{-1} G)``, from the second pass's
+    own panel.  ``R^{-1}`` and ``B R^{-1}`` are blocks of the orthonormal
+    ``Q`` and ``G`` has spectral norm <= 1, so the defect stays near
+    roundoff (~ ``eps * (1 + ||A||)``).  One pass is taken only where
+    :func:`linalg._one_pass_enough` bounds ``cond([I; B])^2`` by 10, so
+    ``||B||_2 ||R^{-1}||_2 <= cond([I; B]) <= sqrt(10)``: the product with
+    ``B`` itself, in place of the orthonormal block ``B R^{-1}``, rounds at
+    most that factor worse.  Cost: two N-row products, the Gram matrix
+    ``B^T B`` and the bottom block, and two more, the panel ``B R1^{-1}``
+    and its Gram matrix, when ``B`` is large enough for a second pass;
+    every factorization is p-by-p, ``O(N p^2)`` in all.  With the private
+    ``_return_kernel`` the result is the kernel ``(frame, btb, m_inv)``:
+    the frame, ``B^T B`` and ``M^{-1}``.  ``run_gdm_cp`` takes ``||B||_2``
+    from ``btb`` and passes the kernel to its pullback, which takes
+    ``M^{-1}`` from it.
 
     Defined for every parameter whose ``I + B^T B`` stays positive
     definite once rounded: every parameter with ``||B||_2`` below about
@@ -428,21 +465,19 @@ def inverse(center: Center, v: SkewParam, *, _return_gram: bool = False):
     p, n = v.p, v.n
     if n != center.n:
         raise DimensionError(f"parameter has n={n} but center is {center.n}-by-{center.n}")
-    btb = v.b.T @ v.b
-    r_inv, g, second = _m_factors(v.a, btb, lambda r1_inv: linalg._mm(v.b, r1_inv))
+    btb, m_inv, g, second = _inverse_core(v)
+    u = np.empty((n, p))
+    u[:p] = 2.0 * m_inv - np.eye(p)
     if second is None:
-        q1_lo, h = linalg._mm(v.b, r_inv), g  # B R1^{-1}, and R2 = I
+        linalg._mm(v.b, -2.0 * m_inv, out=u[p:])
     else:
         q1_lo, r2_inv = second
-        h = r2_inv @ g
-    u = np.empty((n, p))
-    u[:p] = 2.0 * (r_inv @ g) - np.eye(p)
-    linalg._mm(q1_lo, -2.0 * h, out=u[p:])
+        linalg._mm(q1_lo, -2.0 * (r2_inv @ g), out=u[p:])
     if center.is_structured:
         u[:p] = center.t @ u[:p]
     else:
         u = center.s @ u
-    return (u, btb) if _return_gram else u
+    return _InverseKernel(u, btb, m_inv) if _return_kernel else u
 
 
 def _gram_norm(btb: np.ndarray) -> float:

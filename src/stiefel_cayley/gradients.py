@@ -6,11 +6,13 @@ p-by-p inverse; this module provides that gradient and sampled checks of
 the Lipschitz / boundedness / variance bounds the pullback inherits from the
 ambient cost.
 
-Everything here works on compressed blocks.  The pullback factorizes only
-the p-by-p matrix ``M`` and costs four N-row products beyond the ambient
-gradient; :func:`grad_pullback` adds the inverse map when it has to build
-the frame (three more N-row products, four when its Cholesky QR takes a
-second pass; every factorization p-by-p).  The
+Everything here works on compressed blocks.  The pullback takes ``M^{-1}``
+from the inverse map's kernel, or builds it by the inverse map's own p-by-p
+core, and costs three N-row products beyond the ambient gradient, one more
+(the Gram matrix ``B^T B``) when it builds ``M^{-1}`` itself;
+:func:`grad_pullback` adds the inverse map when it has to build the frame
+(two more N-row products, four when its Cholesky QR takes a second pass;
+every factorization p-by-p) and then takes ``M^{-1}`` from its kernel.  The
 pullback's three products with two distinct N-row operands go through
 :func:`linalg._mm` (blocks on OpenBLAS's small-matrix path above its size
 limit, at one BLAS thread); the Gram matrix ``B^T B`` stays ``x.T @ x`` on
@@ -26,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linalg
-from .cayley import Center, SkewParam, inverse, random_skew_param
+from .cayley import Center, SkewParam, _inverse_core, inverse, random_skew_param
 
 __all__ = [
     "CostFunction",
@@ -67,7 +69,7 @@ class CostFunction:
 
 
 def pullback_from_euclidean(
-    center: Center, v: SkewParam, g: np.ndarray, u: np.ndarray, *, btb: Optional[np.ndarray] = None
+    center: Center, v: SkewParam, g: np.ndarray, u: np.ndarray, *, kernel=None
 ) -> SkewParam:
     """Assemble the pulled-back gradient from an ambient gradient.
 
@@ -79,31 +81,31 @@ def pullback_from_euclidean(
         ``a   = W11 - W11^T``
         ``b   = -B (W11 + (g^T X M^{-1})^T M^{-T}) - S_ri^T g M^{-T}``
 
-    ``M^{-1}`` is formed once and applied by matrix products.  That is
-    safe: the symmetric part of ``M`` is ``I + B^T B``, which is ``>= I``,
-    so ``||M^{-1}||_2 <= 1`` and ``cond_2(M) <= 1 + ||A||_2 + ||B||_2^2``
-    (``run_gdm_cp`` re-centers once ``||B||_2`` exceeds 3, unless the
-    caller fixed its center).  ``a`` is exactly skew by construction, so
-    the result is built without the checked constructor's copies; its
-    finiteness check is kept, so a non-finite ``g`` raises ``ValueError``.
+    ``M^{-1}`` is the inverse map's ``R^{-1} G`` (:func:`cayley._m_factors`)
+    and is applied by matrix products.  That is safe: the symmetric part
+    of ``M`` is ``I + B^T B``, which is ``>= I``, so ``||M^{-1}||_2 <= 1``
+    and ``cond_2(M) <= 1 + ||A||_2 + ||B||_2^2`` (``run_gdm_cp`` re-centers
+    once ``||B||_2`` exceeds 3, unless the caller fixed its center).  ``a``
+    is exactly skew by construction, so the result is built without the
+    checked constructor's copies; its finiteness check is kept, so a
+    non-finite ``g`` raises ``ValueError``.
 
-    Cost for a structured center: four N-row products of ``O(N p^2)``
-    flops each (``B^T B``, ``(S_ri^T g)^T B``, and the two terms of ``b``)
-    plus ``O(p^3)``.  Separated from :func:`grad_pullback` so
-    optimization loops that already hold ``u`` and ``g`` (from a fused cost
-    evaluation) pay nothing twice.  For the same reason a caller that
-    holds the Gram matrix ``B^T B`` of this ``v`` (``inverse`` forms it)
-    passes it as ``btb`` and saves the first of those products; it must
-    be ``v.b.T @ v.b`` as formed from this very ``v``, and then the result
-    is bit-identical to the one without it.
+    Cost for a structured center: three N-row products of ``O(N p^2)``
+    flops each (``(S_ri^T g)^T B`` and the two terms of ``b``) plus
+    ``O(p^3)``, and the Gram matrix ``B^T B`` (with a second Cholesky QR
+    pass, a panel and its Gram matrix too) when it builds ``M^{-1}``
+    itself.  Separated from :func:`grad_pullback` so optimization loops
+    that already hold ``u`` and ``g`` (from a fused cost evaluation) pay
+    nothing twice.  For the same reason a caller that holds the kernel
+    ``inverse(center, v, _return_kernel=True)`` of this very ``v`` passes
+    it as ``kernel``, and ``M^{-1}`` is taken from it; the result is
+    bit-identical to the one without it, which builds ``M^{-1}`` through
+    the same code (:func:`cayley._inverse_core`).
     """
     p = v.p
     gle = center.leftT_mul(g, p)  # S_le^T g
     gri = center.riT_mul(g, p)  # S_ri^T g
-    if btb is None:
-        btb = v.b.T @ v.b
-    m = np.eye(p) + v.a + btb
-    m_inv = np.linalg.inv(m)
+    m_inv = _inverse_core(v)[1] if kernel is None else kernel.m_inv
     gtx = gle.T - linalg._mm(gri.T, v.b)  # g^T (S_le - S_ri B)
     gp = gtx @ m_inv  # g^T X M^{-1}
     w11 = m_inv @ gp
@@ -121,11 +123,14 @@ def grad_pullback(
 
     Evaluates the frame ``u = inverse(center, v)`` (or reuses a supplied
     one), queries the ambient gradient there, and assembles the compressed
-    skew result via :func:`pullback_from_euclidean`.
+    skew result via :func:`pullback_from_euclidean`, with the inverse map's
+    kernel when it built the frame.
     """
+    kernel = None
     if u is None:
-        u = inverse(center, v)
-    return pullback_from_euclidean(center, v, f.grad(u), u)
+        kernel = inverse(center, v, _return_kernel=True)
+        u = kernel.frame
+    return pullback_from_euclidean(center, v, f.grad(u), u, kernel=kernel)
 
 
 @dataclass(frozen=True)

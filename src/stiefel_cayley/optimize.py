@@ -94,6 +94,23 @@ STOP_STALL = "line-search stall"
 RECENTER_B_NORM = 3.0
 
 
+def _recenter_needed(btb: np.ndarray) -> bool:
+    """Whether ``||B||_2 > RECENTER_B_NORM``, from the Gram matrix
+    ``B^T B``.
+
+    The 1-norm of ``B^T B`` bounds its largest eigenvalue ``||B||_2^2``
+    from above, so a 1-norm at or below ``RECENTER_B_NORM^2`` settles the
+    question for three p-by-p reductions, and only a larger one takes the
+    eigenvalue problem of :func:`cayley._gram_norm`.  The screen keeps a
+    margin of 1e-8 relative, far beyond the rounding of either side, so
+    every decision is the one ``_gram_norm`` alone would make.
+    """
+    bound = RECENTER_B_NORM**2
+    if np.abs(btb).sum(axis=0).max() <= bound * (1.0 - 1e-8):
+        return False
+    return _gram_norm(btb) > RECENTER_B_NORM
+
+
 @dataclass(frozen=True)
 class BacktrackingConfig:
     """Armijo backtracking parameters.
@@ -315,10 +332,13 @@ def run_gdm_cp(
     parameter is then re-mapped with :func:`forward`.  The frame and the
     cost value are unchanged by a rebuild, so descent stays monotone and
     feasible; the iterations at which it happened are listed in
-    ``RunRecord.recenter_iters``.  Each trial's inverse map hands back the
-    Gram matrix ``B^T B`` it forms, in the trial's payload: the accepted
-    step takes ``||B||_2`` from it (one p-by-p eigenvalue problem) and
-    passes it to the pullback, which would otherwise form it again.  A
+    ``RunRecord.recenter_iters``.  Each trial's inverse map hands back its
+    kernel, the frame with the Gram matrix ``B^T B`` and ``M^{-1}`` it
+    formed, in the trial's payload: the accepted step decides from
+    ``B^T B`` whether to re-center (:func:`_recenter_needed`) and passes
+    the kernel to the pullback, which takes ``M^{-1}`` from it instead of
+    forming ``B^T B`` and factoring again; after a re-centering the
+    pullback builds both for the new parameter.  A
     trial parameter outside the inverse map's range (see
     :func:`cayley.inverse`) raises ``linalg.RankError``: a failed trial,
     as in every solver.
@@ -336,20 +356,21 @@ def run_gdm_cp(
         s = construct_center(u0) if center is None else center
 
         def step(v: SkewParam, g: SkewParam, gamma: float):
-            v_cand = v - gamma * g
-            u_cand, btb = inverse(s, v_cand, _return_gram=True)
-            fval, g_euclid = f.value_and_grad(u_cand)
-            return fval, v_cand, (u_cand, btb, g_euclid)
+            v_cand = v._minus_scaled(gamma, g)
+            kernel = inverse(s, v_cand, _return_kernel=True)
+            fval, g_euclid = f.value_and_grad(kernel.frame)
+            return fval, v_cand, (kernel, g_euclid)
 
         def reanchor(n: int, v: SkewParam, payload):
             nonlocal s
-            u, btb, g_euclid = payload
-            if center is None and _gram_norm(btb) > RECENTER_B_NORM:
+            kernel, g_euclid = payload
+            u = kernel.frame
+            if center is None and _recenter_needed(kernel.btb):
                 s = construct_center(u)
                 v = forward(s, u)
                 record.recenter_iters.append(n)
-                btb = None  # the new parameter has another B
-            return v, u, pullback_from_euclidean(s, v, g_euclid, u, btb=btb)
+                kernel = None  # the new parameter has another B and M
+            return v, u, pullback_from_euclidean(s, v, g_euclid, u, kernel=kernel)
 
         v0 = forward(s, u0)
         f0, g_euclid = f.value_and_grad(u0)

@@ -170,7 +170,7 @@ def distance_cost(target: np.ndarray) -> CostFunction:
 
     def evgr(u: np.ndarray):
         d = u - target
-        return 0.5 * float(np.sum(d * d)), d
+        return 0.5 * float(np.vdot(d, d)), d
 
     return _fused_cost(n, p, evgr)
 

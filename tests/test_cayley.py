@@ -243,10 +243,44 @@ def test_inverse_stays_feasible_at_large_b_with_spread_singular_values(n, p):
     for structured in (True, False):
         center = problems.random_center(rng, n, p, structured=structured)
         v = spread_param(rng, n, p, 1e6)
-        u, btb = cayley.inverse(center, v, _return_gram=True)
+        u, btb, _ = cayley.inverse(center, v, _return_kernel=True)
         b_norm = cayley._gram_norm(btb)
         assert linalg.feasibility(u) <= 1e-13
         assert abs(b_norm - 1e6) <= 1e-12 * 1e6
+
+
+@pytest.mark.parametrize("n, p", [(500, 10), (2000, 40), (120, 80), (60, 40)])
+def test_one_pass_inverse_forms_its_bottom_block_from_b_and_stays_orthonormal(
+        monkeypatch, n, p):
+    # After one Cholesky QR pass the bottom block is the single product
+    # B (-2 M^{-1}).  At ||B||_2 <= 3, cond([I; B])^2 <= 10 whatever
+    # linalg._one_pass_enough's bound says, so the pass is forced here; and
+    # a B with equal singular values (cond([I; B]) = 1) takes one pass by
+    # itself at ||B||_2 = 30.
+    rng = np.random.default_rng(n + p)
+    mm, panels = linalg._mm, []
+    monkeypatch.setattr(linalg, "_mm", lambda *a, **kw: panels.append(a[0]) or mm(*a, **kw))
+    cases = []
+    for b_norm in (0.1, 1.0, 2.0, 3.0):
+        for a_norm in (0.0, 1.0, 10.0):
+            a = rng.standard_normal((p, p))
+            a = a - a.T
+            b = rng.standard_normal((n - p, p))
+            cases.append((a_norm / np.linalg.norm(a) * a, b_norm / np.linalg.norm(b, 2) * b, True))
+    if n - p >= p:
+        flat = 30.0 * np.linalg.qr(rng.standard_normal((n - p, p)))[0]
+        cases.append((np.zeros((p, p)), flat, False))
+    enough = linalg._one_pass_enough
+    for structured in (True, False):
+        center = problems.random_center(rng, n, p, structured=structured)
+        for a, b, forced in cases:
+            monkeypatch.setattr(linalg, "_one_pass_enough",
+                                (lambda *args: True) if forced else enough)
+            v = SkewParam(a, b)
+            panels.clear()
+            u = cayley.inverse(center, v)
+            assert len(panels) == 1 and panels[0] is v.b  # one pass, one panel, of B
+            assert linalg.feasibility(u) <= 1e-13, (structured, np.linalg.norm(b, 2))
 
 
 @pytest.mark.parametrize("n, p", [(50, 1), (500, 10), (120, 80)])

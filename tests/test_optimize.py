@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from stiefel_cayley import linalg, optimize, problems, retractions
+from stiefel_cayley import cayley, linalg, optimize, problems, retractions
 from stiefel_cayley.cayley import Center, SingularPointError, SkewParam, construct_center
 from stiefel_cayley.gradients import CostFunction
 from stiefel_cayley.optimize import (
@@ -285,20 +285,25 @@ def test_run_gdm_cp_recenters_after_overshoot(monkeypatch):
 
 
 def test_run_gdm_cp_carries_the_gram_matrix_into_its_pullback(monkeypatch):
-    # The accepted trial's inverse map formed B^T B, and the pullback takes
-    # it instead of forming it again; not at the start, and not after a
-    # re-centering, whose re-mapped parameter has another B.  Carried or
-    # rebuilt, each pullback and the whole record are bit-identical.
+    # The accepted trial's inverse map formed B^T B and M^{-1}, and the
+    # pullback takes M^{-1} from that kernel instead of forming B^T B and
+    # factoring again; not at the start, and not after a re-centering, whose
+    # re-mapped parameter has another B.  A carried M^{-1} is bitwise the
+    # one the pullback rebuilds, and so is each pullback and the whole
+    # record.
     n, p = 200, 10
     f = problems.eigen_cost(problems.make_eigen_instance(n, p, seed=7))
     u0 = problems.random_stiefel(np.random.default_rng([7, 211, 0]), n, p)
     kw = dict(bt=BacktrackingConfig(gamma_initial=0.1), stop=StoppingConfig(max_iters=60))
     pullback, carried = optimize.pullback_from_euclidean, []
 
-    def checked_pullback(center, v, g, u, btb=None):
-        out = pullback(center, v, g, u, btb=btb)
-        carried.append(btb is not None)
-        if btb is not None:
+    def checked_pullback(center, v, g, u, kernel=None):
+        out = pullback(center, v, g, u, kernel=kernel)
+        carried.append(kernel is not None)
+        if kernel is not None:
+            btb, m_inv, _, _ = cayley._inverse_core(v)
+            assert np.array_equal(kernel.btb, btb) and np.array_equal(kernel.m_inv, m_inv)
+            assert np.array_equal(kernel.frame, u)
             rebuilt = pullback(center, v, g, u)
             assert np.array_equal(out.a, rebuilt.a) and np.array_equal(out.b, rebuilt.b)
         return out
@@ -308,10 +313,54 @@ def test_run_gdm_cp_carries_the_gram_matrix_into_its_pullback(monkeypatch):
     assert rec.recenter_iters
     assert carried == [False] + [it not in rec.recenter_iters for it in rec.iters[1:]]
 
-    def rebuilding_pullback(center, v, g, u, btb=None):
+    def rebuilding_pullback(center, v, g, u, kernel=None):
         return pullback(center, v, g, u)
 
     monkeypatch.setattr(optimize, "pullback_from_euclidean", rebuilding_pullback)
+    ref = run_gdm_cp(f, u0, **kw)
+    for name in ("iters", "fvals", "grad_norms", "feasibilities", "recenter_iters", "stop_reason"):
+        assert getattr(rec, name) == getattr(ref, name), name
+    assert np.array_equal(rec.final_u, ref.final_u)
+
+
+@pytest.mark.parametrize("n, p", [(500, 10), (60, 40), (120, 80), (11, 10)])
+def test_recenter_screen_decides_as_the_gram_norm(n, p):
+    # ||B^T B||_1 >= ||B||_2^2, so a 1-norm at or below RECENTER_B_NORM^2
+    # rules a re-centering out without the eigenvalue problem; across
+    # ||B||_2 in [2.5, 3.5], at the threshold to the last bits, and with
+    # N - p < p, the screened test decides as _gram_norm alone.
+    rng = np.random.default_rng(n + p)
+    eps = np.finfo(float).eps
+    norms = [*np.linspace(2.5, 3.5, 21), *(3.0 * (1.0 + k * eps) for k in range(-4, 5))]
+    k = min(n - p, p)
+    shapes = {
+        "gaussian": lambda: rng.standard_normal((n - p, p)),
+        "rank one": lambda: np.outer(rng.standard_normal(n - p), rng.standard_normal(p)),
+        "coordinate": lambda: np.eye(n - p, p),
+        "flat": lambda: (np.linalg.qr(rng.standard_normal((n - p, k)))[0]
+                         @ np.linalg.qr(rng.standard_normal((p, k)))[0].T),
+    }
+    wide = 0
+    for b_norm in norms:
+        for kind, draw in shapes.items():
+            b = draw()
+            b *= b_norm / np.linalg.norm(b, 2)
+            btb = b.T @ b
+            expected = cayley._gram_norm(btb) > RECENTER_B_NORM
+            assert optimize._recenter_needed(btb) == expected, (kind, b_norm)
+            wide += np.abs(btb).sum(axis=0).max() > RECENTER_B_NORM**2 and not expected
+    assert wide  # some B^T B's 1-norm exceeds 9 while ||B||_2 <= 3
+
+
+def test_recenter_screen_leaves_a_recentering_record_bit_identical(monkeypatch):
+    n, p = 200, 10
+    f = problems.eigen_cost(problems.make_eigen_instance(n, p, seed=7))
+    u0 = problems.random_stiefel(np.random.default_rng([7, 211, 0]), n, p)
+    kw = dict(bt=BacktrackingConfig(gamma_initial=0.1), stop=StoppingConfig(max_iters=60))
+    rec = run_gdm_cp(f, u0, **kw)
+    assert rec.recenter_iters
+    monkeypatch.setattr(optimize, "_recenter_needed",
+                        lambda btb: cayley._gram_norm(btb) > RECENTER_B_NORM)
     ref = run_gdm_cp(f, u0, **kw)
     for name in ("iters", "fvals", "grad_norms", "feasibilities", "recenter_iters", "stop_reason"):
         assert getattr(rec, name) == getattr(ref, name), name
@@ -656,7 +705,7 @@ def test_gdm_cp_retraction_builds_one_kernel_per_trial(monkeypatch):
 #: tangent passes' ratios under retractions._TANGENT_PASS_BOUND, so neither
 #: takes its correcting pass)
 BLOCKED_PRODUCTS_PER_STEP = {"gdm-qr": 1 + 2, "gdm-polar": 2 + 2, "gdm-cayley": 3 + 2,
-                             "gdm-cp-retraction": 3 + 5, "gdm-cp": 2 + 3}
+                             "gdm-cp-retraction": 3 + 5, "gdm-cp": 1 + 3}
 
 
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
@@ -698,7 +747,9 @@ def test_cholesky_qr_trials_take_one_pass(monkeypatch, solver):
     # linalg.ONE_PASS_BOUND (X = [I; B] for gdm-cp's inverse map, U + D
     # for the retractions), so each trial factors one Gram matrix before it
     # evaluates the cost: the count of factors seen at each evaluation
-    # climbs by one (gdm-cp also evaluates its start, before any factor).
+    # climbs by one.  gdm-cp also evaluates its start, before any factor,
+    # and then factors once more for the start's pullback, which builds
+    # M^{-1} by the inverse map's Cholesky QR.
     n, p = 100, 5
     plain = problems.eigen_cost(problems.make_eigen_instance(n, p, 7))
     chol, factors, seen = linalg._cholesky_r, [], []
@@ -709,7 +760,8 @@ def test_cholesky_qr_trials_take_one_pass(monkeypatch, solver):
                           bt=BacktrackingConfig(gamma_initial=0.01), stop=StoppingConfig(max_iters=30))
     trials = [k for k in seen if k > 0]
     assert rec.iters[-1] == 30 and len(trials) > 60  # rejected trials among them
-    assert trials == list(range(1, len(factors) + 1))
+    first = 2 if solver == "gdm-cp" else 1
+    assert trials == list(range(first, len(factors) + 1))
 
 
 def test_gdm_cp_retraction_compares_no_frames(monkeypatch):

@@ -123,7 +123,7 @@ def map_cases(draw):
 def test_inverse_is_feasible_and_matches_dense_oracle(case):
     center, v = case
     n, p = v.n, v.p
-    u, btb = cayley.inverse(center, v, _return_gram=True)
+    u, btb, _ = cayley.inverse(center, v, _return_kernel=True)
     b_norm = cayley._gram_norm(btb)
     assert linalg.feasibility(u) <= 1e-12
     # I + V is normal with singular values sqrt(1 + lambda^2) >= 1, so the
