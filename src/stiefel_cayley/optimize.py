@@ -22,8 +22,9 @@ variable that step updates and how:
 Every line-search trial makes one fused call to the cost,
 :meth:`CostFunction.value_and_grad`; the accepted trial's ambient gradient
 becomes the next descent gradient, so an accepted step costs no further
-evaluation.  :func:`run_gdm_cp_retraction` likewise carries the trial's
-Cayley-retraction kernel into the pulled-back gradient.
+evaluation.  Likewise :func:`run_gdm_cp` carries the trial's inverse-map
+kernel, and :func:`run_gdm_cp_retraction` its Cayley-retraction kernel,
+into the pulled-back gradient.
 
 Every solver checks its start frame once, on entry: it must have the
 cost's shape and orthonormal columns.  A trial that raises
