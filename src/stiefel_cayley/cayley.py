@@ -9,9 +9,9 @@ p-by-p matrices: the inverse map's N-row work is the Gram product
 bottom block, and two more, a panel and its Gram product, when its
 Cholesky QR takes a second pass (a large ``B``).  The
 panels go through :func:`linalg._mm`, which keeps them on OpenBLAS's
-small-matrix path in blocks above its size limit at one BLAS thread; the
-Grams stay ``x.T @ x`` on numpy's symmetric (syrk) path.  The p-by-p core
-of the inverse map, :func:`_m_factors`, is also the Cayley retraction's
+small-matrix path in blocks above its size limit; the Grams stay
+``x.T @ x`` on numpy's symmetric (syrk) path.  The p-by-p core of the
+inverse map, :func:`_m_factors`, is also the Cayley retraction's
 (``retractions._cayley_kernel``): that retraction is the inverse map at the
 frame center ``[U, Uperp]``.
 

@@ -15,8 +15,8 @@ core, and costs three N-row products beyond the ambient gradient, one more
 every factorization p-by-p) and then takes ``M^{-1}`` from its kernel.  The
 pullback's three products with two distinct N-row operands go through
 :func:`linalg._mm` (blocks on OpenBLAS's small-matrix path above its size
-limit, at one BLAS thread); the Gram matrix ``B^T B`` stays ``x.T @ x`` on
-numpy's symmetric (syrk) path.
+limit); the Gram matrix ``B^T B`` stays ``x.T @ x`` on numpy's symmetric
+(syrk) path.
 """
 
 from __future__ import annotations

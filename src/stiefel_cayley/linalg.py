@@ -76,39 +76,26 @@ ONE_PASS_BOUND = 10.0
 #: that each stay at or below it.  Time of the blocked form over the plain
 #: product for a cross Gram ``X^T Y`` (p-by-N times N-by-p, inner blocks)
 #: and a panel ``X C`` (N-by-p times p-by-p, row blocks), each cell
-#: "Gram panel", best of 5 interleaved rounds on 2 vCPUs of a shared host:
+#: "Gram panel", best of 5 interleaved rounds on 2 vCPUs of a shared host,
+#: one BLAS thread:
 #:
 #: =====  =========  =========  =========  =========  =========  =========
 #:   N    p=16       p=20       p=40       p=64       p=80       p=100
 #: =====  =========  =========  =========  =========  =========  =========
-#: one BLAS thread
-#: ------------------------------------------------------------------------
 #:   320                                   0.66 0.82  0.81 0.79  0.78 0.81
 #:   700                        0.67 0.77  0.77 0.81  0.79 0.83  0.73 0.79
 #:  1000                        0.67 0.74  0.76 0.82  0.81 0.79  0.77 0.81
 #:  1400                        0.65 0.72  0.78 0.78  0.81 0.82  0.77 0.79
 #:  2000                        0.69 0.76  0.81 0.77  0.86 0.83  0.77 0.78
 #:  4000  0.33 0.55  0.49 0.56  0.71 0.70  0.83 0.71  0.87 0.81  0.91 0.86
-#: ------------------------------------------------------------------------
-#: two BLAS threads (the blocks forced)
-#: ------------------------------------------------------------------------
-#:   320                                   1.07 1.46  1.26 1.33  1.13 1.59
-#:   700                        0.64 1.28  1.23 1.14  0.96 0.65  1.02 1.23
-#:  1000                        0.48 1.03  1.31 1.14  1.15 1.25  1.13 1.20
-#:  1400                        0.76 0.99  0.86 1.12  1.15 1.19  1.06 1.23
-#:  2000                        0.63 1.12  0.95 1.09  1.20 1.13  1.07 1.14
-#:  4000  0.32 0.77  0.50 1.06  0.58 1.17  0.99 1.05  1.23 1.00  1.29 1.46
 #: =====  =========  =========  =========  =========  =========  =========
 #:
-#: (blank: at or below the limit).  At one thread the blocks win at every
-#: shape above it.  At two the plain product is split across the threads
-#: and the blocks are not: panels lose by up to 1.59x (1.78x in a repeat
-#: sweep), and Grams lose by up to 1.31x at p >= 64 while they win at
-#: p <= 40, so :func:`_mm` takes blocks only at one thread.  A symmetric
-#: Gram ``X^T X`` in blocks loses to numpy's one syrk call at every shape
-#: above (1.00-1.32x at one thread, up to 2.14x at two), so those stay
-#: ``x.T @ x``.  ``A U`` (N-by-N times N-by-p) takes the row blocks too;
-#: its sweep is at ``problems._sym_times``.
+#: (blank: at or below the limit).  The blocks win at every shape above
+#: it.  A symmetric Gram ``X^T X`` in blocks loses to numpy's one syrk
+#: call at every shape above (1.00-1.32x), so those stay ``x.T @ x``.
+#: ``A U`` (N-by-N times N-by-p) takes the row blocks too; its sweep is at
+#: ``problems._trace_cost``.  Blocks at every thread count: see CHANGES.md,
+#: the entry that made the block size depend on the product's size alone.
 SMALL_PRODUCT_MAX = 100**3
 
 
@@ -129,20 +116,13 @@ def _openblas_function(stem: str, restype, *argtypes):
     return None
 
 
-@functools.cache
-def _openblas_get_num_threads():
-    """OpenBLAS's ``get_num_threads`` in the library bundled with numpy,
-    or None where numpy links another BLAS."""
-    return _openblas_function("get_num_threads", ctypes.c_int)
-
-
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the body at one OpenBLAS thread and restore the count after, so
     that a large product sums in the same order at every thread count.  The
     count is the process's: BLAS calls made meanwhile from other threads
     run at one thread too.  A no-op where numpy links another BLAS."""
-    get = _openblas_function("get_num_threads", ctypes.c_int)  # tests replace the probe
+    get = _openblas_function("get_num_threads", ctypes.c_int)
     set_ = _openblas_function("set_num_threads", None, ctypes.c_int)
     threads = 1 if get is None or set_ is None else get()
     if threads == 1:
@@ -155,19 +135,12 @@ def _one_blas_thread():
         set_(threads)
 
 
-def _single_blas_thread() -> bool:
-    """Whether numpy's BLAS is its bundled OpenBLAS, running one thread."""
-    get = _openblas_get_num_threads()
-    return get is not None and get() == 1
-
-
 def _block_size(m: int, k: int, n: int) -> int:
     """Rows (``m >= k``) or inner indices (``m < k``) per block of
     :func:`_mm`'s product of an m-by-k and a k-by-n matrix, or 0 where it
-    is one plain product: at or below :data:`SMALL_PRODUCT_MAX`, at more
-    than one OpenBLAS thread or with another BLAS, or when a single row
-    (inner index) is already over the limit."""
-    if m * k * n <= SMALL_PRODUCT_MAX or not _single_blas_thread():
+    is one plain product: at or below :data:`SMALL_PRODUCT_MAX`, or when a
+    single row (inner index) is already over it."""
+    if m * k * n <= SMALL_PRODUCT_MAX:
         return 0
     return SMALL_PRODUCT_MAX // (min(m, k) * n)
 
@@ -182,7 +155,10 @@ def _mm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     order.  Every block is at most :data:`SMALL_PRODUCT_MAX` in size.  The
     small-matrix kernel sums in another order than the packed one, and the
     inner blocks add their own partial sums, so a blocked result may differ
-    from ``a @ b`` at roundoff.
+    from ``a @ b`` at roundoff.  That kernel runs on one thread, so a block
+    that numpy hands to GEMM (both result dimensions above 1) sums in the
+    same order at every OpenBLAS thread count; a column result goes to
+    gemv and a 1-by-1 one to ddot, which OpenBLAS may split across threads.
     """
     m, k = a.shape
     size = _block_size(m, k, b.shape[1])

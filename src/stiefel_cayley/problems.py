@@ -83,6 +83,13 @@ def make_eigen_instance(n: int, p: int, seed: int) -> EigenInstance:
     )
 
 
+def _fused_cost(n: int, p: int, evgr) -> CostFunction:
+    """The cost whose fused evaluation ``evgr(u) -> (value, gradient)`` also
+    gives its value and its gradient, so the three members agree bitwise."""
+    return CostFunction(dim_n=n, dim_p=p, eval=lambda u: evgr(u)[0],
+                        grad=lambda u: evgr(u)[1], eval_grad=evgr)
+
+
 # Above ``p N^2 = linalg.SMALL_PRODUCT_MAX``, time of ``A U`` in row blocks
 # (``linalg._mm``) over ``(U^T A)^T``, best of 7 interleaved rounds, one
 # BLAS thread (scipy-openblas 0.3.31):
@@ -103,40 +110,13 @@ def make_eigen_instance(n: int, p: int, seed: int) -> EigenInstance:
 # win for p <= 20, tie at p=1 (0.96-1.07 at N 1001-2000) and p=25, and
 # lose by up to 1.37x at p=30; they are used for every p, since no
 # benchmark workload has p > 20.  The ratio climbs with N; no N above
-# 2000 was timed.  At two BLAS threads ``(U^T A)^T`` is split across the
-# threads and the blocks are not, and the blocks lose (1.13x at N=500,
-# p=10; 1.43x at N=2000, p=20), so they are used only at one thread.
-
-
-def _sym_times(a: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``A U`` for an exactly symmetric ``A`` (C-ordered result).
-
-    At or below :data:`linalg.SMALL_PRODUCT_MAX` it is one product
-    ``a @ u``.  Above it, at one OpenBLAS thread, it is
-    :func:`linalg._mm`'s row blocks, each its own product ``a[block] @ u``
-    of at most that size.  Otherwise (more threads, another BLAS, or a
-    single row already over the limit) it is ``(U^T A)^T``, which equals
-    ``A U`` only because ``A = A^T`` holds exactly: both
-    :func:`make_eigen_instance` and :meth:`StochasticEigenFamily.draw`
-    build ``a`` that way.  The forms sum in different orders, so they may
-    differ at roundoff.
-    """
-    n, p = u.shape
-    if n * n * p > linalg.SMALL_PRODUCT_MAX and not linalg._block_size(n, n, p):
-        return np.ascontiguousarray((u.T @ a).T)
-    return linalg._mm(a, u)
-
-
-def _fused_cost(n: int, p: int, evgr) -> CostFunction:
-    """The cost whose fused evaluation ``evgr(u) -> (value, gradient)`` also
-    gives its value and its gradient, so the three members agree bitwise."""
-    return CostFunction(dim_n=n, dim_p=p, eval=lambda u: evgr(u)[0],
-                        grad=lambda u: evgr(u)[1], eval_grad=evgr)
+# 2000 was timed.  Blocks at every thread count: see CHANGES.md, the entry
+# that made the block size depend on the product's size alone.
 
 
 def _trace_cost(a: np.ndarray, n: int, p: int) -> CostFunction:
     def evgr(u: np.ndarray):
-        au = _sym_times(a, u)
+        au = linalg._mm(a, u)
         return -float(np.vdot(u, au)), -2.0 * au
 
     return _fused_cost(n, p, evgr)
@@ -151,11 +131,9 @@ def eigen_cost(inst: EigenInstance) -> CostFunction:
     evaluation and its one product ``A U``, so they agree bitwise.
     At or below ``p N^2 = 100^3`` that product is ``A @ U``.  Above it,
     where OpenBLAS leaves its small-matrix path and ``A @ U`` slows down,
-    it is formed at one BLAS thread in row blocks that each stay on that
-    path, and otherwise as ``(U^T A)^T``, which relies on ``inst.a`` being
-    exactly symmetric (see :func:`_sym_times`).  The summation
-    order, and so the last bits, therefore change across that size and
-    with the BLAS thread count above it.
+    it is formed in row blocks that each stay on that path
+    (:func:`linalg._mm`).  The summation order, and so the last bits,
+    therefore change across that size.
     """
     return _trace_cost(inst.a, inst.n, inst.p)
 

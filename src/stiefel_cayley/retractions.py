@@ -44,11 +44,11 @@ distance cost neither optional pass runs.
 
 Every N-row product of a solver step with two distinct operands goes
 through :func:`linalg._mm`, which above OpenBLAS's small-matrix limit
-(``N p^2 > 100^3``) and at one BLAS thread splits it into blocks that stay
-on that path: the projection's two (four with a second pass),
-:func:`_gram_qr`'s panel (two with a second pass), the polar retraction's
-last product, the Cayley kernel's ``U^T D`` and frame products (and its
-second pass's panel), and the pullback's five (seven with its pass).  The
+(``N p^2 > 100^3``) splits it into blocks that stay on that path: the
+projection's two (four with a second pass), :func:`_gram_qr`'s panel (two
+with a second pass), the polar retraction's last product, the Cayley
+kernel's ``U^T D`` and frame products (and its second pass's panel), and
+the pullback's five (seven with its pass).  The
 symmetric Gram products (``X^T X``, ``Q1^T Q1``, ``D^T D``) stay
 ``x.T @ x``, which numpy runs as one symmetric rank-k update (syrk) and
 which blocks would slow down.

@@ -2,6 +2,8 @@
 it links and, for numpy's bundled OpenBLAS, its thread count, which
 decides the summation order of large products."""
 
+import ctypes
+
 import numpy as np
 
 from stiefel_cayley import linalg
@@ -9,7 +11,7 @@ from stiefel_cayley import linalg
 
 def _environment() -> str:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    get = linalg._openblas_get_num_threads()
+    get = linalg._openblas_function("get_num_threads", ctypes.c_int)
     threads = "unknown (not numpy's bundled OpenBLAS)" if get is None else get()
     return (f"numpy {np.__version__}, BLAS {blas['name']} {blas.get('version', '')}, "
             f"OpenBLAS threads: {threads}")

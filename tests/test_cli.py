@@ -3,7 +3,10 @@ determinism, and exit codes for every subcommand."""
 
 import argparse
 import math
+import os
 import re
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -262,6 +265,34 @@ def test_deterministic_modulo_time(tmp_path, experiment):
         run = []
         for suffix in files:
             provenance, header, rows = read_csv(tmp_path / f"{name}{suffix}.csv")
+            drop = [i for i, h in enumerate(header) if h in ("time_s", "cum_time_s")]
+            run.append((provenance, [[c for i, c in enumerate(r) if i not in drop] for r in rows]))
+        runs.append(run)
+    assert runs[0] == runs[1]
+
+
+def test_eigen_race_is_the_same_at_every_blas_thread_count(tmp_path):
+    # Every product above the small-matrix limit is taken in blocks on
+    # OpenBLAS's one-thread kernel, so at n=500, p=10 (A U in row blocks,
+    # every other product and dot product below the limits) each run sums
+    # in the same order at 1 and 2 threads, and the stops match.
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if blas != "scipy-openblas":
+        pytest.skip(f"numpy links {blas}, not the OpenBLAS it bundles")
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("OpenBLAS caps its threads at the core count")
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        subprocess.run([sys.executable, "-m", "stiefel_cayley.cli", "eigen", "--n", "500",
+                        "--p", "10", "--trials", "1", "--gamma", "0.1", "--max-iters", "40",
+                        "--out", str(out)], env=env, capture_output=True, timeout=300,
+                       check=True)
+        run = []
+        for path in (out, tmp_path / f"threads{threads}_history.csv"):
+            provenance, header, rows = read_csv(path)
             drop = [i for i, h in enumerate(header) if h in ("time_s", "cum_time_s")]
             run.append((provenance, [[c for i, c in enumerate(r) if i not in drop] for r in rows]))
         runs.append(run)

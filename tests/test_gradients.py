@@ -151,9 +151,9 @@ def test_pullback_matches_two_solve_reference():
 @pytest.mark.parametrize("n, p", [(23, 1), (32, 4), (140, 40), (2000, 40)])
 def test_pullback_b_block_is_the_negated_product_bitwise(monkeypatch, n, p):
     # b is formed as B (-C) - S_ri^T g M^{-T}, subtracting in place; IEEE
-    # negation is exact, so with plain products (more than one BLAS
-    # thread) that is bitwise -B C - S_ri^T g M^{-T}
-    monkeypatch.setattr(linalg, "_openblas_get_num_threads", lambda: lambda: 2)
+    # negation is exact, so with plain products (no blocks at any size)
+    # that is bitwise -B C - S_ri^T g M^{-T}
+    monkeypatch.setattr(linalg, "SMALL_PRODUCT_MAX", 10**18)
     rng = np.random.default_rng(n + p)
     for structured in (True, False)[: 1 if n > 1000 else 2]:  # a general center is N-by-N
         center = problems.random_center(rng, n, p, structured=structured)

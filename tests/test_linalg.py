@@ -1,9 +1,6 @@
 """Dense-kernel tests: factorizations and the norm facts every other module
 leans on."""
 
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -167,14 +164,9 @@ def test_determinant_lower_bound():
 # ------------------------------------------------- the blocked product
 
 
-def blas_threads(monkeypatch, threads):
-    """Make the OpenBLAS thread probe report ``threads``."""
-    monkeypatch.setattr(linalg, "_openblas_get_num_threads", lambda: lambda: threads)
-
-
 def in_order_blocks(a, b):
-    """``a @ b`` in the blocks of :func:`linalg._mm` at one BLAS thread,
-    with the block height checked against the limit on its own."""
+    """``a @ b`` in the blocks of :func:`linalg._mm`, with the block height
+    checked against the limit on its own."""
     m, k = a.shape
     n = b.shape[1]
     short = min(m, k)
@@ -206,42 +198,34 @@ def product_cases(rng, n, p):
 
 
 @pytest.mark.parametrize("n, p", PANEL_SIDES)
-def test_blocked_product_agrees_with_the_plain_one(monkeypatch, n, p):
+def test_blocked_product_agrees_with_the_plain_one(n, p):
     rng = np.random.default_rng(n + p)
     above = n * p * p > linalg.SMALL_PRODUCT_MAX
     for a, b in product_cases(rng, n, p):
         plain = a @ b
-        for threads in (1, 2, 4):
-            blas_threads(monkeypatch, threads)
-            out = linalg._mm(a, b)
-            assert out.shape == plain.shape and out.flags.c_contiguous
-            assert np.linalg.norm(out - plain) <= 1e-14 * np.linalg.norm(a) * np.linalg.norm(b)
-            if above and threads == 1:
-                assert np.array_equal(out, in_order_blocks(a, b)), (n, p, a.shape)
-            else:
-                assert np.array_equal(out, plain), (n, p, a.shape, threads)
-            # into a row slice of a larger array, as the inverse map fills
-            # its frame's bottom block
-            frame = np.full((plain.shape[0] + 3, plain.shape[1]), np.nan)
-            assert np.shares_memory(linalg._mm(a, b, out=frame[3:]), frame)
-            assert np.array_equal(frame[3:], out) and np.isnan(frame[:3]).all()
+        out = linalg._mm(a, b)
+        assert out.shape == plain.shape and out.flags.c_contiguous
+        assert np.linalg.norm(out - plain) <= 1e-14 * np.linalg.norm(a) * np.linalg.norm(b)
+        if above:
+            assert np.array_equal(out, in_order_blocks(a, b)), (n, p, a.shape)
+        else:
+            assert np.array_equal(out, plain), (n, p, a.shape)
+        # into a row slice of a larger array, as the inverse map fills its
+        # frame's bottom block
+        frame = np.full((plain.shape[0] + 3, plain.shape[1]), np.nan)
+        assert np.shares_memory(linalg._mm(a, b, out=frame[3:]), frame)
+        assert np.array_equal(frame[3:], out) and np.isnan(frame[:3]).all()
 
 
-def test_blocked_product_block_rule(monkeypatch):
-    blas_threads(monkeypatch, 1)
+def test_blocked_product_block_rule():
     assert linalg._block_size(625, 40, 40) == 0  # at the limit
     assert linalg._block_size(2000, 40, 40) == 625  # rows of a panel
     assert linalg._block_size(40, 2000, 40) == 625  # inner indices of a Gram
     assert linalg._block_size(500, 500, 10) == 200  # rows of A U
     assert linalg._block_size(2, 600_000, 1) == 500_000
-    blas_threads(monkeypatch, 2)
-    assert linalg._block_size(2000, 40, 40) == 0
-    monkeypatch.setattr(linalg, "_openblas_get_num_threads", lambda: None)  # another BLAS
-    assert linalg._block_size(2000, 40, 40) == 0
 
 
 def test_blocked_product_falls_back_when_one_row_is_over_the_limit(monkeypatch):
-    blas_threads(monkeypatch, 1)
     monkeypatch.setattr(linalg, "SMALL_PRODUCT_MAX", 99)
     rng = np.random.default_rng(17)
     u, c = rng.standard_normal((30, 10)), rng.standard_normal((10, 10))
@@ -253,19 +237,3 @@ def test_blocked_product_falls_back_when_one_row_is_over_the_limit(monkeypatch):
     for a, b in ((u, c), (u.T, u)):
         assert linalg._block_size(*a.shape, b.shape[1]) == 1
         assert np.array_equal(linalg._mm(a, b), in_order_blocks(a, b))
-
-
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_single_blas_thread_reads_the_openblas_thread_count(threads):
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-    if blas != "scipy-openblas":
-        pytest.skip(f"numpy links {blas}, not the OpenBLAS it bundles")
-    if int(threads) > (os.cpu_count() or 1):
-        pytest.skip("OpenBLAS caps its threads at the core count")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-               PYTHONPATH=os.path.dirname(os.path.dirname(linalg.__file__)))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from stiefel_cayley import linalg; print(linalg._single_blas_thread())"],
-        env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.strip() == str(threads == "1")

@@ -55,11 +55,11 @@ def test_eigen_instance_is_the_same_at_every_blas_thread_count():
         pytest.skip(f"numpy links {blas}, not the OpenBLAS it bundles")
     if (os.cpu_count() or 1) < 2:
         pytest.skip("OpenBLAS caps its threads at the core count")
-    script = ("import hashlib; from stiefel_cayley import linalg, problems; "
+    script = ("import ctypes, hashlib; from stiefel_cayley import linalg, problems; "
               "inst = problems.make_eigen_instance(500, 10, 7); "
               "print(hashlib.sha256(inst.a.tobytes()).hexdigest(), "
               "hashlib.sha256(inst.optimum_basis.tobytes()).hexdigest(), "
-              "linalg._openblas_get_num_threads()())")
+              "linalg._openblas_function('get_num_threads', ctypes.c_int)())")
     out = {}
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
@@ -151,14 +151,12 @@ def _gram(n, seed):
     return (a + a.T) / 2.0
 
 
-def _a_u_bits(a, u, single_thread):
-    """``A U`` summed in the order :func:`problems._sym_times` uses."""
+def _a_u_bits(a, u):
+    """``A U`` summed in the order :func:`linalg._mm` uses."""
     n, p = u.shape
     rows = linalg.SMALL_PRODUCT_MAX // (n * p)
-    if rows >= n:
+    if rows >= n or rows == 0:
         return a @ u
-    if rows == 0 or not single_thread:
-        return (u.T @ a).T
     assert rows * n * p <= linalg.SMALL_PRODUCT_MAX
     return np.vstack([a[i:i + rows] @ u for i in range(0, n, rows)])
 
@@ -176,33 +174,28 @@ def test_eigen_cost_members_agree_bitwise_and_with_the_formulas(monkeypatch):
     for n, p in SIZE_RULE_SIDES:
         a = _gram(n, seed=n * p)
         cases.append((f"{n}x{p}", problems._trace_cost(a, n, p), a))
-    for single in (True, False):
-        monkeypatch.setattr(linalg, "_single_blas_thread", lambda: single)
-        for name, f, a in cases:
-            rng = np.random.default_rng(13)
-            for _ in range(3):
-                u = problems.random_stiefel(rng, f.dim_n, f.dim_p)
-                value, grad = f.value_and_grad(u)
-                assert value == f.eval(u), name
-                assert np.array_equal(grad, f.grad(u)) and grad.flags.c_contiguous, name
-                ref_value = -float(np.trace(u.T @ a @ u))
-                assert abs(value - ref_value) <= 1e-14 * abs(ref_value), name
-                ref_grad = -2.0 * (a @ u)
-                assert np.linalg.norm(grad - ref_grad) <= 1e-14 * np.linalg.norm(ref_grad), name
-                # plain A @ U at or below the limit, blocks above it at one
-                # BLAS thread, (U^T A)^T above it otherwise
-                assert np.array_equal(grad, -2.0 * _a_u_bits(a, u, single)), (name, single)
-    # a single row over the limit takes (U^T A)^T at one thread too
-    monkeypatch.setattr(linalg, "_single_blas_thread", lambda: True)
+    for name, f, a in cases:
+        rng = np.random.default_rng(13)
+        for _ in range(3):
+            u = problems.random_stiefel(rng, f.dim_n, f.dim_p)
+            value, grad = f.value_and_grad(u)
+            assert value == f.eval(u), name
+            assert np.array_equal(grad, f.grad(u)) and grad.flags.c_contiguous, name
+            ref_value = -float(np.trace(u.T @ a @ u))
+            assert abs(value - ref_value) <= 1e-14 * abs(ref_value), name
+            ref_grad = -2.0 * (a @ u)
+            assert np.linalg.norm(grad - ref_grad) <= 1e-14 * np.linalg.norm(ref_grad), name
+            # plain A @ U at or below the limit, row blocks above it
+            assert np.array_equal(grad, -2.0 * _a_u_bits(a, u)), name
+    # a single row over the limit is a plain A @ U
     monkeypatch.setattr(linalg, "SMALL_PRODUCT_MAX", 99)
     a = _gram(20, seed=18)
     u = problems.random_stiefel(np.random.default_rng(19), 20, 5)
-    assert np.array_equal(problems._trace_cost(a, 20, 5).grad(u), -2.0 * (u.T @ a).T)
+    assert np.array_equal(problems._trace_cost(a, 20, 5).grad(u), -2.0 * (a @ u))
 
 
-def test_blocked_product_needs_no_symmetry(monkeypatch):
-    # unlike the transposed form, the row blocks are A U for any A
-    monkeypatch.setattr(linalg, "_single_blas_thread", lambda: True)
+def test_blocked_product_needs_no_symmetry():
+    # the row blocks are A U for any A
     n, p = 500, 10
     a = np.random.default_rng(15).standard_normal((n, n))
     assert not np.array_equal(a, a.T)
@@ -213,12 +206,12 @@ def test_blocked_product_needs_no_symmetry(monkeypatch):
     assert np.linalg.norm(grad - ref_grad) <= 1e-14 * np.linalg.norm(ref_grad)
     ref_value = -float(np.vdot(u, a @ u))
     assert abs(value - ref_value) <= 1e-14 * np.linalg.norm(a @ u)
-    assert np.array_equal(grad, -2.0 * _a_u_bits(a, u, True))
+    assert np.array_equal(grad, -2.0 * _a_u_bits(a, u))
 
 
 def test_eigen_matrices_are_exactly_symmetric():
-    # the transposed product (U^T A)^T, taken above the size rule at more
-    # than one BLAS thread, equals A U only for exactly symmetric A
+    # eigh reads one triangle, so the instance's optimum is the optimum of
+    # the cost's A only when A is exactly symmetric
     for n in (15, 500):
         a = problems.make_eigen_instance(n, 3, seed=n).a
         assert np.array_equal(a, a.T)

@@ -537,9 +537,9 @@ def test_cayley_random_walk_keeps_its_frame_orthonormal(n, p):
 
 @pytest.mark.parametrize("n, p", [(2000, 40), (632, 40)])
 def test_kernels_above_the_small_product_limit(monkeypatch, n, p):
-    # Above N p^2 = 100^3 every step-path kernel takes linalg._mm's blocks
-    # at one BLAS thread and plain products at more; the two must agree
-    # to the bars of the kernel tests and keep the frames orthonormal.
+    # Above N p^2 = 100^3 every step-path kernel takes linalg._mm's blocks;
+    # they must agree with plain products (no blocks at any size) to the
+    # bars of the kernel tests and keep the frames orthonormal.
     rng = np.random.default_rng(n)
     u = problems.random_stiefel(rng, n, p)
     f = problems.distance_cost(problems.random_stiefel(rng, n, p))
@@ -562,10 +562,9 @@ def test_kernels_above_the_small_product_limit(monkeypatch, n, p):
             "pullback b": pulled.b,
         }
 
-    monkeypatch.setattr(linalg, "_openblas_get_num_threads", lambda: lambda: 1)
     assert linalg._block_size(n, p, p) > 0 and linalg._block_size(p, n, p) > 0
     blocked = kernels()
-    monkeypatch.setattr(linalg, "_openblas_get_num_threads", lambda: lambda: 2)
+    monkeypatch.setattr(linalg, "SMALL_PRODUCT_MAX", 10**18)
     plain = kernels()
     for name, out in blocked.items():
         assert np.linalg.norm(out - plain[name]) <= 1e-13 * np.linalg.norm(plain[name]), name
