@@ -54,7 +54,6 @@ from .optimize import (
 )
 from .problems import (
     EigenInstance,
-    StochasticEigenFamily,
     distance_cost,
     eigen_cost,
     make_eigen_instance,
@@ -87,7 +86,6 @@ __all__ = [
     "SingularMatrixError",
     "SingularPointError",
     "SkewParam",
-    "StochasticEigenFamily",
     "StoppingConfig",
     "TangentVector",
     "align_right_invariant",

@@ -4,16 +4,18 @@ The forward map sends a feasible frame ``U`` (an N-by-p matrix with
 orthonormal columns) to a compressed skew parameter ``V = (A, B)`` living in
 a fixed vector space; the inverse map reconstructs ``U`` from ``V``.  Both
 directions are anchored at an orthogonal *center* ``S`` and only ever factor
-p-by-p matrices: the inverse map's N-row work is the Gram product
-``B^T B`` and one panel product with the (N-p)-by-p block, the frame's
-bottom block, and two more, a panel and its Gram product, when its
-Cholesky QR takes a second pass (a large ``B``).  The
-panels go through :func:`linalg._mm`, which keeps them on OpenBLAS's
-small-matrix path in blocks above its size limit; the Grams stay
-``x.T @ x`` on numpy's symmetric (syrk) path.  The p-by-p core of the
-inverse map, :func:`_m_factors`, is also the Cayley retraction's
+p-by-p matrices.  The inverse map's p-by-p core, :func:`_m_factors` (the
+Cholesky QR of ``[I_p; B]``), is also the Cayley retraction's
 (``retractions._cayley_kernel``): that retraction is the inverse map at the
 frame center ``[U, Uperp]``.
+
+The inverse map is a diffeomorphism of the whole parameter space onto the
+frames off the center's singular set ``{U : det(I_p + S_le^T U) = 0}``,
+which is nowhere dense.  So a cost on frames pulls back to a cost on a
+vector space with the same infimum and the same minimizers off that set,
+and the pulled-back gradient inherits bounds from the ambient cost
+(``gradients.check_gradient_bounds``).  :func:`singular_diagnostic` and
+:func:`mobility` measure how near a parameter is to that set.
 
 Frames are plain ndarrays; ``SkewParam``, ``Center`` and
 ``retractions.TangentVector`` are small immutable classes because they carry
@@ -381,12 +383,10 @@ def _m_factors(a: np.ndarray, btb: np.ndarray, panel):
     ``(R^{-1}, G, second)``: ``second`` is None after one pass and the pair
     ``(B R1^{-1}, R2^{-1})`` after two.
 
-    Range: the rounded ``I + B^T B`` stays positive definite while
+    The rounded ``I + B^T B`` stays positive definite while
     ``cond(X)^2 = (1 + sigma_max(B)^2) / (1 + sigma_min(B)^2)`` is well
-    below ``1 / eps``.  From ``||B||_2`` near ``1e8`` on, a B with a
-    singular value near 0 (always the case when B has fewer rows than
-    columns) falls outside it, and the failed Cholesky raises
-    ``linalg.RankError``.
+    below ``1 / eps``; beyond that (the range stated at :func:`inverse`)
+    the failed Cholesky raises ``linalg.RankError``.
     """
     ip = np.eye(a.shape[0])
     gram = ip + btb
@@ -414,9 +414,8 @@ class _InverseKernel(NamedTuple):
 def _inverse_core(v: SkewParam):
     """The inverse map's core at ``v``: ``(B^T B, M^{-1}, G, second)`` with
     ``M^{-1} = R^{-1} G`` and ``G``, ``second`` as :func:`_m_factors`
-    returns them.  Shared by :func:`inverse` and the pullback that has no
-    kernel to take ``M^{-1}`` from (``gradients.pullback_from_euclidean``),
-    so that their ``M^{-1}`` agree bitwise."""
+    returns them.  Shared by :func:`inverse` and a kernel-less pullback
+    (``gradients.pullback_from_euclidean``): their ``M^{-1}`` agree bitwise."""
     btb = v.b.T @ v.b
     r_inv, g, second = _m_factors(v.a, btb, lambda r1_inv: linalg._mm(v.b, r1_inv))
     return btb, r_inv @ g, g, second
@@ -429,22 +428,18 @@ def inverse(center: Center, v: SkewParam, *, _return_kernel: bool = False):
     from the factors ``M^{-1} = R^{-1} G`` of :func:`_m_factors` and
     applies the center orthogonally: ``U = S W``, which for a structured
     center touches only the top p-by-p block.  After one Cholesky QR pass
-    the bottom block is the single panel product ``B (-2 M^{-1})``;
-    after two it is ``(B R1^{-1}) (-2 R2^{-1} G)``, from the second pass's
-    own panel.  ``R^{-1}`` and ``B R^{-1}`` are blocks of the orthonormal
-    ``Q`` and ``G`` has spectral norm <= 1, so the defect stays near
-    roundoff (~ ``eps * (1 + ||A||)``).  One pass is taken only where
-    :func:`linalg._one_pass_enough` bounds ``cond([I; B])^2`` by 10, so
-    ``||B||_2 ||R^{-1}||_2 <= cond([I; B]) <= sqrt(10)``: the product with
-    ``B`` itself, in place of the orthonormal block ``B R^{-1}``, rounds at
-    most that factor worse.  Cost: two N-row products, the Gram matrix
-    ``B^T B`` and the bottom block, and two more, the panel ``B R1^{-1}``
-    and its Gram matrix, when ``B`` is large enough for a second pass;
-    every factorization is p-by-p, ``O(N p^2)`` in all.  With the private
-    ``_return_kernel`` the result is the kernel ``(frame, btb, m_inv)``:
-    the frame, ``B^T B`` and ``M^{-1}``.  ``run_gdm_cp`` takes ``||B||_2``
-    from ``btb`` and passes the kernel to its pullback, which takes
-    ``M^{-1}`` from it.
+    the bottom block is the panel product ``B (-2 M^{-1})``; after two it
+    is ``(B R1^{-1}) (-2 R2^{-1} G)``, from the second pass's own panel.
+    ``R^{-1}`` and ``B R^{-1}`` are blocks of the orthonormal ``Q`` and
+    ``G`` has spectral norm <= 1, so the defect stays near roundoff
+    (~ ``eps * (1 + ||A||)``).  One pass is taken only where
+    :func:`linalg._one_pass_enough` bounds ``cond([I; B])^2`` by
+    ``linalg.ONE_PASS_BOUND``, and ``||B||_2 ||R^{-1}||_2 <= cond([I; B])``:
+    the product with ``B`` itself, in place of the orthonormal block
+    ``B R^{-1}``, rounds at most that factor worse.  ``O(N p^2)`` in all.
+    With the private ``_return_kernel`` it returns the kernel
+    ``(frame, btb = B^T B, m_inv = M^{-1})``, which ``run_gdm_cp`` reads
+    for its re-centering test and its pullback.
 
     Defined for every parameter whose ``I + B^T B`` stays positive
     definite once rounded: every parameter with ``||B||_2`` below about

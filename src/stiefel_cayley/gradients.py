@@ -1,22 +1,12 @@
 """Gradients of costs pulled back through the transform.
 
-Given a smooth cost on ambient N-by-p matrices, the pulled-back cost on the
-skew parameter space has an explicit Euclidean gradient assembled from one
-p-by-p inverse; this module provides that gradient and sampled checks of
-the Lipschitz / boundedness / variance bounds the pullback inherits from the
-ambient cost.
-
-Everything here works on compressed blocks.  The pullback takes ``M^{-1}``
-from the inverse map's kernel, or builds it by the inverse map's own p-by-p
-core, and costs three N-row products beyond the ambient gradient, one more
-(the Gram matrix ``B^T B``) when it builds ``M^{-1}`` itself;
-:func:`grad_pullback` adds the inverse map when it has to build the frame
-(two more N-row products, four when its Cholesky QR takes a second pass;
-every factorization p-by-p) and then takes ``M^{-1}`` from its kernel.  The
-pullback's three products with two distinct N-row operands go through
-:func:`linalg._mm` (blocks on OpenBLAS's small-matrix path above its size
-limit); the Gram matrix ``B^T B`` stays ``x.T @ x`` on numpy's symmetric
-(syrk) path.
+Given a smooth cost ``f`` on ambient N-by-p matrices, the pulled-back cost
+``V -> f(inverse(center, V))`` on the skew parameter space has an explicit
+Euclidean gradient, assembled from the ambient gradient and the inverse
+map's ``M^{-1}`` (:func:`pullback_from_euclidean`); this module provides
+that gradient and sampled checks of the Lipschitz / boundedness / variance
+bounds the pullback inherits from the ambient cost.  Everything works on
+compressed blocks, and every factorization is p-by-p.
 """
 
 from __future__ import annotations
@@ -46,11 +36,9 @@ class CostFunction:
     ``eval`` maps a matrix to a scalar and ``grad`` to its Euclidean
     gradient (an N-by-p matrix).  ``eval_grad``, when provided, returns
     both at once so implementations can share work (e.g. one product
-    ``A @ U`` serving value and gradient); :meth:`value_and_grad` falls
-    back to two separate calls otherwise.  The solvers in
-    :mod:`stiefel_cayley.optimize` call :meth:`value_and_grad` on every
-    line-search trial, so a cost without ``eval_grad`` pays for ``eval``
-    plus ``grad`` on each one.
+    ``A @ U`` serving value and gradient); :meth:`value_and_grad`, which
+    the solvers call on every line-search trial, falls back to two
+    separate calls otherwise.
 
     Instances must be stateless with respect to evaluation: a call's
     result depends only on its argument.
@@ -69,13 +57,13 @@ class CostFunction:
 
 
 def pullback_from_euclidean(
-    center: Center, v: SkewParam, g: np.ndarray, u: np.ndarray, *, kernel=None
+    center: Center, v: SkewParam, g: np.ndarray, *, kernel=None
 ) -> SkewParam:
     """Assemble the pulled-back gradient from an ambient gradient.
 
-    ``g`` must be the Euclidean gradient of the cost at ``u``, and ``u``
-    must equal ``inverse(center, v)``.  With ``M = I + A + B^T B`` and
-    ``X = S_le - S_ri B``, the kernel is
+    ``g`` must be the Euclidean gradient of the cost at the frame
+    ``inverse(center, v)``.  With ``M = I + A + B^T B`` and
+    ``X = S_le - S_ri B``, the result is
 
         ``W11 = M^{-1} g^T X M^{-1}``
         ``a   = W11 - W11^T``
@@ -84,23 +72,16 @@ def pullback_from_euclidean(
     ``M^{-1}`` is the inverse map's ``R^{-1} G`` (:func:`cayley._m_factors`)
     and is applied by matrix products.  That is safe: the symmetric part
     of ``M`` is ``I + B^T B``, which is ``>= I``, so ``||M^{-1}||_2 <= 1``
-    and ``cond_2(M) <= 1 + ||A||_2 + ||B||_2^2`` (``run_gdm_cp`` re-centers
-    once ``||B||_2`` exceeds 3, unless the caller fixed its center).  ``a``
-    is exactly skew by construction, so the result is built without the
-    checked constructor's copies; its finiteness check is kept, so a
-    non-finite ``g`` raises ``ValueError``.
+    and ``cond_2(M) <= 1 + ||A||_2 + ||B||_2^2``.  ``a`` is exactly skew by
+    construction, so the result is built without the checked constructor's
+    copies; its finiteness check is kept, so a non-finite ``g`` raises
+    ``ValueError``.
 
-    Cost for a structured center: three N-row products of ``O(N p^2)``
-    flops each (``(S_ri^T g)^T B`` and the two terms of ``b``) plus
-    ``O(p^3)``, and the Gram matrix ``B^T B`` (with a second Cholesky QR
-    pass, a panel and its Gram matrix too) when it builds ``M^{-1}``
-    itself.  Separated from :func:`grad_pullback` so optimization loops
-    that already hold ``u`` and ``g`` (from a fused cost evaluation) pay
-    nothing twice.  For the same reason a caller that holds the kernel
-    ``inverse(center, v, _return_kernel=True)`` of this very ``v`` passes
-    it as ``kernel``, and ``M^{-1}`` is taken from it; the result is
-    bit-identical to the one without it, which builds ``M^{-1}`` through
-    the same code (:func:`cayley._inverse_core`).
+    A caller that holds the kernel ``inverse(center, v, _return_kernel=True)``
+    of this very ``v`` passes it as ``kernel``, and ``M^{-1}`` is taken from
+    it; without it ``M^{-1}`` is built through the same code
+    (:func:`cayley._inverse_core`), so the result is bit-identical either
+    way.
     """
     p = v.p
     gle = center.leftT_mul(g, p)  # S_le^T g
@@ -116,21 +97,12 @@ def pullback_from_euclidean(
     )
 
 
-def grad_pullback(
-    center: Center, v: SkewParam, f: CostFunction, u: Optional[np.ndarray] = None
-) -> SkewParam:
-    """Euclidean gradient of the pulled-back cost at parameter ``v``.
-
-    Evaluates the frame ``u = inverse(center, v)`` (or reuses a supplied
-    one), queries the ambient gradient there, and assembles the compressed
-    skew result via :func:`pullback_from_euclidean`, with the inverse map's
-    kernel when it built the frame.
-    """
-    kernel = None
-    if u is None:
-        kernel = inverse(center, v, _return_kernel=True)
-        u = kernel.frame
-    return pullback_from_euclidean(center, v, f.grad(u), u, kernel=kernel)
+def grad_pullback(center: Center, v: SkewParam, f: CostFunction) -> SkewParam:
+    """Euclidean gradient of the pulled-back cost at parameter ``v``: the
+    ambient gradient at the frame ``inverse(center, v)``, assembled by
+    :func:`pullback_from_euclidean` with the inverse map's kernel."""
+    kernel = inverse(center, v, _return_kernel=True)
+    return pullback_from_euclidean(center, v, f.grad(kernel.frame), kernel=kernel)
 
 
 @dataclass(frozen=True)
@@ -242,11 +214,13 @@ def check_gradient_bounds(
     if family is not None and variance_draws > 0:
         sigma2 = float(family.sigma) ** 2
         v = random_skew_param(rng, n, p, 2.0)
-        g_mean = grad_pullback(center, v, family.mean_cost)
-        u = inverse(center, v)
+        kernel = inverse(center, v, _return_kernel=True)
+        g_mean = pullback_from_euclidean(center, v, family.mean_cost.grad(kernel.frame),
+                                         kernel=kernel)
         sq = np.empty(variance_draws)
         for k in range(variance_draws):
-            gk = grad_pullback(center, v, family.draw(k), u=u)
+            gk = pullback_from_euclidean(center, v, family.draw(k).grad(kernel.frame),
+                                         kernel=kernel)
             sq[k] = (gk - g_mean).norm() ** 2
         drawn = variance_draws
         mean_sq = float(np.mean(sq))

@@ -1,10 +1,9 @@
 """Dense real linear-algebra substrate shared by every other module.
 
-Checked SVD, QR and polar-factor wrappers, the Cholesky factor of a Gram
-matrix (:func:`_cholesky_r`) and the rule for whether Cholesky QR needs a
-second pass (:func:`_one_pass_enough`), both shared by the inverse map
-(and through it the Cayley retraction) and the QR and polar retractions,
-the orthonormality defect :func:`feasibility`, the input coercion
+Checked SVD, QR and polar-factor wrappers, the Cholesky QR steps that the
+inverse map and the retractions share (:func:`_cholesky_r`,
+:func:`_one_pass_enough`), the blocked product :func:`_mm`, the
+orthonormality defect :func:`feasibility`, the input coercion
 :func:`as_matrix`, and the error taxonomy the other modules raise.
 
 Conventions
@@ -45,57 +44,22 @@ __all__ = [
 
 #: Cholesky QR (``retractions._gram_qr`` and ``cayley._m_factors``)
 #: takes its second pass only when :func:`_one_pass_enough`'s bound
-#: ``beta >= cond(X)^2`` exceeds this.  Defect ``||Q^T Q - I||_F`` after
-#: one pass and after two, worst of 20 draws (10 in the last row) of
-#: ``X = U + D`` with a rank-one tangent ``D`` in a random direction, so
-#: ``cond(X)^2 = 1 + ||D||^2``, one BLAS thread:
-#:
-#: =========  ================  ================  ================
-#: cond(X)^2  N=500, p=10       N=2000, p=40      N=120, p=80
-#: =========  ================  ================  ================
-#:      10    3.9e-15  1.2e-15  3.8e-15  1.9e-15  5.8e-15  3.4e-15
-#:     100    3.5e-14  1.9e-15  2.7e-14  2.1e-15  3.8e-14  4.4e-15
-#:     1e6    3.1e-10  1.9e-15  2.7e-10  2.6e-15  3.6e-10  4.7e-15
-#: =========  ================  ================  ================
-#:
-#: So at or below the bound one pass stays within about 3x of two, and
-#: beyond it the defect grows like ``eps cond(X)^2``.  ``beta`` overstates
-#: ``cond(X)^2`` by up to ``p^{3/2}`` (by 8x, 20x and 30x in the first
-#: row), so such draws take the second pass well below ``cond(X)^2 = 10``;
-#: steps along coordinate directions have ``beta = cond(X)^2``.  Every
-#: line-search trial of the benchmark workloads takes one pass.
+#: ``beta >= cond(X)^2`` exceeds this.  At or below it one pass leaves
+#: ``||Q^T Q - I||_F`` within about 3x of two (3.9e-15 against 1.2e-15 at
+#: N=500, p=10, ``cond(X)^2 = 10``); beyond it the defect grows like
+#: ``eps cond(X)^2``.  The table is in BENCH_22.json (``accuracy``).
 ONE_PASS_BOUND = 10.0
 
 
 #: OpenBLAS's small-matrix GEMM limit on ``m n k`` (100^3): a product at
 #: or below it runs on an unpacked kernel, a larger one packs its operands
-#: into GEMM panels on every call.  At one BLAS thread (scipy-openblas
-#: 0.3.31) ``A @ U`` jumps from 82.6 us at N=316, p=10 to 148.6 us at
-#: N=317, and the same jump shows at p=2 (N 707/708), p=5 (447/448) and
-#: p=20 (223/224).  Above it, :func:`_mm` splits a product into blocks
-#: that each stay at or below it.  Time of the blocked form over the plain
-#: product for a cross Gram ``X^T Y`` (p-by-N times N-by-p, inner blocks)
-#: and a panel ``X C`` (N-by-p times p-by-p, row blocks), each cell
-#: "Gram panel", best of 5 interleaved rounds on 2 vCPUs of a shared host,
-#: one BLAS thread:
-#:
-#: =====  =========  =========  =========  =========  =========  =========
-#:   N    p=16       p=20       p=40       p=64       p=80       p=100
-#: =====  =========  =========  =========  =========  =========  =========
-#:   320                                   0.66 0.82  0.81 0.79  0.78 0.81
-#:   700                        0.67 0.77  0.77 0.81  0.79 0.83  0.73 0.79
-#:  1000                        0.67 0.74  0.76 0.82  0.81 0.79  0.77 0.81
-#:  1400                        0.65 0.72  0.78 0.78  0.81 0.82  0.77 0.79
-#:  2000                        0.69 0.76  0.81 0.77  0.86 0.83  0.77 0.78
-#:  4000  0.33 0.55  0.49 0.56  0.71 0.70  0.83 0.71  0.87 0.81  0.91 0.86
-#: =====  =========  =========  =========  =========  =========  =========
-#:
-#: (blank: at or below the limit).  The blocks win at every shape above
-#: it.  A symmetric Gram ``X^T X`` in blocks loses to numpy's one syrk
-#: call at every shape above (1.00-1.32x), so those stay ``x.T @ x``.
-#: ``A U`` (N-by-N times N-by-p) takes the row blocks too; its sweep is at
-#: ``problems._trace_cost``.  Blocks at every thread count: see CHANGES.md,
-#: the entry that made the block size depend on the product's size alone.
+#: into GEMM panels on every call (``A @ U`` at one BLAS thread: 82.6 us at
+#: N=316, p=10, 148.6 us at N=317).  Above it, :func:`_mm` splits a product
+#: into blocks that each stay at or below it, which won at every shape
+#: timed; numpy's one syrk call for a symmetric Gram ``X^T X`` beat the
+#: blocks, so those stay ``x.T @ x``.  The sweep is in CHANGES.md, the
+#: entry "One place for each number"; for blocks at every thread count see
+#: CHANGES.md, the entry "One product rule at every BLAS thread count".
 SMALL_PRODUCT_MAX = 100**3
 
 
@@ -252,12 +216,10 @@ def qr_orthonormalize(x) -> np.ndarray:
 
     The R-factor diagonal is sign-fixed to be nonnegative, so the result is
     a deterministic function of ``x`` (up to the LAPACK build in use).
-    Householder QR is backward stable for any full-rank ``x``; its one
-    caller in the package is ``problems.random_stiefel``, whose input is an
-    arbitrary Gaussian matrix.  The QR and polar retractions, whose input
-    ``U + D`` has no singular value below 1, use the cheaper Cholesky QR of
-    ``retractions._gram_qr`` instead: one pass for a small step, two when
-    :func:`_one_pass_enough` says one may not be accurate.
+    Householder QR is backward stable for any full-rank ``x``, such as the
+    Gaussian input of ``problems.random_stiefel``; the retractions, whose
+    ``U + D`` has no singular value below 1, take the cheaper Cholesky QR
+    of ``retractions._gram_qr``.
 
     Raises
     ------
@@ -283,15 +245,10 @@ def qr_orthonormalize(x) -> np.ndarray:
 def _cholesky_r(gram: np.ndarray, what: str) -> np.ndarray:
     """The upper Cholesky factor ``R`` of a Gram matrix ``gram = R^T R``.
 
-    Shared by the inverse map and the Cayley retraction
-    (``cayley._m_factors``, on ``I + B^T B``) and the Cholesky QR of the
-    QR and polar retractions (``retractions._gram_qr``): one call per
-    Cholesky QR pass, so one for a step that :func:`_one_pass_enough`
-    admits and two otherwise.  Forming a
-    Gram matrix rounds its entries by about ``eps ||gram||``, so one whose
-    eigenvalues spread beyond about ``1 / eps`` need not be positive
-    definite once rounded; Cholesky then fails.  ``what`` names the matrix
-    in the error message.
+    Forming a Gram matrix rounds its entries by about ``eps ||gram||``, so
+    one whose eigenvalues spread beyond about ``1 / eps`` need not be
+    positive definite once rounded; Cholesky then fails.  ``what`` names
+    the matrix in the error message.
 
     Raises
     ------
@@ -316,9 +273,11 @@ def _one_pass_enough(gram: np.ndarray, r_inv: np.ndarray) -> bool:
     ``beta = ||gram||_1 ||R^{-1}||_1 ||R^{-1}||_inf`` is at least
     ``cond(X)^2 = lambda_max(gram) / lambda_min(gram)``, since
     ``lambda_max <= ||gram||_1`` and
-    ``1 / lambda_min = ||R^{-1}||_2^2 <= ||R^{-1}||_1 ||R^{-1}||_inf``; it
-    costs three p-by-p reductions.  True when ``beta`` is at most
-    :data:`ONE_PASS_BOUND`; a NaN ``beta`` gives False.
+    ``1 / lambda_min = ||R^{-1}||_2^2 <= ||R^{-1}||_1 ||R^{-1}||_inf``, and
+    overstates it by up to ``p^{3/2}`` (steps along coordinate directions
+    have ``beta = cond(X)^2``); it costs three p-by-p reductions.  True
+    when ``beta`` is at most :data:`ONE_PASS_BOUND`; a NaN ``beta`` gives
+    False.
     """
     r_abs = np.abs(r_inv)
     beta = np.abs(gram).sum(axis=0).max() * r_abs.sum(axis=0).max() * r_abs.sum(axis=1).max()
@@ -329,8 +288,6 @@ def polar_factor(x) -> np.ndarray:
     """Orthonormal polar factor ``x (x^T x)^{-1/2}``, computed as ``u @ vt``.
 
     This is the nearest matrix with orthonormal columns in Frobenius norm.
-    ``retractions.retract_polar`` applies it to the p-by-p R factor of
-    ``U + D``, since ``polar(Q R) = Q polar(R)``.
 
     Raises
     ------

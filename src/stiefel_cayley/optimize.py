@@ -8,9 +8,7 @@ variable that step updates and how:
 * :func:`run_gdm_cp` -- the variable is a skew parameter at a center and
   the step is plain vector arithmetic, ``V - gamma G``; every iterate is
   mapped back through the inverse transform, so feasibility holds to
-  roundoff by construction.  A center passed by the caller stays fixed;
-  without one the solver builds its own and rebuilds it whenever the
-  parameter drifts past :data:`RECENTER_B_NORM`.
+  roundoff by construction.
 * :func:`run_gdm_cp_retraction` -- the variable is a tangent vector at a
   fixed anchor frame, again stepped as ``V - gamma G``, and each trial
   frame comes from the Cayley retraction at the anchor; the gradient is
@@ -20,11 +18,10 @@ variable that step updates and how:
   ``R_U(-gamma G)`` with the Riemannian gradient ``G`` at ``U``.
 
 Every line-search trial makes one fused call to the cost,
-:meth:`CostFunction.value_and_grad`; the accepted trial's ambient gradient
-becomes the next descent gradient, so an accepted step costs no further
-evaluation.  Likewise :func:`run_gdm_cp` carries the trial's inverse-map
-kernel, and :func:`run_gdm_cp_retraction` its Cayley-retraction kernel,
-into the pulled-back gradient.
+:meth:`CostFunction.value_and_grad`.  The next descent gradient is built
+from the accepted trial's ambient gradient and, for the Cayley solvers,
+its kernel (inverse map or Cayley retraction), so an accepted step makes
+no further call to the cost.
 
 Every solver checks its start frame once, on entry: it must have the
 cost's shape and orthonormal columns.  A trial that raises
@@ -85,13 +82,11 @@ STOP_STALL = "line-search stall"
 #: ``run_gdm_cp`` without a caller-supplied center rebuilds its center when
 #: an accepted parameter has ``||B||_2`` above this value.
 #: :func:`construct_center` guarantees ``||B||_2 <= 1`` at the frame it is
-#: built from, but slow runs drift to ``||B||_2`` of about 1.0-1.24 without
-#: harm: on the n=500, p=10 eigen instance at gamma=0.001 a threshold of 1
-#: rebuilt 21 times and needed 288 steps to a 1e-6 relative gap, against
-#: 255 steps and no rebuild at 3.  Large early steps overshoot to 4-11,
-#: where the inverse map barely moves the frame.  At gamma=0.1 every value
-#: in [2.5, 3.73] gave identical runs on that instance's ten
-#: criterion-9 starts.
+#: built from, but slow runs drift to about 1.0-1.24 without harm, while
+#: large early steps overshoot to 4-11, where the inverse map barely moves
+#: the frame.  On the eigen-race run a threshold of 1 took 288 steps to
+#: tolerance against 255 at 3; see CHANGES.md, the entry
+#: "Criterion 9 mended in the program".
 RECENTER_B_NORM = 3.0
 
 
@@ -325,24 +320,16 @@ def run_gdm_cp(
     maps back through the inverse transform, so every recorded frame is
     orthonormal to roundoff.
 
-    A supplied center stays fixed for the whole run.  When none is
-    supplied, :func:`construct_center` builds one from the start frame
-    (which then begins safely inside the domain, ``||B||_2 <= 1``), and the
-    center is rebuilt the same way from the current frame after any
-    accepted step whose parameter has ``||B||_2 > RECENTER_B_NORM``; the
-    parameter is then re-mapped with :func:`forward`.  The frame and the
-    cost value are unchanged by a rebuild, so descent stays monotone and
-    feasible; the iterations at which it happened are listed in
-    ``RunRecord.recenter_iters``.  Each trial's inverse map hands back its
-    kernel, the frame with the Gram matrix ``B^T B`` and ``M^{-1}`` it
-    formed, in the trial's payload: the accepted step decides from
-    ``B^T B`` whether to re-center (:func:`_recenter_needed`) and passes
-    the kernel to the pullback, which takes ``M^{-1}`` from it instead of
-    forming ``B^T B`` and factoring again; after a re-centering the
-    pullback builds both for the new parameter.  A
-    trial parameter outside the inverse map's range (see
-    :func:`cayley.inverse`) raises ``linalg.RankError``: a failed trial,
-    as in every solver.
+    A supplied center stays fixed for the whole run.  Without one,
+    :func:`construct_center` builds one from the start frame (so
+    ``||B||_2 <= 1`` there) and rebuilds it from the current frame after
+    any accepted step whose parameter has ``||B||_2 > RECENTER_B_NORM``,
+    re-mapping the parameter with :func:`forward`.  A rebuild leaves the
+    frame and the cost value unchanged, so descent stays monotone and
+    feasible; ``RunRecord.recenter_iters`` lists the iterations it
+    followed.  The accepted trial's inverse-map kernel gives ``B^T B`` to
+    the re-centering test (:func:`_recenter_needed`) and ``M^{-1}`` to the
+    pullback, unless a rebuild re-mapped the parameter.
 
     Raises
     ------
@@ -371,11 +358,11 @@ def run_gdm_cp(
                 v = forward(s, u)
                 record.recenter_iters.append(n)
                 kernel = None  # the new parameter has another B and M
-            return v, u, pullback_from_euclidean(s, v, g_euclid, u, kernel=kernel)
+            return v, u, pullback_from_euclidean(s, v, g_euclid, kernel=kernel)
 
         v0 = forward(s, u0)
         f0, g_euclid = f.value_and_grad(u0)
-        g0 = pullback_from_euclidean(s, v0, g_euclid, u0)
+        g0 = pullback_from_euclidean(s, v0, g_euclid)
         return v0, g0, f0, step, reanchor
 
     return _descend(f, u0, bt, stop, setup)
@@ -393,13 +380,7 @@ def run_gdm_cp_retraction(
     The start frame is lifted through the inverse Cayley retraction at the
     anchor (zero when they coincide, in which case the first iteration
     matches plain Cayley-retraction steepest descent); updates move the
-    tangent coordinate and re-retract.  A step outside the retraction's
-    range (a :class:`linalg.RankError`) is a failed trial.  Each
-    trial's Cayley kernel travels in its payload, so the accepted step's
-    pulled-back gradient does not rebuild it.  Every pulled-back gradient
-    is attached to the base of the vector it is taken at, so all of them
-    share the start vector's base and the trial ``V - gamma G`` compares
-    no frames.
+    tangent coordinate and re-retract.
 
     Raises
     ------
@@ -449,11 +430,7 @@ def run_gdm_retraction(
 
     Each iteration projects the ambient gradient onto the tangent space at
     the current frame and retracts along its negative, with the Armijo test
-    ``f(R_U(-gamma D)) <= f(U) - c gamma ||D||_F^2``.  A retraction
-    failure (step too large, rank deficiency) is a failed trial.  The
-    variable of the common loop is the frame itself: each trial is
-    ``R_U(-gamma D)``, and the accepted frame is where the next gradient is
-    projected.
+    ``f(R_U(-gamma D)) <= f(U) - c gamma ||D||_F^2``.
 
     Raises
     ------

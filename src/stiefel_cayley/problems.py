@@ -28,7 +28,6 @@ __all__ = [
     "eigen_cost",
     "distance_cost",
     "rotation_center",
-    "StochasticEigenFamily",
     "stochastic_eigen_family",
     "random_stiefel",
     "random_center",
@@ -90,28 +89,10 @@ def _fused_cost(n: int, p: int, evgr) -> CostFunction:
                         grad=lambda u: evgr(u)[1], eval_grad=evgr)
 
 
-# Above ``p N^2 = linalg.SMALL_PRODUCT_MAX``, time of ``A U`` in row blocks
-# (``linalg._mm``) over ``(U^T A)^T``, best of 7 interleaved rounds, one
-# BLAS thread (scipy-openblas 0.3.31):
-#
-# ======  =====  =====  =====  =====  =====  =====  =====  =====  =====
-#   N     p=2    p=5    p=10   p=15   p=20   p=25   p=30   p=40   p=64
-# ======  =====  =====  =====  =====  =====  =====  =====  =====  =====
-#   320                 0.64   0.78   0.80   0.98   1.03   0.70   1.01
-#   400                 0.73   0.80   0.79   1.01   1.14   1.04   0.80
-#   500          0.52   0.63   0.74   0.82   0.96   1.01   0.98   1.19
-#   700          0.51   0.63   0.78   0.75   0.96   1.11   1.09   1.10
-#  1000   0.50   0.51   0.68   0.70   0.84   1.00   1.14   1.07   0.88
-#  1400   0.52   0.59   0.81   0.89   0.95   1.06   1.37   1.22   0.96
-#  2000   0.61   0.60   0.82   0.86   0.99   1.00   1.25   1.00   1.05
-# ======  =====  =====  =====  =====  =====  =====  =====  =====  =====
-#
-# (blank: at or below the limit, where both are ``A @ U``).  The blocks
-# win for p <= 20, tie at p=1 (0.96-1.07 at N 1001-2000) and p=25, and
-# lose by up to 1.37x at p=30; they are used for every p, since no
-# benchmark workload has p > 20.  The ratio climbs with N; no N above
-# 2000 was timed.  Blocks at every thread count: see CHANGES.md, the entry
-# that made the block size depend on the product's size alone.
+# ``A U`` takes ``linalg._mm``'s row blocks at every p: against ``(U^T A)^T``
+# they won for p <= 20 (0.63x at N=500, p=10) and lost by up to 1.37x at
+# p=30, and no benchmark workload has p > 20.  The sweep is in CHANGES.md,
+# the entry "One place for each number".
 
 
 def _trace_cost(a: np.ndarray, n: int, p: int) -> CostFunction:
@@ -128,12 +109,10 @@ def eigen_cost(inst: EigenInstance) -> CostFunction:
     Minimized exactly by any orthonormal basis of the top-p eigenspace;
     invariant under right-multiplication of ``U`` by any orthogonal p-by-p
     matrix.  The value and the gradient are both taken from the fused
-    evaluation and its one product ``A U``, so they agree bitwise.
-    At or below ``p N^2 = 100^3`` that product is ``A @ U``.  Above it,
-    where OpenBLAS leaves its small-matrix path and ``A @ U`` slows down,
-    it is formed in row blocks that each stay on that path
-    (:func:`linalg._mm`).  The summation order, and so the last bits,
-    therefore change across that size.
+    evaluation and its one product ``A U``, so they agree bitwise.  That
+    product is taken by :func:`linalg._mm`, in row blocks above
+    ``p N^2 = linalg.SMALL_PRODUCT_MAX``, so its summation order, and with
+    it the last bits, change across that size.
     """
     return _trace_cost(inst.a, inst.n, inst.p)
 

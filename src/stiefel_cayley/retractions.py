@@ -1,57 +1,28 @@
 """Tangent-space machinery and retraction baselines.
 
-Tangent vectors at a feasible frame, the projection onto the tangent space,
-three classic retractions (QR, polar, Cayley), the exact inverse of the
-Cayley retraction, the linear bridge between tangent vectors and the skew
-parameter space, and the gradient of a cost composed with the Cayley
-retraction.
+Tangent vectors at a feasible frame, the tangent projection, the QR, polar
+and Cayley retractions, the inverse Cayley retraction, the linear bridge
+:func:`psi_map` to the skew parameter space, and the gradient of a cost
+composed with the Cayley retraction.
 
-The QR and polar retractions share one O(Np^2) kernel, :func:`_gram_qr`:
-Cholesky QR of ``X = U + D``, in one pass when
-:func:`linalg._one_pass_enough` bounds ``cond(X)^2`` by
-``linalg.ONE_PASS_BOUND`` and in two otherwise.  One pass is one Gram
-product and one product with a p-by-p inverse, and every line-search trial
-of the benchmark workloads takes only that; a second pass adds one of
-each.  Every factorization is p-by-p (Cholesky, and for the polar factor
-the SVD of ``R``).  Two passes are accurate at any step the Gram matrix
-can carry, because ``X^T X = I + D^T D`` for a tangent step, so the
-smallest singular value of ``X`` is at least 1 and ``cond(X)`` is at most
-``sqrt(1 + ||D||_2^2)``.  A step too large for the Gram matrix to carry
-raises :class:`linalg.RankError`, the error every line search counts as a
-failed trial.
+The QR and polar retractions share one kernel, :func:`_gram_qr`, the
+Cholesky QR of ``X = U + D``.  For a tangent step ``X^T X = I + D^T D``, so
+``X`` has no singular value below 1 and ``cond(X) <= sqrt(1 + ||D||_2^2)``:
+two passes are accurate at any step the Gram matrix can carry, and one
+suffices under ``linalg.ONE_PASS_BOUND``.  The Cayley retraction is the
+inverse Cayley transform at the frame center ``[U, Uperp]`` applied to
+``psi_map(D)``; :func:`_cayley_kernel` computes it with the transform's own
+p-by-p core (:func:`cayley._m_factors`) without forming ``Uperp``, so its
+range is the inverse map's, and :func:`grad_retraction_pullback` is the
+transform's pullback carried back through ``psi_map``.  Every
+factorization is p-by-p.
 
-The Cayley retraction is the inverse Cayley transform at the frame center
-``[U, Uperp]`` applied to :func:`psi_map` of the step, and
-:func:`_cayley_kernel` computes it so, with the transform's own p-by-p
-core (:func:`cayley._m_factors`, the Cholesky QR of ``[I; B]``) and
-without forming ``Uperp``: ``U^T D``, ``D^T D`` and the frame's two
-products, four N-row products in all, and three more in the rare second
-pass.  Its range is the inverse map's: a step whose ``I + B^T B`` is not
-positive definite once rounded raises :class:`linalg.RankError`.
-
-Given the kernel and the ambient gradient ``g``, the gradient
-(:func:`grad_retraction_pullback`), the transform's pullback carried back
-through :func:`psi_map`, works in p-by-p coefficients in the
-``[U, D, g]`` basis: two p-row products against ``g`` (``U^T g``,
-``D^T g``) and one assembly of the N-by-p result (three products), 5
-products of order N p^2.  A correcting tangent pass (two products more)
-follows only when the terms summed are far larger than the result.
-
-The tangent projection (:func:`project_tangent`) takes one pass of two
-N-row products, and a second only when the input's normal part dominates
-it; both rules share one bound, ``_TANGENT_PASS_BOUND``, and on the
-distance cost neither optional pass runs.
-
-Every N-row product of a solver step with two distinct operands goes
-through :func:`linalg._mm`, which above OpenBLAS's small-matrix limit
-(``N p^2 > 100^3``) splits it into blocks that stay on that path: the
-projection's two (four with a second pass), :func:`_gram_qr`'s panel (two
-with a second pass), the polar retraction's last product, the Cayley
-kernel's ``U^T D`` and frame products (and its second pass's panel), and
-the pullback's five (seven with its pass).  The
-symmetric Gram products (``X^T X``, ``Q1^T Q1``, ``D^T D``) stay
-``x.T @ x``, which numpy runs as one symmetric rank-k update (syrk) and
-which blocks would slow down.
+The tangent projection and that gradient take a correcting tangent pass
+only where roundoff needs it (``_TANGENT_PASS_BOUND``).  A step too large
+for a retraction raises :class:`linalg.RankError`, the error every line
+search counts as a failed trial.  Every N-row product of a step with two
+distinct operands goes through :func:`linalg._mm`; README's product table
+counts them per solver.
 """
 
 from __future__ import annotations
@@ -165,39 +136,17 @@ def orth_complement(u: np.ndarray) -> np.ndarray:
 #: A tangent pass leaves a tangency defect ``||U^T Y + Y^T U||_F`` of a few
 #: eps times the scale of its input, so a correcting pass follows only
 #: when that scale exceeds this multiple of ``||Y||_F`` (:func:`_pass_needed`).
-#: Defect relative to ``||Y||_F`` after one pass of :func:`project_tangent`
-#: and after two, worst of 20 draws (10 at N=2000) of ``X = U S + T`` with
-#: ``S`` symmetric and ``T`` tangent, at ``||X||_F / ||P_1(X)||_F`` = ratio,
-#: one BLAS thread:
-#:
-#: =====  ================  ================  ================
-#: ratio  N=500, p=10       N=2000, p=40      N=120, p=80
-#: =====  ================  ================  ================
-#:     1  7.7e-17  4.2e-17  1.8e-16  1.7e-16  3.9e-16  3.4e-16
-#:     2  3.1e-15  1.5e-16  1.4e-15  2.0e-16  1.8e-15  4.9e-16
-#:    10  1.3e-14  2.0e-16  7.4e-15  2.0e-16  1.0e-14  5.6e-16
-#:    20  2.8e-14  2.1e-16  1.5e-14  2.1e-16  2.0e-14  5.6e-16
-#:   100  1.3e-13  2.3e-16  7.5e-14  2.1e-16  1.0e-13  5.7e-16
-#:   1e4  1.6e-11  2.2e-16  7.5e-12  2.1e-16  1.0e-11  5.6e-16
-#: =====  ================  ================  ================
-#:
-#: So one pass leaves about ``1.5e-15`` times the ratio, and a second pass
-#: takes any defect to a few eps.  Under the bound a result keeps its
-#: defect within about ``6 eps`` times the bound of its own norm, far
-#: inside the public :class:`TangentVector` tolerance of ``1e-10``.  For
-#: :func:`grad_retraction_pullback` without its pass, over the test grid of
-#: shapes (p from 1 to 80), step norms from 1e-3 to 1e7 and costs scaled
-#: from 1e-8 to 1e12, every result whose ratio was at most 20 had a defect
-#: of at most ``6.6e-15`` of its norm.  The distance cost's gradients stay
-#: under the bound (``||X|| / ||P_1(X)|| <= 1.43`` and pullback ratios
-#: ``<= 16.7`` on distance-tall's inputs); the eigen cost's near its optimum
-#: go far over it (up to 3.4e5).
+#: One pass leaves about ``1.5e-15`` times that ratio and a second takes
+#: any defect to a few eps, so a result keeps its defect within about
+#: ``6 eps`` times the bound of its own norm, far inside the public
+#: :class:`TangentVector` tolerance of ``1e-10``.  The tables are in
+#: BENCH_23.json (``accuracy``, ``tangent_passes``).
 _TANGENT_PASS_BOUND = 20.0
 
 
 def _tangent_pass(u: np.ndarray, x: np.ndarray) -> np.ndarray:
     """One pass of the tangent projection, ``X <- X - U sym(U^T X)``, in
-    place on ``x``, which it returns: two N-row products."""
+    place on ``x``, which it returns."""
     utx = linalg._mm(u.T, x)
     x -= linalg._mm(u, (utx + utx.T) / 2.0)
     return x
@@ -205,8 +154,7 @@ def _tangent_pass(u: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _fro(a: np.ndarray) -> float:
     """``||a||_F`` as one dot product: at N=500, p=10 ``np.linalg.norm``
-    spends about 2 us more per call, which the pass rule pays up to six
-    times a step."""
+    spends about 2 us more per call."""
     return math.sqrt(np.vdot(a, a))
 
 
@@ -225,15 +173,13 @@ def project_tangent(u: np.ndarray, x: np.ndarray) -> TangentVector:
     ``(1/2) U (U^T X - X^T U) + (I - U U^T) X``.  Idempotent; the residual
     ``X - P(X)`` is orthogonal to every tangent vector.
 
-    One pass of the formula (two N-row products) leaves a skew-coupling
-    defect proportional to roundoff in ``X``.  That is roundoff in the
-    output too, unless the tangential part is far smaller than ``X`` (a
-    converged gradient of a large-norm cost), so a second pass runs only
-    when ``||X||_F`` exceeds ``_TANGENT_PASS_BOUND`` (20) times the first
-    pass's ``||P_1(X)||_F``; it shrinks the defect to the scale of the
-    output itself (Daniel, Gragg, Kaufman and Stewart 1976).  Either way
-    the defect stays within a few eps times the bound of ``||P(X)||_F``
-    (the table at ``_TANGENT_PASS_BOUND``), so the result meets the public
+    One pass of the formula leaves a skew-coupling defect proportional to
+    roundoff in ``X``.  That is roundoff in the output too, unless the
+    tangential part is far smaller than ``X`` (a converged gradient of a
+    large-norm cost), so a second pass runs only when ``||X||_F`` exceeds
+    ``_TANGENT_PASS_BOUND`` times the first pass's ``||P_1(X)||_F``; it
+    shrinks the defect to the scale of the output itself (Daniel, Gragg,
+    Kaufman and Stewart 1976).  Either way the result meets the public
     :class:`TangentVector` tolerance (a test pins it for ``||X||`` from
     1e-8 to 1e12) and skips the tangency check; a NaN or Inf in it still
     raises ``ValueError``.  Its base is a private copy of ``u``.
@@ -271,20 +217,14 @@ def _gram_qr(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     ``cond(X)^2`` by ``linalg.ONE_PASS_BOUND``, ``Q = Q1`` and ``R = R1``;
     otherwise pass 2 does the same on ``Q1`` (CholeskyQR2), so
     ``Q = Q1 R2^{-1}`` and ``R = R2 R1``.  ``R`` has a positive diagonal,
-    the sign convention of :func:`linalg.qr_orthonormalize`.  Cost per
-    pass: one Gram product and one N-row product with a p-by-p inverse,
-    plus a p-by-p Cholesky factor and inverse; the bound costs three p-by-p
-    reductions.
+    the sign convention of :func:`linalg.qr_orthonormalize`.
 
     One pass leaves ``||Q1^T Q1 - I||`` of order ``eps cond(X)^2``, at
-    most a few eps under the bound (the table at
-    ``linalg.ONE_PASS_BOUND``).  Beyond it, while that defect is below 1,
-    ``Q1`` is well conditioned and the second pass makes ``Q`` orthonormal
-    to roundoff (Yamamoto, Nakatsukasa, Yanagisawa and Fukaya 2015).  For
-    ``X = U + D`` with a tangent ``D``, ``cond(X)`` is at most
-    ``sqrt(1 + ||D||_2^2)``.  For steps beyond about ``1e8`` the
-    rounded Gram matrix need not be positive definite; Cholesky
-    (:func:`linalg._cholesky_r`, shared with the inverse map) then fails.
+    most a few eps under the bound.  Beyond it, while that defect is below
+    1, ``Q1`` is well conditioned and the second pass makes ``Q``
+    orthonormal to roundoff (Yamamoto, Nakatsukasa, Yanagisawa and Fukaya
+    2015).  For steps beyond about ``1e8`` the rounded Gram matrix need
+    not be positive definite, and :func:`linalg._cholesky_r` fails.
 
     Raises
     ------
@@ -320,10 +260,8 @@ def _gram_qr(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def retract_qr(u: np.ndarray, d: TangentVector) -> np.ndarray:
     """QR retraction: the Q factor of ``U + D``, with positive ``diag(R)``.
 
-    Computed by :func:`_gram_qr` in O(Np^2): one Gram product and one
-    N-row product for a small step, two of each for a large one, and p-by-p
-    factorizations.  Since ``sigma_min(U + D) >= 1``, the frame is
-    orthonormal to roundoff and matches Householder QR
+    Computed by :func:`_gram_qr`.  Since ``sigma_min(U + D) >= 1``, the
+    frame is orthonormal to roundoff and matches Householder QR
     (:func:`linalg.qr_orthonormalize`) to within roundoff times
     ``cond(U + D)``.
 
@@ -343,10 +281,7 @@ def retract_polar(u: np.ndarray, d: TangentVector) -> np.ndarray:
 
     With ``U + D = Q R`` from :func:`_gram_qr`, the polar factor is
     ``Q polar(R)``, exactly, so the only SVD is of the p-by-p ``R``
-    (:func:`linalg.polar_factor`): O(Np^2) in all, one N-row product more
-    than :func:`retract_qr` (besides the Gram products, two products with
-    a p-by-p matrix for a small step and three for a large one).  ``R`` has
-    the singular values of ``U + D``, all at least 1.
+    (:func:`linalg.polar_factor`).
 
     Raises
     ------
@@ -391,13 +326,8 @@ def _cayley_kernel(u: np.ndarray, dmat: np.ndarray) -> _CayleyKernel:
     ``C = M^{-1} (a + B^T B) = I - M^{-1}``.  ``C`` has two forms: the
     product carries roundoff of order ``eps ||a + B^T B||`` and the
     difference of order ``eps``, so the kernel takes the product while
-    ``||a + B^T B||_F <= 1`` and the difference beyond.  The difference
-    alone gives small steps 2-3 times the orthonormality defect, and
-    300-step random walks 10-45 times the drift; the product alone loses
-    orthonormality in proportion to ``||D||`` at large steps (5e-6 at
-    60-by-40 and ``||D|| = 1e8``).  The N-row work is four products,
-    ``U^T D``, ``D^T D`` and the frame's two, and a second pass adds three
-    (the panel's two and its Gram matrix).
+    ``||a + B^T B||_F <= 1`` and the difference beyond.  Either form alone
+    loses orthonormality: see CHANGES.md, the entry "One Cayley kernel".
 
     Frames stay within 1e-12 of orthonormal up to ``||D|| = 1e8`` when
     ``N - p >= p``, and when ``p < N`` and ``E``'s null space has even
@@ -508,36 +438,26 @@ def grad_retraction_pullback(
 
         ``U [(P^T - P) / 4 + T S - (U^T g) M^{-T}] - D S + g M^{-T}``.
 
-    The N-row work is the two p-row products ``U^T g`` and ``D^T g`` and
-    this one assembly (three products summed): 5 in all, and 7 when the
-    correcting pass below runs.  At ``D = 0`` the result agrees with
-    :func:`riemannian_grad` to within ``1e-13 max(1, ||grad||)``.
+    At ``D = 0`` it agrees with :func:`riemannian_grad` to within
+    ``1e-13 max(1, ||grad||)``.
 
-    The assembled result is tangent in exact arithmetic, so its tangency
-    defect is the assembly's roundoff, which scales with the terms summed,
-    not with the result.  Their scale is taken as
+    The result is tangent in exact arithmetic, so its tangency defect is
+    the assembly's roundoff, which scales with the terms summed,
     ``s = ||C|| + ||D|| ||S|| + ||g|| ||M^{-1}||`` (Frobenius norms; ``C``
-    the coefficient of ``U``), and one correcting pass
-    ``out -= U sym(U^T out)`` (two products) runs only when ``s`` exceeds
-    ``_TANGENT_PASS_BOUND`` (20) times ``||out||_F``.  A pass removes the
-    defect of its input up to roundoff in its own output, so either way the
-    defect stays within a few eps times the bound of the result, inside the
-    public :class:`TangentVector` tolerance however small the result is
-    next to ``g`` (a test pins it to ``1e-14 max(1, ||grad||)`` for ``||g||``
-    from 1e-8 to 1e12).  On the distance cost ``s`` stays under 17 times
-    the result and the pass does not run; on the eigen cost near its
-    optimum it runs.  The result skips the tangency check; a NaN or Inf in
-    it still raises ``ValueError``.  Its base is ``d.base``, the frame
-    ``d`` is tangent at, so the two share one base and their arithmetic
-    skips the comparison of bases.
+    the coefficient of ``U``), not with the result.  One correcting
+    :func:`_tangent_pass` runs only when ``s`` exceeds
+    ``_TANGENT_PASS_BOUND`` times ``||out||_F``, so the result meets the
+    public :class:`TangentVector` tolerance however small it is next to
+    ``g`` (a test pins it to ``1e-14 max(1, ||grad||)`` for ``||g||`` from
+    1e-8 to 1e12) and skips the tangency check; a NaN or Inf in it still
+    raises ``ValueError``.  Its base is ``d.base``, so the two share one
+    base and their arithmetic compares no frames.
 
     A caller that already retracted and evaluated the cost passes
     ``kernel``, the one ``retract_cayley(u, d, return_kernel=True)``
     returned for the same ``u`` and ``d``, and ``g``, the ambient gradient
-    ``f.grad`` at that frame; then neither the kernel is rebuilt nor ``f``
-    called.  A rebuilt kernel is bit-identical to the carried one and
-    ``g`` is taken at its frame, so every combination returns the same
-    result.
+    at that frame; a rebuilt kernel is bit-identical to the carried one,
+    so every combination returns the same result.
 
     Raises
     ------

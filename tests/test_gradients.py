@@ -140,7 +140,7 @@ def test_pullback_matches_two_solve_reference():
                 b = rng.standard_normal((n - p, p))
                 v = SkewParam(rng.standard_normal((p, p)), (b_norm / np.linalg.norm(b, 2)) * b)
                 g = rng.standard_normal((n, p))
-                got = gradients.pullback_from_euclidean(center, v, g, cayley.inverse(center, v))
+                got = gradients.pullback_from_euclidean(center, v, g)
                 assert np.array_equal(got.a, -got.a.T)
                 assert not got.a.flags.writeable and not got.b.flags.writeable
                 ref = SkewParam(*two_solve_pullback(center, v, g))
@@ -159,7 +159,7 @@ def test_pullback_b_block_is_the_negated_product_bitwise(monkeypatch, n, p):
         center = problems.random_center(rng, n, p, structured=structured)
         v = problems.random_skew_param(rng, n, p, norm=3.0)
         g = rng.standard_normal((n, p))
-        got = gradients.pullback_from_euclidean(center, v, g, cayley.inverse(center, v))
+        got = gradients.pullback_from_euclidean(center, v, g)
         gri = center.riT_mul(g, p)
         m_inv = cayley._inverse_core(v)[1]
         gp = (center.leftT_mul(g, p).T - gri.T @ v.b) @ m_inv
@@ -173,12 +173,11 @@ def test_pullback_rejects_non_finite_gradient():
     n, p = 12, 3
     center = problems.random_center(rng, n, p, structured=True)
     v = problems.random_skew_param(rng, n, p, norm=1.0)
-    u = cayley.inverse(center, v)
     for bad in (np.nan, np.inf):
         g = rng.standard_normal((n, p))
         g[n - 1, 0] = bad
         with pytest.raises(ValueError, match="NaN or Inf"):
-            gradients.pullback_from_euclidean(center, v, g, u)
+            gradients.pullback_from_euclidean(center, v, g)
 
 
 def test_bound_report_constant_cost_trivially_passes():
@@ -256,7 +255,7 @@ def test_stationarity_residual_tracks_pullback_norm():
     for u, should_be_small in ((inst.optimum_basis, True),
                                (problems.random_stiefel(np.random.default_rng(15), n, p), False)):
         center = cayley.construct_center(u)
-        g = gradients.grad_pullback(center, cayley.forward(center, u), f, u)
+        g = gradients.grad_pullback(center, cayley.forward(center, u), f)
         res = stationarity_residual(u, f)
         if should_be_small:
             assert res <= 1e-8 and g.norm() <= 1e-8

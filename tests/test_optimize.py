@@ -2,6 +2,8 @@
 retraction-based steepest descent, stopping rules, and run records."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,9 +248,9 @@ def _gdm_cp_b_norms(monkeypatch):
     norms = []
     pullback = optimize.pullback_from_euclidean
 
-    def spy(center, v, g, u, **kwargs):
+    def spy(center, v, g, **kwargs):
         norms.append(float(np.linalg.norm(v.b, 2)))
-        return pullback(center, v, g, u, **kwargs)
+        return pullback(center, v, g, **kwargs)
 
     monkeypatch.setattr(optimize, "pullback_from_euclidean", spy)
     return norms
@@ -297,14 +299,14 @@ def test_run_gdm_cp_carries_the_gram_matrix_into_its_pullback(monkeypatch):
     kw = dict(bt=BacktrackingConfig(gamma_initial=0.1), stop=StoppingConfig(max_iters=60))
     pullback, carried = optimize.pullback_from_euclidean, []
 
-    def checked_pullback(center, v, g, u, kernel=None):
-        out = pullback(center, v, g, u, kernel=kernel)
+    def checked_pullback(center, v, g, kernel=None):
+        out = pullback(center, v, g, kernel=kernel)
         carried.append(kernel is not None)
         if kernel is not None:
             btb, m_inv, _, _ = cayley._inverse_core(v)
             assert np.array_equal(kernel.btb, btb) and np.array_equal(kernel.m_inv, m_inv)
-            assert np.array_equal(kernel.frame, u)
-            rebuilt = pullback(center, v, g, u)
+            assert np.array_equal(kernel.frame, cayley.inverse(center, v))
+            rebuilt = pullback(center, v, g)
             assert np.array_equal(out.a, rebuilt.a) and np.array_equal(out.b, rebuilt.b)
         return out
 
@@ -313,8 +315,8 @@ def test_run_gdm_cp_carries_the_gram_matrix_into_its_pullback(monkeypatch):
     assert rec.recenter_iters
     assert carried == [False] + [it not in rec.recenter_iters for it in rec.iters[1:]]
 
-    def rebuilding_pullback(center, v, g, u, kernel=None):
-        return pullback(center, v, g, u)
+    def rebuilding_pullback(center, v, g, kernel=None):
+        return pullback(center, v, g)
 
     monkeypatch.setattr(optimize, "pullback_from_euclidean", rebuilding_pullback)
     ref = run_gdm_cp(f, u0, **kw)
@@ -697,22 +699,23 @@ def test_gdm_cp_retraction_builds_one_kernel_per_trial(monkeypatch):
     assert np.array_equal(rec.final_u, ref.final_u)
 
 
-#: linalg._mm calls in one step whose first trial is accepted: the trial's
-#: retraction or inverse map (Cholesky QR in one pass: a small step keeps
-#: cond(U + D)^2 under linalg.ONE_PASS_BOUND), then the accepted frame's
-#: gradient (project_tangent's 2, grad_retraction_pullback's 5 or
-#: pullback_from_euclidean's 3; the distance cost's gradients keep the
-#: tangent passes' ratios under retractions._TANGENT_PASS_BOUND, so neither
-#: takes its correcting pass)
-BLOCKED_PRODUCTS_PER_STEP = {"gdm-qr": 1 + 2, "gdm-polar": 2 + 2, "gdm-cayley": 3 + 2,
-                             "gdm-cp-retraction": 3 + 5, "gdm-cp": 1 + 3}
+#: linalg._mm calls in one step whose first trial is accepted, as (the
+#: trial's retraction or inverse map, the accepted frame's gradient), with
+#: Cholesky QR in one pass (a small step keeps cond(U + D)^2 under
+#: linalg.ONE_PASS_BOUND) and no correcting tangent pass (the distance
+#: cost's gradients keep their ratios under retractions._TANGENT_PASS_BOUND).
+#: README's product table states the same pairs.
+BLOCKED_PRODUCTS_PER_STEP = {"gdm-qr": (1, 2), "gdm-polar": (2, 2), "gdm-cayley": (3, 2),
+                             "gdm-cp-retraction": (3, 5), "gdm-cp": (1, 3)}
 
 
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
 def test_every_step_product_takes_the_blocked_helper(monkeypatch, solver):
     # Counted on the distance cost, which forms no product of its own, at a
     # shape just above N p^2 = 100^3, so that no later edit puts an N-row
-    # product of the step back on OpenBLAS's packed path unnoticed.
+    # product of the step back on OpenBLAS's packed path unnoticed.  The
+    # products after the last trial's cost call are the accepted frame's
+    # gradient.
     n, p = 632, 40
     rng = np.random.default_rng(21)
     plain = problems.distance_cost(problems.random_stiefel(rng, n, p))
@@ -724,21 +727,34 @@ def test_every_step_product_takes_the_blocked_helper(monkeypatch, solver):
         return mm(*args, **kwargs)
 
     def counting_eval_grad(u):
-        trials.append(1)
+        trials.append(len(products))
         return plain.eval_grad(u)
 
     f = CostFunction(dim_n=n, dim_p=p, eval=plain.eval, grad=plain.grad,
                      eval_grad=counting_eval_grad)
     monkeypatch.setattr(linalg, "_mm", counting_mm)
-    counts, trial_counts = [], []
+    counts, trial_counts, after_last_trial = [], [], []
     for steps in (1, 2, 3):
         products.clear()
         trials.clear()
         assert SOLVERS[solver](f, u0, stop=StoppingConfig(max_iters=steps)).iters[-1] == steps
         counts.append(len(products))
         trial_counts.append(len(trials))
+        after_last_trial.append(len(products) - trials[-1])
+    per_trial, per_step = BLOCKED_PRODUCTS_PER_STEP[solver]
     assert np.diff(trial_counts).tolist() == [1, 1]  # each step took its first trial
-    assert np.diff(counts).tolist() == [BLOCKED_PRODUCTS_PER_STEP[solver]] * 2
+    assert np.diff(counts).tolist() == [per_trial + per_step] * 2
+    assert after_last_trial == [per_step] * 3
+
+
+def test_readme_product_table_matches_the_measured_counts():
+    """README's product table states BLOCKED_PRODUCTS_PER_STEP, row for row,
+    so neither changes alone."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(gdm-[a-z-]+)` \| (\d+) \| (\d+) \|$", readme, flags=re.MULTILINE)
+    table = {solver: (int(trial), int(step)) for solver, trial, step in rows}
+    assert len(rows) == len(table)
+    assert table == BLOCKED_PRODUCTS_PER_STEP
 
 
 @pytest.mark.parametrize("solver", ["gdm-cp", "gdm-qr", "gdm-polar"])

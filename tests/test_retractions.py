@@ -550,7 +550,7 @@ def test_kernels_above_the_small_product_limit(monkeypatch, n, p):
 
     def kernels():
         w = cayley.inverse(center, v)
-        pulled = gradients.pullback_from_euclidean(center, v, f.grad(w), w)
+        pulled = gradients.pullback_from_euclidean(center, v, f.grad(w))
         return {
             "project_tangent": retractions.project_tangent(u, x).mat,
             "retract_qr": retractions.retract_qr(u, d),
