@@ -8,15 +8,7 @@ iterate maps back to a frame that is orthonormal to roundoff.
 Retraction-based baselines (QR, polar, Cayley) and a benchmark
 CLI round out the toolkit.
 
-Layout
-------
-``linalg``       shared dense kernels and error types
-``cayley``       the transform: forward, inverse, centers, mobility
-``gradients``    pullback gradients, sampled bound checks
-``retractions``  tangent vectors, retractions, retraction pullback
-``optimize``     one Armijo descent loop and the solvers
-``problems``     benchmark costs and random instances
-``cli``          the ``stiefel-bench`` command
+README.md, section "Layout", says what each module holds.
 """
 
 from .cayley import (

@@ -1,22 +1,7 @@
 """Command-line benchmark harness emitting machine-readable CSV results.
 
-Subcommands
------------
-eigen      trace-minimization benchmark comparing parameter-space descent
-           against retraction-based descent, with convergence histories
-singular   distance-cost runs with centers placed progressively closer to
-           the excluded set, where descent is expected to stall
-mobility   sensitivity sweep of the inverse transform against the
-           closed-form rate bound
-gradcheck  finite-difference validation of both gradient engines
-bounds     sampled smoothness / norm / variance bound report
-
-Every output file starts with ``# key=value`` provenance lines (never a
-timestamp, so identical configurations produce identical bytes except for
-measured wall-clock columns), then a CSV header row; floats carry 17
-significant digits.  Exit status: 0 success, 2 usage error, 3 numerical
-failure.  Solver runs go one after another on the calling thread, in the
-order of their rows, so each run's time columns time that run alone.
+The experiments, their flags, the CSV format and the exit codes are in
+README.md, section "CLI".
 
 An experiment's command, help line, and the keys it reads with their
 defaults live in its single ``_EXPERIMENTS`` entry; those keys are its

@@ -48,6 +48,8 @@ __all__ = [
 #: ``||Q^T Q - I||_F`` within about 3x of two (3.9e-15 against 1.2e-15 at
 #: N=500, p=10, ``cond(X)^2 = 10``); beyond it the defect grows like
 #: ``eps cond(X)^2``.  The table is in BENCH_22.json (``accuracy``).
+#: ``retractions.retract_polar`` takes its one Gram eigendecomposition
+#: under the same bound on the eigenvalues' ratio, ``cond(X)^2``.
 ONE_PASS_BOUND = 10.0
 
 
@@ -217,9 +219,9 @@ def qr_orthonormalize(x) -> np.ndarray:
     The R-factor diagonal is sign-fixed to be nonnegative, so the result is
     a deterministic function of ``x`` (up to the LAPACK build in use).
     Householder QR is backward stable for any full-rank ``x``, such as the
-    Gaussian input of ``problems.random_stiefel``; the retractions, whose
-    ``U + D`` has no singular value below 1, take the cheaper Cholesky QR
-    of ``retractions._gram_qr``.
+    Gaussian input of ``problems.random_stiefel``; the QR retraction,
+    whose ``U + D`` has no singular value below 1, takes the cheaper
+    Cholesky QR of ``retractions._gram_qr``.
 
     Raises
     ------

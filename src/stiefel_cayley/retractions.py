@@ -5,11 +5,14 @@ and Cayley retractions, the inverse Cayley retraction, the linear bridge
 :func:`psi_map` to the skew parameter space, and the gradient of a cost
 composed with the Cayley retraction.
 
-The QR and polar retractions share one kernel, :func:`_gram_qr`, the
-Cholesky QR of ``X = U + D``.  For a tangent step ``X^T X = I + D^T D``, so
-``X`` has no singular value below 1 and ``cond(X) <= sqrt(1 + ||D||_2^2)``:
-two passes are accurate at any step the Gram matrix can carry, and one
-suffices under ``linalg.ONE_PASS_BOUND``.  The Cayley retraction is the
+Both the QR and the polar retraction start from the Gram matrix of
+``X = U + D``.  For a tangent step ``X^T X = I + D^T D``, so ``X`` has no
+singular value below 1 and ``cond(X) <= sqrt(1 + ||D||_2^2)``.  The QR
+retraction is the Cholesky QR of ``X``, :func:`_gram_qr`: two passes are
+accurate at any step the Gram matrix can carry, and one suffices under
+``linalg.ONE_PASS_BOUND``.  The polar retraction is ``X (X^T X)^{-1/2}``
+from the Gram matrix's eigendecomposition under that bound, and the QR
+factor's ``Q polar(R)`` past it.  The Cayley retraction is the
 inverse Cayley transform at the frame center ``[U, Uperp]`` applied to
 ``psi_map(D)``; :func:`_cayley_kernel` computes it with the transform's own
 p-by-p core (:func:`cayley._m_factors`) without forming ``Uperp``, so its
@@ -279,9 +282,17 @@ def retract_qr(u: np.ndarray, d: TangentVector) -> np.ndarray:
 def retract_polar(u: np.ndarray, d: TangentVector) -> np.ndarray:
     """Polar retraction: closest feasible frame to ``U + D``.
 
-    With ``U + D = Q R`` from :func:`_gram_qr`, the polar factor is
-    ``Q polar(R)``, exactly, so the only SVD is of the p-by-p ``R``
-    (:func:`linalg.polar_factor`).
+    The polar factor of ``X = U + D`` is ``X G^{-1/2}`` with the Gram
+    matrix ``G = X^T X = I + D^T D`` (Absil, Mahony and Sepulchre 2008).
+    With ``G = V diag(lambda) V^T`` from ``eigh``, the frame is
+    ``X (V diag(lambda)^{-1/2} V^T)``, as in SVQB (Stathopoulos and Wu
+    2002).  The eigenvalues' ratio is ``cond(X)^2`` of the rounded Gram,
+    and the frame is orthonormal to ``eps cond(X)^2``, so this route runs
+    only when ``0 < lambda_min`` and ``lambda_max <= linalg.ONE_PASS_BOUND
+    lambda_min``.  Otherwise (a Gram matrix that is not finite or that
+    ``eigh`` cannot take, or a ratio past the bound) it takes the route
+    accurate to ``eps cond(X)``: ``X = Q R`` by :func:`_gram_qr`, then
+    ``Q polar(R)`` with the p-by-p SVD of :func:`linalg.polar_factor`.
 
     Raises
     ------
@@ -292,7 +303,17 @@ def retract_polar(u: np.ndarray, d: TangentVector) -> np.ndarray:
         :func:`_gram_qr`), or ``sigma_min(R) < 1e-12 sigma_max(R)``; line
         searches should retry with a smaller step.
     """
-    q, r = _gram_qr(np.asarray(u, dtype=np.float64) + d.mat)
+    x = np.asarray(u, dtype=np.float64) + d.mat
+    gram = x.T @ x
+    if np.isfinite(gram).all():
+        try:
+            lam, v = np.linalg.eigh(gram)
+        except np.linalg.LinAlgError:
+            pass  # the Cholesky QR route below
+        else:
+            if 0.0 < lam[0] and lam[-1] <= linalg.ONE_PASS_BOUND * lam[0]:
+                return linalg._mm(x, (v / np.sqrt(lam)) @ v.T)
+    q, r = _gram_qr(x)
     return linalg._mm(q, linalg.polar_factor(r))
 
 

@@ -705,7 +705,7 @@ def test_gdm_cp_retraction_builds_one_kernel_per_trial(monkeypatch):
 #: linalg.ONE_PASS_BOUND) and no correcting tangent pass (the distance
 #: cost's gradients keep their ratios under retractions._TANGENT_PASS_BOUND).
 #: README's product table states the same pairs.
-BLOCKED_PRODUCTS_PER_STEP = {"gdm-qr": (1, 2), "gdm-polar": (2, 2), "gdm-cayley": (3, 2),
+BLOCKED_PRODUCTS_PER_STEP = {"gdm-qr": (1, 2), "gdm-polar": (1, 2), "gdm-cayley": (3, 2),
                              "gdm-cp-retraction": (3, 5), "gdm-cp": (1, 3)}
 
 
@@ -765,19 +765,26 @@ def test_cholesky_qr_trials_take_one_pass(monkeypatch, solver):
     # evaluates the cost: the count of factors seen at each evaluation
     # climbs by one.  gdm-cp also evaluates its start, before any factor,
     # and then factors once more for the start's pullback, which builds
-    # M^{-1} by the inverse map's Cholesky QR.
+    # M^{-1} by the inverse map's Cholesky QR.  gdm-polar's trials take
+    # one Gram eigendecomposition each under the same bound, and none
+    # falls back to Cholesky QR.
     n, p = 100, 5
     plain = problems.eigen_cost(problems.make_eigen_instance(n, p, 7))
     chol, factors, seen = linalg._cholesky_r, [], []
     monkeypatch.setattr(linalg, "_cholesky_r", lambda *args: factors.append(1) or chol(*args))
+    eigh, eighs = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args: eighs.append(1) or eigh(*args))
+    kernels = eighs if solver == "gdm-polar" else factors
     f = CostFunction(dim_n=n, dim_p=p, eval=plain.eval, grad=plain.grad,
-                     eval_grad=lambda u: seen.append(len(factors)) or plain.eval_grad(u))
+                     eval_grad=lambda u: seen.append(len(kernels)) or plain.eval_grad(u))
     rec = SOLVERS[solver](f, problems.random_stiefel(np.random.default_rng(5), n, p),
                           bt=BacktrackingConfig(gamma_initial=0.01), stop=StoppingConfig(max_iters=30))
     trials = [k for k in seen if k > 0]
     assert rec.iters[-1] == 30 and len(trials) > 60  # rejected trials among them
     first = 2 if solver == "gdm-cp" else 1
-    assert trials == list(range(first, len(factors) + 1))
+    assert trials == list(range(first, len(kernels) + 1))
+    if solver == "gdm-polar":
+        assert factors == []
 
 
 def test_gdm_cp_retraction_compares_no_frames(monkeypatch):

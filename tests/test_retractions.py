@@ -2,6 +2,8 @@
 their axioms, the skew-parameter bridge, the inverse Cayley retraction,
 and the retraction-pullback gradient."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -311,21 +313,72 @@ def test_cholesky_qr_takes_its_second_pass_only_above_the_bound(monkeypatch, ret
     # One Cholesky QR pass leaves a defect of order eps cond(U + D)^2: a
     # small step takes one pass, a rank-one step of norm 1e3 (cond^2 = 1e6)
     # takes two, where one alone leaves about 1e-10.  At p = 1 cond(U + D)
-    # is 1 and every step takes one.  The polar factor's p-by-p SVD adds
-    # roundoff of its own (2.3e-14 at p = 80 with either pass count).
+    # is 1 and every step takes one.  The polar retraction factors nothing
+    # by Cholesky under linalg.ONE_PASS_BOUND, where it takes the Gram
+    # matrix's eigendecomposition (at p = 1 on every step), and past it
+    # takes both passes and the p-by-p SVD of R, which adds roundoff of its
+    # own (2.3e-14 at p = 80).
     rng = np.random.default_rng(n + p)
     u = problems.random_stiefel(rng, n, p)
     chol, calls = linalg._cholesky_r, []
     monkeypatch.setattr(linalg, "_cholesky_r", lambda *args: calls.append(1) or chol(*args))
-    bar = 1e-14 if retract is retractions.retract_qr else 5e-14
-    for d, passes in ((random_tangent(rng, u, norm=0.1), 1),
-                      (rank_one_step(rng, u, 1e3), 1 if p == 1 else 2)):
+    polar = retract is retractions.retract_polar
+    bar, reference = (5e-14, linalg.polar_factor) if polar else (1e-14, linalg.qr_orthonormalize)
+    large = 1 if p == 1 else 2
+    for d, passes in ((random_tangent(rng, u, norm=0.1), 0 if polar else 1),
+                      (rank_one_step(rng, u, 1e3), 0 if polar and p == 1 else large)):
         calls.clear()
         frame = retract(u, d)
         assert len(calls) == passes
         assert linalg.feasibility(frame) <= bar
-        if retract is retractions.retract_qr:
-            assert np.linalg.norm(frame - linalg.qr_orthonormalize(u + d.mat)) <= 1e-12
+        assert np.linalg.norm(frame - reference(u + d.mat)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, p", [(500, 10), (120, 80), (50, 1), (6, 6)])
+@pytest.mark.parametrize("cond2", [9.4, 11.2])
+def test_polar_retraction_takes_the_eigendecomposition_only_under_the_bound(monkeypatch, n, p, cond2):
+    # Steps at cond(U + D)^2 = 9.4 and 11.2, on either side of
+    # linalg.ONE_PASS_BOUND = 10: rank one (cond^2 = 1 + norm^2 for
+    # 1 < p < N); at p = N, where no rank-one step is tangent, a rotation
+    # in one coordinate plane of U^T D, whose singular values are
+    # sqrt(1 + norm^2) and 1.  At p = 1 cond(U + D) is 1, so both take the
+    # eigendecomposition.  Past the bound the route is Cholesky QR and the
+    # SVD of R.  Both meet the bar of the property test against the SVD's
+    # polar factor.
+    rng = np.random.default_rng(10 * n + p)
+    u = problems.random_stiefel(rng, n, p)
+    norm = math.sqrt(cond2 - 1.0)
+    if p == n:
+        omega = np.zeros((p, p))
+        omega[0, 1], omega[1, 0] = norm, -norm
+        d = TangentVector(u, u @ omega)
+    else:
+        d = rank_one_step(rng, u, norm)
+    x = u + d.mat
+    if p > 1:
+        assert np.linalg.cond(x) ** 2 == pytest.approx(cond2, rel=1e-12)
+    chol, polar, factors, svds = linalg._cholesky_r, linalg.polar_factor, [], []
+    monkeypatch.setattr(linalg, "_cholesky_r", lambda *args: factors.append(1) or chol(*args))
+    monkeypatch.setattr(linalg, "polar_factor", lambda *args: svds.append(1) or polar(*args))
+    frame = retractions.retract_polar(u, d)
+    if cond2 < linalg.ONE_PASS_BOUND or p == 1:
+        assert factors == [] and svds == []
+    else:
+        assert len(factors) >= 1 and svds == [1]
+    assert linalg.feasibility(frame) <= 5e-14
+    bar = 1e-14 * (math.sqrt(n * p) + np.linalg.cond(x))
+    assert np.linalg.norm(frame - polar(x)) <= bar
+    # the error contract holds on either route: NaN is bad input, and a
+    # column below 1e-12 ||U + D||_F is a rank deficiency
+    broken = u.copy()
+    broken[0, 0] = np.nan
+    with pytest.raises(ValueError):
+        retractions.retract_polar(broken, d)
+    if p > 1:
+        base = u.copy()
+        base[:, -1] *= 1e-13 / math.sqrt(p)
+        with pytest.raises(linalg.RankError):
+            retractions.retract_polar(base, TangentVector(base, np.zeros_like(base)))
 
 
 def test_cayley_retraction_equals_transform_of_bridge():
