@@ -167,9 +167,8 @@ class SkewParam:
         return math.sqrt(float(np.vdot(self.a, self.a) + 2.0 * np.vdot(self.b, self.b)))
 
     def spectral_norm(self) -> float:
-        """Spectral norm of the embedded matrix, from ``a`` and ``B^T B``
-        (:func:`_spectral_norm_from_gram`); no n-by-n matrix is formed."""
-        return _spectral_norm_from_gram(self.a, self.b.T @ self.b)
+        """Spectral norm of the embedded matrix (costs a full n-by-n SVD)."""
+        return float(np.linalg.norm(self.full(), 2))
 
     @classmethod
     def _trusted(cls, a: np.ndarray, b: np.ndarray) -> "SkewParam":
@@ -481,21 +480,6 @@ def _gram_norm(btb: np.ndarray) -> float:
     largest eigenvalue (one p-by-p symmetric eigenvalue problem), accurate
     to a few eps relative."""
     return math.sqrt(max(float(np.linalg.eigvalsh(btb)[-1]), 0.0))
-
-
-def _spectral_norm_from_gram(a: np.ndarray, btb: np.ndarray) -> float:
-    """``||V||_2`` of ``V = [[A, -B^T], [B, 0]]`` from ``A`` and ``B^T B``.
-
-    With ``B^T B = W diag(lambda) W^T`` and ``R = diag(lambda)^{1/2} W^T``,
-    ``R^T R = B^T B``, so ``B = Q R`` for a ``Q`` isometric on ``range(R)``
-    and ``V`` has the nonzero singular values of the 2p-by-2p matrix
-    ``[[A, -R^T], [R, 0]]``.  Eigenvalues are clipped at 0, since a
-    rank-deficient ``B^T B`` (``N - p < p``, or ``p = N`` with no ``B``
-    rows) rounds to a few of order ``-eps ||B||^2``.
-    """
-    lam, w = np.linalg.eigh(btb)
-    r = np.sqrt(np.maximum(lam, 0.0))[:, None] * w.T
-    return float(np.linalg.norm(np.block([[a, -r.T], [r, np.zeros_like(a)]]), 2))
 
 
 def construct_center(u) -> Center:

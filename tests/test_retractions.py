@@ -368,17 +368,6 @@ def test_polar_retraction_takes_the_eigendecomposition_only_under_the_bound(monk
     assert linalg.feasibility(frame) <= 5e-14
     bar = 1e-14 * (math.sqrt(n * p) + np.linalg.cond(x))
     assert np.linalg.norm(frame - polar(x)) <= bar
-    # the error contract holds on either route: NaN is bad input, and a
-    # column below 1e-12 ||U + D||_F is a rank deficiency
-    broken = u.copy()
-    broken[0, 0] = np.nan
-    with pytest.raises(ValueError):
-        retractions.retract_polar(broken, d)
-    if p > 1:
-        base = u.copy()
-        base[:, -1] *= 1e-13 / math.sqrt(p)
-        with pytest.raises(linalg.RankError):
-            retractions.retract_polar(base, TangentVector(base, np.zeros_like(base)))
 
 
 def test_cayley_retraction_equals_transform_of_bridge():
