@@ -365,23 +365,18 @@ def _m_factors(a: np.ndarray, btb: np.ndarray, panel):
     ``M`` is always nonsingular (its symmetric part is ``I + B^T B``), but a
     direct solve with it loses ~ ``eps * ||B||^2`` of orthonormality in the
     frame built from it.  Instead, ``I + B^T B = X^T X``, whose singular
-    values are all at least 1, so Cholesky QR gives ``X = Q R`` with ``Q``
-    orthonormal to roundoff (the argument of ``retractions._gram_qr``):
-    pass 1 factors ``I + B^T B = R1^T R1``.  When
-    :func:`linalg._one_pass_enough` bounds ``cond(X)^2`` by
-    ``linalg.ONE_PASS_BOUND`` that is all and ``R = R1``; otherwise pass 2
-    factors the Gram matrix of ``X R1^{-1} = [R1^{-1}; B R1^{-1}]`` and
-    ``R = R2 R1``.  Then
+    values are all at least 1, so the Cholesky QR
+    :func:`linalg._cholesky_qr` gives ``X = Q R`` with ``Q`` orthonormal to
+    roundoff.  Then
 
         ``M^{-1} = R^{-1} (I + A_s)^{-1} R^{-T}``,
         ``A_s = R^{-T} a R^{-1}``  (skew),
 
     and ``G = (I + A_s)^{-1} R^{-T}``.  ``I + A_s`` has all singular values
     >= 1 and ``R^{-1}`` is a block of ``Q``, so every factor has spectral
-    norm <= 1.  ``panel(R1^{-1})`` returns ``B R1^{-1}``, or any matrix with
-    its Gram matrix, and is called only for a second pass.  Returns
-    ``(R^{-1}, G, second)``: ``second`` is None after one pass and the pair
-    ``(B R1^{-1}, R2^{-1})`` after two.
+    norm <= 1.  Returns ``(R^{-1}, G, second)``, with ``second`` from
+    :func:`linalg._cholesky_qr` on the row blocks ``R1^{-1}`` and
+    ``panel(R1^{-1})``: ``B R1^{-1}``, or any matrix with its Gram matrix.
 
     The rounded ``I + B^T B`` stays positive definite while
     ``cond(X)^2 = (1 + sigma_max(B)^2) / (1 + sigma_min(B)^2)`` is well
@@ -389,15 +384,7 @@ def _m_factors(a: np.ndarray, btb: np.ndarray, panel):
     the failed Cholesky raises ``linalg.RankError``.
     """
     ip = np.eye(a.shape[0])
-    gram = ip + btb
-    r_inv = np.linalg.inv(linalg._cholesky_r(gram, "I + B^T B"))  # R1^{-1}
-    second = None
-    if not linalg._one_pass_enough(gram, r_inv):
-        lo = panel(r_inv)
-        gram2 = r_inv.T @ r_inv + lo.T @ lo  # (X R1^{-1})^T (X R1^{-1})
-        r2_inv = np.linalg.inv(linalg._cholesky_r(gram2, "the Gram matrix of X R1^{-1}"))
-        r_inv = r_inv @ r2_inv  # R^{-1}, the top block of Q
-        second = (lo, r2_inv)
+    _, r_inv, second = linalg._cholesky_qr(ip + btb, lambda r1: (r1, panel(r1)), "[I; B]")
     a_s = r_inv.T @ a @ r_inv
     a_s = (a_s - a_s.T) / 2.0
     return r_inv, np.linalg.solve(ip + a_s, r_inv.T), second
@@ -432,9 +419,9 @@ def inverse(center: Center, v: SkewParam, *, _return_kernel: bool = False):
     is ``(B R1^{-1}) (-2 R2^{-1} G)``, from the second pass's own panel.
     ``R^{-1}`` and ``B R^{-1}`` are blocks of the orthonormal ``Q`` and
     ``G`` has spectral norm <= 1, so the defect stays near roundoff
-    (~ ``eps * (1 + ||A||)``).  One pass is taken only where
-    :func:`linalg._one_pass_enough` bounds ``cond([I; B])^2`` by
-    ``linalg.ONE_PASS_BOUND``, and ``||B||_2 ||R^{-1}||_2 <= cond([I; B])``:
+    (~ ``eps * (1 + ||A||)``).  One pass is taken only under
+    :func:`linalg._cholesky_qr`'s bound on ``cond([I; B])^2``, and
+    ``||B||_2 ||R^{-1}||_2 <= cond([I; B])``:
     the product with ``B`` itself, in place of the orthonormal block
     ``B R^{-1}``, rounds at most that factor worse.  ``O(N p^2)`` in all.
     With the private ``_return_kernel`` it returns the kernel
@@ -466,7 +453,7 @@ def inverse(center: Center, v: SkewParam, *, _return_kernel: bool = False):
     if second is None:
         linalg._mm(v.b, -2.0 * m_inv, out=u[p:])
     else:
-        q1_lo, r2_inv = second
+        (_, q1_lo), r2_inv = second
         linalg._mm(q1_lo, -2.0 * (r2_inv @ g), out=u[p:])
     if center.is_structured:
         u[:p] = center.t @ u[:p]

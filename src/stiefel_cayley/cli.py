@@ -252,7 +252,6 @@ def _trial_start_frames(cfg: ExperimentConfig, first: Optional[np.ndarray] = Non
 SUMMARY_HEADER = ("algorithm", "n", "p", "gamma_initial", "trial", "fval",
                   "fval_minus_optimal", "feasi", "nrmg", "itr", "time_s", "stop_reason")
 HISTORY_HEADER = ("algorithm", "gamma_initial", "trial", "iter", "cum_time_s", "f_gap")
-SINGULAR_HEADER = ("algorithm", "theta", *SUMMARY_HEADER[1:])
 
 #: The settings every race records, ahead of its experiment's ``extra`` lines.
 _RACE_KEYS = ("n", "p", "trials", "seed", "gammas", "grad_ratio_tol", "fval_rel_tol")

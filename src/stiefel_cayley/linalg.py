@@ -1,10 +1,10 @@
 """Dense real linear-algebra substrate shared by every other module.
 
-Checked SVD, QR and polar-factor wrappers, the Cholesky QR steps that the
-inverse map and the retractions share (:func:`_cholesky_r`,
-:func:`_one_pass_enough`), the blocked product :func:`_mm`, the
-orthonormality defect :func:`feasibility`, the input coercion
-:func:`as_matrix`, and the error taxonomy the other modules raise.
+Checked SVD, QR and polar-factor wrappers, the Cholesky QR that the
+inverse map and the retractions share (:func:`_cholesky_qr`), the blocked
+product :func:`_mm`, the orthonormality defect :func:`feasibility`, the
+input coercion :func:`as_matrix`, and the error taxonomy the other modules
+raise.
 
 Conventions
 -----------
@@ -42,14 +42,14 @@ __all__ = [
     "polar_factor",
 ]
 
-#: Cholesky QR (``retractions._gram_qr`` and ``cayley._m_factors``)
-#: takes its second pass only when :func:`_one_pass_enough`'s bound
-#: ``beta >= cond(X)^2`` exceeds this.  At or below it one pass leaves
-#: ``||Q^T Q - I||_F`` within about 3x of two (3.9e-15 against 1.2e-15 at
-#: N=500, p=10, ``cond(X)^2 = 10``); beyond it the defect grows like
-#: ``eps cond(X)^2``.  The table is in BENCH_22.json (``accuracy``).
-#: ``retractions.retract_polar`` takes its one Gram eigendecomposition
-#: under the same bound on the eigenvalues' ratio, ``cond(X)^2``.
+#: Cholesky QR (:func:`_cholesky_qr`) takes its second pass only when
+#: :func:`_one_pass_enough`'s bound ``beta >= cond(X)^2`` exceeds this.  At
+#: or below it one pass leaves ``||Q^T Q - I||_F`` within about 3x of two
+#: (3.9e-15 against 1.2e-15 at N=500, p=10, ``cond(X)^2 = 10``); beyond it
+#: the defect grows like ``eps cond(X)^2``.  The table is in BENCH_22.json
+#: (``accuracy``).  ``retractions.retract_polar`` takes its one Gram
+#: eigendecomposition under the same bound on the eigenvalues' ratio,
+#: ``cond(X)^2``.
 ONE_PASS_BOUND = 10.0
 
 
@@ -221,7 +221,7 @@ def qr_orthonormalize(x) -> np.ndarray:
     Householder QR is backward stable for any full-rank ``x``, such as the
     Gaussian input of ``problems.random_stiefel``; the QR retraction,
     whose ``U + D`` has no singular value below 1, takes the cheaper
-    Cholesky QR of ``retractions._gram_qr``.
+    :func:`_cholesky_qr`.
 
     Raises
     ------
@@ -267,12 +267,10 @@ def _cholesky_r(gram: np.ndarray, what: str) -> np.ndarray:
 
 
 def _one_pass_enough(gram: np.ndarray, r_inv: np.ndarray) -> bool:
-    """Whether one Cholesky QR pass is accurate: ``X R^{-1}`` for
-    ``gram = X^T X = R^T R`` and its inverse ``r_inv``.
+    """Whether one pass of :func:`_cholesky_qr` is accurate: ``X R^{-1}``
+    for ``gram = X^T X = R^T R`` and its inverse ``r_inv``.
 
-    One pass leaves ``||Q^T Q - I||`` of order ``eps cond(X)^2``
-    (Yamamoto, Nakatsukasa, Yanagisawa and Fukaya 2015).  The bound
-    ``beta = ||gram||_1 ||R^{-1}||_1 ||R^{-1}||_inf`` is at least
+    The bound ``beta = ||gram||_1 ||R^{-1}||_1 ||R^{-1}||_inf`` is at least
     ``cond(X)^2 = lambda_max(gram) / lambda_min(gram)``, since
     ``lambda_max <= ||gram||_1`` and
     ``1 / lambda_min = ||R^{-1}||_2^2 <= ||R^{-1}||_1 ||R^{-1}||_inf``, and
@@ -284,6 +282,34 @@ def _one_pass_enough(gram: np.ndarray, r_inv: np.ndarray) -> bool:
     r_abs = np.abs(r_inv)
     beta = np.abs(gram).sum(axis=0).max() * r_abs.sum(axis=0).max() * r_abs.sum(axis=1).max()
     return bool(beta <= ONE_PASS_BOUND)
+
+
+def _cholesky_qr(gram: np.ndarray, blocks, what: str):
+    """``X = Q R`` by Cholesky QR from ``gram = X^T X``, with a second pass
+    only where one may be inaccurate; returns ``(R, R^{-1}, second)``.
+
+    Pass 1 factors ``gram = R1^T R1``.  ``Q1 = X R1^{-1}`` is orthonormal
+    to about ``eps cond(X)^2``, a few eps where :func:`_one_pass_enough`
+    bounds ``cond(X)^2`` by :data:`ONE_PASS_BOUND`: there ``R = R1`` and
+    ``second`` is None.  Beyond it, while that defect is below 1, a second
+    pass on ``Q1`` makes ``Q = Q1 R2^{-1}`` orthonormal to roundoff
+    (CholeskyQR2; Yamamoto, Nakatsukasa, Yanagisawa and Fukaya 2015).  It
+    factors the sum, in order, of the Gram matrices of the row blocks of
+    ``Q1`` that ``blocks(R1^{-1})`` returns (called only then), as
+    ``R2^T R2``: ``R = R2 R1``, ``R^{-1} = R1^{-1} R2^{-1}`` and
+    ``second = (blocks(R1^{-1}), R2^{-1})``.  ``R`` has a positive
+    diagonal.  Raises :class:`RankError`, naming ``X`` by ``what``, where a
+    Gram matrix is not finite or Cholesky fails on it (:func:`_cholesky_r`).
+    """
+    r = _cholesky_r(gram, f"the Gram matrix of {what}")
+    r_inv = np.linalg.inv(r)
+    if _one_pass_enough(gram, r_inv):
+        return r, r_inv, None
+    q1 = blocks(r_inv)
+    gram2 = sum((b.T @ b for b in q1[1:]), q1[0].T @ q1[0])
+    r2 = _cholesky_r(gram2, f"the second-pass Gram matrix of {what}")
+    r2_inv = np.linalg.inv(r2)
+    return r2 @ r, r_inv @ r2_inv, (q1, r2_inv)
 
 
 def polar_factor(x) -> np.ndarray:

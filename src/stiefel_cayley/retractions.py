@@ -8,11 +8,10 @@ composed with the Cayley retraction.
 Both the QR and the polar retraction start from the Gram matrix of
 ``X = U + D``.  For a tangent step ``X^T X = I + D^T D``, so ``X`` has no
 singular value below 1 and ``cond(X) <= sqrt(1 + ||D||_2^2)``.  The QR
-retraction is the Cholesky QR of ``X``, :func:`_gram_qr`: two passes are
-accurate at any step the Gram matrix can carry, and one suffices under
-``linalg.ONE_PASS_BOUND``.  The polar retraction is ``X (X^T X)^{-1/2}``
-from the Gram matrix's eigendecomposition under that bound, and the QR
-factor's ``Q polar(R)`` past it.  The Cayley retraction is the
+retraction is the Cholesky QR of ``X`` (:func:`_gram_qr`, through
+:func:`linalg._cholesky_qr`).  The polar retraction is ``X (X^T X)^{-1/2}``
+from the Gram matrix's eigendecomposition under ``linalg.ONE_PASS_BOUND``,
+and the QR factor's ``Q polar(R)`` past it.  The Cayley retraction is the
 inverse Cayley transform at the frame center ``[U, Uperp]`` applied to
 ``psi_map(D)``; :func:`_cayley_kernel` computes it with the transform's own
 p-by-p core (:func:`cayley._m_factors`) without forming ``Uperp``, so its
@@ -212,22 +211,11 @@ def riemannian_grad(u: np.ndarray, f: CostFunction) -> TangentVector:
     return project_tangent(u, f.grad(np.asarray(u, dtype=np.float64)))
 
 
-def _gram_qr(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``X = Q R`` by Cholesky QR, with a second pass only where needed.
-
-    Pass 1 factors the Gram matrix ``X^T X = R1^T R1`` and forms
-    ``Q1 = X R1^{-1}``.  When :func:`linalg._one_pass_enough` bounds
-    ``cond(X)^2`` by ``linalg.ONE_PASS_BOUND``, ``Q = Q1`` and ``R = R1``;
-    otherwise pass 2 does the same on ``Q1`` (CholeskyQR2), so
-    ``Q = Q1 R2^{-1}`` and ``R = R2 R1``.  ``R`` has a positive diagonal,
-    the sign convention of :func:`linalg.qr_orthonormalize`.
-
-    One pass leaves ``||Q1^T Q1 - I||`` of order ``eps cond(X)^2``, at
-    most a few eps under the bound.  Beyond it, while that defect is below
-    1, ``Q1`` is well conditioned and the second pass makes ``Q``
-    orthonormal to roundoff (Yamamoto, Nakatsukasa, Yanagisawa and Fukaya
-    2015).  For steps beyond about ``1e8`` the rounded Gram matrix need
-    not be positive definite, and :func:`linalg._cholesky_r` fails.
+def _gram_qr(x: np.ndarray, gram: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``X = Q R`` by :func:`linalg._cholesky_qr` from the caller's
+    ``gram = X^T X``, with ``R``'s diagonal positive as in
+    :func:`linalg.qr_orthonormalize`.  Past steps of about ``1e8`` the
+    rounded Gram matrix need not be positive definite, and Cholesky fails.
 
     Raises
     ------
@@ -244,20 +232,17 @@ def _gram_qr(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     n, p = x.shape
     if n < p:
         raise linalg.DimensionError(f"need rows >= cols for a column frame, got {x.shape}")
-    gram = x.T @ x
     if not np.isfinite(gram).all():
         # a NaN or Inf in a column of x reaches that column's diagonal entry
         linalg.as_matrix(x, "retraction input")
-    r = linalg._cholesky_r(gram, "the Gram matrix of U + D")
-    r_inv = np.linalg.inv(r)
-    q = linalg._mm(x, r_inv)
-    if not linalg._one_pass_enough(gram, r_inv):
-        r2 = linalg._cholesky_r(q.T @ q, "the Gram matrix of Q1")
-        q, r = linalg._mm(q, np.linalg.inv(r2)), r2 @ r
+    r, r_inv, second = linalg._cholesky_qr(gram, lambda r1: (linalg._mm(x, r1),), "U + D")
     r_min = float(np.min(np.diagonal(r)))
     if r_min < 1e-12 * float(np.sqrt(np.trace(gram))):  # trace(X^T X) = ||X||_F^2
         raise linalg.RankError(f"numerically rank-deficient input: min |R_ii| = {r_min:.3e}")
-    return q, r
+    if second is None:
+        return linalg._mm(x, r_inv), r
+    (q1,), r2_inv = second
+    return linalg._mm(q1, r2_inv), r
 
 
 def retract_qr(u: np.ndarray, d: TangentVector) -> np.ndarray:
@@ -276,7 +261,8 @@ def retract_qr(u: np.ndarray, d: TangentVector) -> np.ndarray:
         If the step is too large for the Gram matrix (see
         :func:`_gram_qr`); line searches should retry with a smaller step.
     """
-    return _gram_qr(np.asarray(u, dtype=np.float64) + d.mat)[0]
+    x = np.asarray(u, dtype=np.float64) + d.mat
+    return _gram_qr(x, x.T @ x)[0]
 
 
 def retract_polar(u: np.ndarray, d: TangentVector) -> np.ndarray:
@@ -291,8 +277,9 @@ def retract_polar(u: np.ndarray, d: TangentVector) -> np.ndarray:
     only when ``0 < lambda_min`` and ``lambda_max <= linalg.ONE_PASS_BOUND
     lambda_min``.  Otherwise (a Gram matrix that is not finite or that
     ``eigh`` cannot take, or a ratio past the bound) it takes the route
-    accurate to ``eps cond(X)``: ``X = Q R`` by :func:`_gram_qr`, then
-    ``Q polar(R)`` with the p-by-p SVD of :func:`linalg.polar_factor`.
+    accurate to ``eps cond(X)``: ``X = Q R`` by :func:`_gram_qr` from the
+    same ``G``, then ``Q polar(R)`` with the p-by-p SVD of
+    :func:`linalg.polar_factor`.
 
     Raises
     ------
@@ -313,7 +300,7 @@ def retract_polar(u: np.ndarray, d: TangentVector) -> np.ndarray:
         else:
             if 0.0 < lam[0] and lam[-1] <= linalg.ONE_PASS_BOUND * lam[0]:
                 return linalg._mm(x, (v / np.sqrt(lam)) @ v.T)
-    q, r = _gram_qr(x)
+    q, r = _gram_qr(x, gram)
     return linalg._mm(q, linalg.polar_factor(r))
 
 
@@ -338,11 +325,10 @@ def _cayley_kernel(u: np.ndarray, dmat: np.ndarray) -> _CayleyKernel:
         ``U (2 M^{-1} - I - T M^{-1}) + D M^{-1}``.
 
     ``Uperp`` is never formed.  ``M^{-1}`` comes from the transform's own
-    Cholesky QR of ``[I; B]`` (:func:`cayley._m_factors`); its second pass,
-    taken only beyond :func:`linalg._one_pass_enough`'s bound, factors the
-    Gram matrix of the explicit normal panel
-    ``E R1^{-1} / 2 = (D R1^{-1} - U (T R1^{-1})) / 2``, which has that of
-    ``B R1^{-1}``.  The frame is assembled as ``U`` plus corrections that
+    Cholesky QR of ``[I; B]`` (:func:`cayley._m_factors`); where it takes a
+    second pass, the panel in place of ``B R1^{-1}`` is the explicit
+    ``E R1^{-1} / 2 = (D R1^{-1} - U (T R1^{-1})) / 2``, which has the same
+    Gram matrix.  The frame is assembled as ``U`` plus corrections that
     vanish with ``D``, ``U (-2 C - T M^{-1}) + D M^{-1}`` with
     ``C = M^{-1} (a + B^T B) = I - M^{-1}``.  ``C`` has two forms: the
     product carries roundoff of order ``eps ||a + B^T B||`` and the

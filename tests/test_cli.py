@@ -402,7 +402,7 @@ def test_singular_theta_ordering(tmp_path):
     assert cli.main(["singular", "--n", "6", "--p", "2", "--trials", "1",
                      "--max-iters", "400", "--out", str(out)]) == 0
     provenance, header, rows = read_csv(out)
-    assert header == list(cli.SINGULAR_HEADER)
+    assert header == ["algorithm", "theta", *cli.SUMMARY_HEADER[1:]]
     assert len(rows) == 4  # one per center angle
     thetas = [float(x) for x in column(header, rows, "theta")]
     assert thetas == pytest.approx(list(cli.SINGULAR_THETAS))

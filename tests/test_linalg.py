@@ -2,6 +2,7 @@
 leans on."""
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,6 +91,16 @@ def test_one_pass_bound_brackets_cond_squared(monkeypatch):
             assert not linalg._one_pass_enough(gram, r_inv), (n, p, decades)
             monkeypatch.setattr(linalg, "ONE_PASS_BOUND", p**1.5 * cond2 * (1.0 + 1e-9))
             assert linalg._one_pass_enough(gram, r_inv), (n, p, decades)
+
+
+def test_cholesky_qr_steps_are_called_only_in_linalg():
+    # The pass rule lives in linalg._cholesky_qr alone: no other module
+    # factors a Gram matrix or judges a pass itself.
+    for path in Path(linalg.__file__).parent.glob("*.py"):
+        if path.name != "linalg.py":
+            text = path.read_text(encoding="utf-8")
+            for step in ("_cholesky_r(", "_one_pass_enough("):
+                assert step not in text, (path.name, step)
 
 
 def test_polar_factor_fixed_point_and_scaling():

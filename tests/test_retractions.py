@@ -343,8 +343,9 @@ def test_polar_retraction_takes_the_eigendecomposition_only_under_the_bound(monk
     # in one coordinate plane of U^T D, whose singular values are
     # sqrt(1 + norm^2) and 1.  At p = 1 cond(U + D) is 1, so both take the
     # eigendecomposition.  Past the bound the route is Cholesky QR and the
-    # SVD of R.  Both meet the bar of the property test against the SVD's
-    # polar factor.
+    # SVD of R, and the Cholesky QR factors the very Gram matrix the
+    # eigendecomposition took: X^T X is formed once.  Both meet the bar of
+    # the property test against the SVD's polar factor.
     rng = np.random.default_rng(10 * n + p)
     u = problems.random_stiefel(rng, n, p)
     norm = math.sqrt(cond2 - 1.0)
@@ -358,13 +359,16 @@ def test_polar_retraction_takes_the_eigendecomposition_only_under_the_bound(monk
     if p > 1:
         assert np.linalg.cond(x) ** 2 == pytest.approx(cond2, rel=1e-12)
     chol, polar, factors, svds = linalg._cholesky_r, linalg.polar_factor, [], []
-    monkeypatch.setattr(linalg, "_cholesky_r", lambda *args: factors.append(1) or chol(*args))
+    eigh, grams = np.linalg.eigh, []
+    monkeypatch.setattr(linalg, "_cholesky_r", lambda *args: factors.append(args[0]) or chol(*args))
     monkeypatch.setattr(linalg, "polar_factor", lambda *args: svds.append(1) or polar(*args))
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args: grams.append(args[0]) or eigh(*args))
     frame = retractions.retract_polar(u, d)
     if cond2 < linalg.ONE_PASS_BOUND or p == 1:
         assert factors == [] and svds == []
     else:
         assert len(factors) >= 1 and svds == [1]
+        assert len(grams) == 1 and factors[0] is grams[0]
     assert linalg.feasibility(frame) <= 5e-14
     bar = 1e-14 * (math.sqrt(n * p) + np.linalg.cond(x))
     assert np.linalg.norm(frame - polar(x)) <= bar
