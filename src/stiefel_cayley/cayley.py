@@ -384,7 +384,7 @@ def _m_factors(a: np.ndarray, btb: np.ndarray, panel):
     the failed Cholesky raises ``linalg.RankError``.
     """
     ip = np.eye(a.shape[0])
-    _, r_inv, second = linalg._cholesky_qr(ip + btb, lambda r1: (r1, panel(r1)), "[I; B]")
+    _, r_inv, second = linalg._cholesky_qr(ip + btb, lambda r1: (r1, panel(r1)), "I + B^T B")
     a_s = r_inv.T @ a @ r_inv
     a_s = (a_s - a_s.T) / 2.0
     return r_inv, np.linalg.solve(ip + a_s, r_inv.T), second

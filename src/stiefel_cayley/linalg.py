@@ -298,16 +298,16 @@ def _cholesky_qr(gram: np.ndarray, blocks, what: str):
     ``Q1`` that ``blocks(R1^{-1})`` returns (called only then), as
     ``R2^T R2``: ``R = R2 R1``, ``R^{-1} = R1^{-1} R2^{-1}`` and
     ``second = (blocks(R1^{-1}), R2^{-1})``.  ``R`` has a positive
-    diagonal.  Raises :class:`RankError`, naming ``X`` by ``what``, where a
-    Gram matrix is not finite or Cholesky fails on it (:func:`_cholesky_r`).
+    diagonal.  Raises :class:`RankError`, naming ``gram`` by ``what``, where
+    a Gram matrix is not finite or Cholesky fails on it (:func:`_cholesky_r`).
     """
-    r = _cholesky_r(gram, f"the Gram matrix of {what}")
+    r = _cholesky_r(gram, what)
     r_inv = np.linalg.inv(r)
     if _one_pass_enough(gram, r_inv):
         return r, r_inv, None
     q1 = blocks(r_inv)
     gram2 = sum((b.T @ b for b in q1[1:]), q1[0].T @ q1[0])
-    r2 = _cholesky_r(gram2, f"the second-pass Gram matrix of {what}")
+    r2 = _cholesky_r(gram2, f"{what} (second pass)")
     r2_inv = np.linalg.inv(r2)
     return r2 @ r, r_inv @ r2_inv, (q1, r2_inv)
 

@@ -235,7 +235,8 @@ def _gram_qr(x: np.ndarray, gram: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(gram).all():
         # a NaN or Inf in a column of x reaches that column's diagonal entry
         linalg.as_matrix(x, "retraction input")
-    r, r_inv, second = linalg._cholesky_qr(gram, lambda r1: (linalg._mm(x, r1),), "U + D")
+    r, r_inv, second = linalg._cholesky_qr(
+        gram, lambda r1: (linalg._mm(x, r1),), "the Gram matrix of U + D")
     r_min = float(np.min(np.diagonal(r)))
     if r_min < 1e-12 * float(np.sqrt(np.trace(gram))):  # trace(X^T X) = ||X||_F^2
         raise linalg.RankError(f"numerically rank-deficient input: min |R_ii| = {r_min:.3e}")
