@@ -144,10 +144,6 @@ class SkewParam:
     def n(self) -> int:
         return self.a.shape[0] + self.b.shape[0]
 
-    @classmethod
-    def zero(cls, n: int, p: int) -> "SkewParam":
-        return cls(np.zeros((p, p)), np.zeros((n - p, p)))
-
     def full(self) -> np.ndarray:
         """Embed as the full n-by-n skew matrix."""
         n, p = self.n, self.p
@@ -204,13 +200,9 @@ class SkewParam:
         return f"SkewParam(n={self.n}, p={self.p}, norm={self.norm():.6g})"
 
 
-def random_skew_param(
-    rng: np.random.Generator, n: int, p: int, norm: float | None = None
-) -> SkewParam:
-    """A random parameter, optionally rescaled to a target weighted norm."""
+def random_skew_param(rng: np.random.Generator, n: int, p: int, norm: float) -> SkewParam:
+    """A random parameter of weighted norm ``norm``."""
     v = SkewParam(rng.standard_normal((p, p)), rng.standard_normal((n - p, p)))
-    if norm is None:
-        return v
     nrm = v.norm()
     return v if nrm == 0.0 else (norm / nrm) * v
 

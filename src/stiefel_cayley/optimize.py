@@ -107,30 +107,30 @@ def _recenter_needed(btb: np.ndarray) -> bool:
     return _gram_norm(btb) > RECENTER_B_NORM
 
 
+#: The Armijo line search's constants (:func:`_backtrack_full`): a trial at
+#: step ``gamma`` passes when ``f <= f0 - ARMIJO_C gamma ||g||^2``, each
+#: failed one multiplies ``gamma`` by ``ARMIJO_RHO``, and after
+#: ``MAX_HALVINGS + 1`` failed trials the run ends on the stall clause.  At
+#: 1/2 every ``gamma_initial ARMIJO_RHO^k`` is exact in binary, so an
+#: accepted step ``gamma`` took ``1 + log2(gamma_initial / gamma)`` trials.
+ARMIJO_C = 2.0**-13
+ARMIJO_RHO = 0.5
+MAX_HALVINGS = 60
+
+
 @dataclass(frozen=True)
 class BacktrackingConfig:
-    """Armijo backtracking parameters.
+    """The Armijo line search's one setting: the step starts at
+    ``gamma_initial`` every iteration and is multiplied by
+    :data:`ARMIJO_RHO` until the sufficient-decrease test with slope
+    fraction :data:`ARMIJO_C` passes, for at most :data:`MAX_HALVINGS`
+    shrinkages."""
 
-    The step starts at ``gamma_initial`` every iteration and is multiplied
-    by ``rho`` until the sufficient-decrease test with slope fraction ``c``
-    passes, for at most ``max_halvings`` shrinkages.  Defaults: the
-    standard c = 2^-13, rho = 0.5, gamma_initial = 0.1.
-    """
-
-    c: float = 2.0**-13
-    rho: float = 0.5
     gamma_initial: float = 0.1
-    max_halvings: int = 60
 
     def __post_init__(self):
-        if not 0.0 < self.c < 1.0:
-            raise ValueError(f"c must be in (0,1), got {self.c}")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError(f"rho must be in (0,1), got {self.rho}")
         if not 0.0 < self.gamma_initial < math.inf:
             raise ValueError(f"gamma_initial must be positive and finite, got {self.gamma_initial}")
-        if operator.index(self.max_halvings) < 1:
-            raise ValueError(f"max_halvings must be >= 1, got {self.max_halvings}")
 
 
 @dataclass(frozen=True)
@@ -190,25 +190,25 @@ def _backtrack_full(
     g_norm_sq: float,
     cfg: BacktrackingConfig,
 ):
-    """Armijo backtracking over ``gamma = gamma_initial rho^k``, largest first.
+    """Armijo backtracking over ``gamma_initial ARMIJO_RHO^k``, largest first.
 
     ``step(x, g, gamma)`` is the solver's trial at step size ``gamma``: it
     returns ``(fval, candidate, payload)``, and raising
     :class:`linalg.RankError` counts as a failed trial (the step was too
     large to evaluate at all).  Returns ``(gamma, fval, candidate,
     payload)`` for the first trial with sufficient decrease, or ``None``
-    when none of the ``max_halvings + 1`` trials has it.
+    when none of the ``MAX_HALVINGS + 1`` trials has it.
     """
     gamma = cfg.gamma_initial
-    for _ in range(cfg.max_halvings + 1):
+    for _ in range(MAX_HALVINGS + 1):
         try:
             f_new, cand, payload = step(x, g, gamma)
         except linalg.RankError:
             pass
         else:
-            if f_new <= f0 - cfg.c * gamma * g_norm_sq:
+            if f_new <= f0 - ARMIJO_C * gamma * g_norm_sq:
                 return gamma, f_new, cand, payload
-        gamma *= cfg.rho
+        gamma *= ARMIJO_RHO
     return None
 
 
@@ -395,13 +395,13 @@ def run_gdm_cp_retraction(
 
     def step(v: TangentVector, g: TangentVector, gamma: float):
         v_cand = v - gamma * g
-        u_cand, kernel = retract_cayley(u_anchor, v_cand, return_kernel=True)
-        fval, g_euclid = f.value_and_grad(u_cand)
-        return fval, v_cand, (u_cand, g_euclid, kernel)
+        kernel = retract_cayley(u_anchor, v_cand, _return_kernel=True)
+        fval, g_euclid = f.value_and_grad(kernel.frame)
+        return fval, v_cand, (kernel, g_euclid)
 
     def reanchor(n: int, v: TangentVector, payload):
-        u, g_euclid, kernel = payload
-        return v, u, grad_retraction_pullback(u_anchor, v, f, g=g_euclid, kernel=kernel)
+        kernel, g_euclid = payload
+        return v, kernel.frame, grad_retraction_pullback(u_anchor, v, f, g=g_euclid, kernel=kernel)
 
     def setup(u0: np.ndarray, record: RunRecord):
         v0 = inverse_retract_cayley(u_anchor, u0)
@@ -430,7 +430,7 @@ def run_gdm_retraction(
 
     Each iteration projects the ambient gradient onto the tangent space at
     the current frame and retracts along its negative, with the Armijo test
-    ``f(R_U(-gamma D)) <= f(U) - c gamma ||D||_F^2``.
+    ``f(R_U(-gamma D)) <= f(U) - ARMIJO_C gamma ||D||_F^2``.
 
     Raises
     ------

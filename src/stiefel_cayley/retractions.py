@@ -16,8 +16,11 @@ inverse Cayley transform at the frame center ``[U, Uperp]`` applied to
 ``psi_map(D)``; :func:`_cayley_kernel` computes it with the transform's own
 p-by-p core (:func:`cayley._m_factors`) without forming ``Uperp``, so its
 range is the inverse map's, and :func:`grad_retraction_pullback` is the
-transform's pullback carried back through ``psi_map``.  Every
-factorization is p-by-p.
+transform's pullback carried back through ``psi_map``.  As
+``cayley.inverse`` does, :func:`retract_cayley` with the private
+``_return_kernel=True`` returns that kernel (its ``frame`` is the frame),
+which the pullback at the same ``U`` and ``D`` takes in place of
+rebuilding it.  Every factorization is p-by-p.
 
 The tangent projection and that gradient take a correcting tangent pass
 only where roundoff needs it (``_TANGENT_PASS_BOUND``).  A step too large
@@ -37,7 +40,7 @@ import math
 import numpy as np
 
 from . import linalg
-from .cayley import Center, SingularPointError, SkewParam, _frozen, _m_factors, _pivot_check
+from .cayley import SkewParam, _frozen, _m_factors, _pivot_check, check_stiefel
 from .gradients import CostFunction
 
 __all__ = [
@@ -100,7 +103,7 @@ class TangentVector:
             raise ValueError("tangent vectors live at different base frames")
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.mat))
+        return _fro(self.mat)
 
     def inner(self, other: "TangentVector") -> float:
         self._same_base(other)
@@ -311,7 +314,6 @@ class _CayleyKernel(NamedTuple):
     frame: np.ndarray
     m_inv: np.ndarray
     utd: np.ndarray
-    dmat: np.ndarray
 
 
 def _cayley_kernel(u: np.ndarray, dmat: np.ndarray) -> _CayleyKernel:
@@ -346,13 +348,18 @@ def _cayley_kernel(u: np.ndarray, dmat: np.ndarray) -> _CayleyKernel:
     ``B^T B`` is roundoff of order ``eps ||D||^2`` (5e-11 at St(3, 3) and
     ``||D|| = 1e3``).
 
-    Returns the fields ``frame`` (N-by-p), ``m_inv`` (``M^{-1}``), ``utd``
-    (``T``) and ``dmat`` (``D`` itself), in that order.  A step outside the
-    inverse map's range raises :class:`linalg.RankError`.
+    Returns the fields ``frame`` (N-by-p), ``m_inv`` (``M^{-1}``) and
+    ``utd`` (``T``), in that order.  A NaN or Inf in ``U`` or ``D`` raises
+    ``ValueError``, checked only where ``B^T B`` is not finite; a step
+    outside the inverse map's range raises :class:`linalg.RankError`.
     """
     utd = linalg._mm(u.T, dmat)
-    a = (utd.T - utd) / 4.0  # -T/2, exactly skew
     btb = (dmat.T @ dmat - utd.T @ utd) / 4.0  # E^T E / 4
+    if not np.isfinite(btb).all():
+        # a NaN or Inf in U or D reaches B^T B; else the step overflowed
+        linalg.as_matrix(u, "base frame")
+        linalg.as_matrix(dmat, "tangent matrix")
+    a = (utd.T - utd) / 4.0  # -T/2, exactly skew
 
     def half_normal_panel(r1_inv):
         return 0.5 * (linalg._mm(dmat, r1_inv) - linalg._mm(u, utd @ r1_inv))
@@ -364,28 +371,32 @@ def _cayley_kernel(u: np.ndarray, dmat: np.ndarray) -> _CayleyKernel:
     frame = linalg._mm(u, -2.0 * c - utd @ m_inv)
     frame += linalg._mm(dmat, m_inv)
     frame += u
-    return _CayleyKernel(frame, m_inv, utd, dmat)
+    return _CayleyKernel(frame, m_inv, utd)
 
 
-def retract_cayley(u: np.ndarray, d: TangentVector, *, return_kernel: bool = False):
+def retract_cayley(u: np.ndarray, d: TangentVector, *, _return_kernel: bool = False):
     """Cayley retraction ``(I + W)^{-1} (I - W) U`` in O(Np^2).
 
     ``W = (U Y^T - Y U^T) / 2`` with ``Y = (I - U U^T / 2) D`` is skew, and
     the result equals the inverse Cayley transform at the center
     ``[U, Uperp]`` applied to :func:`psi_map` of ``D``, which is how
-    :func:`_cayley_kernel` computes it.  With ``return_kernel=True`` it
-    returns ``(frame, kernel)``, and the kernel may be passed to
+    :func:`_cayley_kernel` computes it.  With the private
+    ``_return_kernel`` it returns that kernel in place of the frame, as
+    ``cayley.inverse`` does; its ``frame`` field is the frame, and
+    ``run_gdm_cp_retraction`` passes the kernel to
     :func:`grad_retraction_pullback` at the same ``u`` and ``d``.
 
     Raises
     ------
+    ValueError
+        If ``U`` or ``D`` contains NaN or Inf.
     linalg.RankError
         If the step is outside the inverse map's range (see
         :func:`cayley._m_factors`); line searches should retry with a
         smaller step.
     """
     kernel = _cayley_kernel(np.asarray(u, dtype=np.float64), d.mat)
-    return (kernel.frame, kernel) if return_kernel else kernel.frame
+    return kernel if _return_kernel else kernel.frame
 
 
 def psi_map(u: np.ndarray, uperp: np.ndarray, d: TangentVector) -> SkewParam:
@@ -410,13 +421,19 @@ def inverse_retract_cayley(u: np.ndarray, ufrak: np.ndarray) -> TangentVector:
 
     Raises
     ------
+    ValueError
+        If either frame has NaN, Inf or columns that are not orthonormal.
+    DimensionError
+        If the frames differ in shape, or either is not a tall matrix.
     SingularPointError
         If ``I + ufrak^T U`` has its smallest singular value below
         ``cayley.PIVOT_FLOOR`` (``ufrak`` is outside the retraction's
         range from ``u``, numerically).
     """
-    u = np.asarray(u, dtype=np.float64)
-    ufrak = np.asarray(ufrak, dtype=np.float64)
+    u = check_stiefel(u)
+    ufrak = check_stiefel(ufrak)
+    if ufrak.shape != u.shape:
+        raise linalg.DimensionError(f"target frame shape {ufrak.shape} != base shape {u.shape}")
     p = u.shape[1]
     k = np.eye(p) + ufrak.T @ u
     _pivot_check(k, "inverse Cayley retraction")
@@ -462,23 +479,24 @@ def grad_retraction_pullback(
     base and their arithmetic compares no frames.
 
     A caller that already retracted and evaluated the cost passes
-    ``kernel``, the one ``retract_cayley(u, d, return_kernel=True)``
+    ``kernel``, the one ``retract_cayley(u, d, _return_kernel=True)``
     returned for the same ``u`` and ``d``, and ``g``, the ambient gradient
-    at that frame; a rebuilt kernel is bit-identical to the carried one,
-    so every combination returns the same result.
+    at ``kernel.frame``; ``D`` itself is read from ``d``.  A rebuilt kernel
+    is bit-identical to the carried one, so every combination returns the
+    same result.
 
     Raises
     ------
-    linalg.RankError
-        Propagated from the kernel when it is built here; line searches
-        should retry with a smaller step.
+    ValueError, linalg.RankError
+        Propagated from the kernel when it is built here, as
+        :func:`retract_cayley` raises them.
     """
     u = np.asarray(u, dtype=np.float64)
     if kernel is None:
         kernel = _cayley_kernel(u, d.mat)
     if g is None:
         g = f.grad(kernel.frame)
-    m_inv, utd, dmat = kernel.m_inv, kernel.utd, kernel.dmat
+    m_inv, utd, dmat = kernel.m_inv, kernel.utd, d.mat
     utg = linalg._mm(u.T, g)
     pm = m_inv @ (utg.T @ (2.0 * np.eye(u.shape[1]) - utd) + linalg._mm(dmat.T, g).T) @ m_inv
     s = (pm + pm.T) / 4.0

@@ -14,6 +14,8 @@ from oracles import embed
 
 
 def random_param(rng, n, p, norm=None):
+    if norm is None:  # the blocks random_skew_param draws, unscaled
+        return SkewParam(rng.standard_normal((p, p)), rng.standard_normal((n - p, p)))
     return problems.random_skew_param(rng, n, p, norm=norm)
 
 
@@ -191,7 +193,7 @@ def test_inverse_at_zero_returns_center_left_block():
     rng = np.random.default_rng(8)
     for structured in (True, False):
         center = problems.random_center(rng, 10, 3, structured=structured)
-        u = cayley.inverse(center, SkewParam.zero(10, 3))
+        u = cayley.inverse(center, SkewParam(np.zeros((3, 3)), np.zeros((7, 3))))
         assert np.linalg.norm(u - center.left(3)) <= 1e-14
 
 
@@ -421,7 +423,7 @@ def test_align_preserves_column_span():
 
 
 def test_singular_diagnostic_at_zero_and_hand_case():
-    diag = cayley.singular_diagnostic(SkewParam.zero(9, 3))
+    diag = cayley.singular_diagnostic(SkewParam(np.zeros((3, 3)), np.zeros((6, 3))))
     assert abs(diag.value - 8.0) <= 1e-13
     assert abs(diag.log_value - 3.0 * math.log(2.0)) <= 1e-13
     diag = cayley.singular_diagnostic(SkewParam(np.zeros((1, 1)), np.array([[-1.0]])))
@@ -455,7 +457,7 @@ def test_singular_diagnostic_matches_frame_determinant():
 
 
 def test_mobility_closed_forms():
-    assert cayley.mobility(SkewParam.zero(8, 2)) == 2.0
+    assert cayley.mobility(SkewParam(np.zeros((2, 2)), np.zeros((6, 2)))) == 2.0
     rng = np.random.default_rng(19)
     a = rng.standard_normal((3, 3))
     for c in (0.5, 1.0, 3.0):

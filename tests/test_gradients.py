@@ -46,7 +46,8 @@ def test_grad_at_zero_matches_literal_blocks():
     f = problems.eigen_cost(inst)
     for structured in (True, False):
         center = problems.random_center(rng, n, p, structured=structured)
-        g = gradients.grad_pullback(center, SkewParam.zero(n, p), f)
+        zero = SkewParam(np.zeros((p, p)), np.zeros((n - p, p)))
+        g = gradients.grad_pullback(center, zero, f)
         s = embed(center)
         s_le, s_ri = s[:, :p], s[:, p:]
         ambient = f.grad(s_le)
@@ -59,7 +60,8 @@ def test_grad_at_zero_eigenvector_start_is_stationary():
     f = CostFunction(dim_n=2, dim_p=1,
                      eval=lambda u: -float((u.T @ a @ u).item()),
                      grad=lambda u: -2.0 * a @ u)
-    g = gradients.grad_pullback(Center.structured(np.eye(1), 2), SkewParam.zero(2, 1), f)
+    zero = SkewParam(np.zeros((1, 1)), np.zeros((1, 1)))
+    g = gradients.grad_pullback(Center.structured(np.eye(1), 2), zero, f)
     assert g.norm() == 0.0
 
 
@@ -68,7 +70,8 @@ def test_grad_at_zero_off_diagonal_hand_case():
     f = CostFunction(dim_n=2, dim_p=1,
                      eval=lambda u: -float((u.T @ a @ u).item()),
                      grad=lambda u: -2.0 * a @ u)
-    g = gradients.grad_pullback(Center.structured(np.eye(1), 2), SkewParam.zero(2, 1), f)
+    zero = SkewParam(np.zeros((1, 1)), np.zeros((1, 1)))
+    g = gradients.grad_pullback(Center.structured(np.eye(1), 2), zero, f)
     np.testing.assert_allclose(g.a, [[0.0]], atol=0.0)
     np.testing.assert_allclose(g.b, [[2.0]], atol=0.0)
 

@@ -282,13 +282,18 @@ def test_qr_and_polar_retractions_raise_on_bad_steps(retract):
     # would return inf without an error): refused, so a line search shrinks it
     with pytest.raises(linalg.RankError), np.errstate(over="ignore"):
         retract(u, random_tangent(rng, u, norm=1e160))
-    # NaN or Inf in U + D is bad input
+    # NaN or Inf in U + D is bad input, for the Cayley retraction and the
+    # pullback that builds its kernel too (not a RankError, which a line
+    # search would count as a step too large)
     d = random_tangent(rng, u)
+    f = constant_cost(9, 3)
     for bad in (np.nan, np.inf):
         broken = u.copy()
         broken[4, 1] = bad
-        with pytest.raises(ValueError):
-            retract(broken, d)
+        for call in (retract, retractions.retract_cayley,
+                     lambda base, step: retractions.grad_retraction_pullback(base, step, f)):
+            with pytest.raises(ValueError):
+                call(broken, d)
     # rank-deficient U + D: a Gram matrix Cholesky refuses, and a column
     # below 1e-12 ||U + D||_F
     for base in (np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]),
@@ -433,6 +438,27 @@ def test_inverse_retract_cayley_singular_antipode():
         retractions.inverse_retract_cayley(u, -u)
 
 
+def test_inverse_retract_cayley_checks_its_frames():
+    # Both frames are checked on entry: a non-orthonormal frame would give
+    # a tangent vector that no Cayley step reaches, a NaN would surface as
+    # an SVD failure and mismatched shapes as a matmul error.
+    rng = np.random.default_rng(14)
+    u = problems.random_stiefel(rng, 8, 3)
+    for base, target in ((u, 2.0 * u), (2.0 * u, u)):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            retractions.inverse_retract_cayley(base, target)
+    for bad in (np.nan, np.inf):
+        broken = u.copy()
+        broken[2, 1] = bad
+        for base, target in ((u, broken), (broken, u)):
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                retractions.inverse_retract_cayley(base, target)
+    for other in (problems.random_stiefel(rng, 9, 3), problems.random_stiefel(rng, 8, 2)):
+        for base, target in ((u, other), (other, u)):
+            with pytest.raises(linalg.DimensionError):
+                retractions.inverse_retract_cayley(base, target)
+
+
 # ------------------------------------------------- retraction-path gradient
 
 
@@ -517,7 +543,8 @@ def test_cayley_kernel_matches_panel_reference():
                 tol, grad_scale = 1e-13, np.linalg.norm(grad_ref)
             else:
                 tol, grad_scale = eps * cond, np.linalg.norm(g_ref)
-            frame, kernel = retractions.retract_cayley(u, d, return_kernel=True)
+            kernel = retractions.retract_cayley(u, d, _return_kernel=True)
+            frame = kernel.frame
             assert np.array_equal(retractions.retract_cayley(u, d), frame)
             assert linalg.feasibility(frame) <= 1e-12, (n, p, norm)
             assert np.linalg.norm(frame - frame_ref) <= tol * np.linalg.norm(frame_ref)
@@ -548,8 +575,7 @@ def test_cayley_frame_is_the_kernels_frame_and_feasible():
         direction = random_tangent(rng, u)
         for norm in KERNEL_NORMS:
             d = (norm / direction.norm()) * direction
-            frame, kernel = retractions.retract_cayley(u, d, return_kernel=True)
-            assert frame is kernel.frame and kernel.dmat is d.mat
+            frame = retractions.retract_cayley(u, d, _return_kernel=True).frame
             assert np.array_equal(retractions.retract_cayley(u, d), frame)
             assert linalg.feasibility(frame) <= 1e-12, (n, p, norm)
 
